@@ -1,7 +1,7 @@
 """Disordered polymer depinning: exact recursions, estimation, analysis."""
 
 from .kernel import (ReturnKernel, srw_kernel, power_kernel, geometric_kernel,
-                     geometric_tilted_mass, kernel_from_file, write_kernel_file)
+                     kernel_from_file, write_kernel_file)
 from .pure_solver import (PureSolution, PureAsymptotics, solve_free_energy_pure,
                           hc_pure, pure_asymptotics)
 from .disorder import (DisorderLaw, DisorderSample, disorder_law, sample_disorder,
@@ -12,12 +12,10 @@ from .engine import (ModelSpec, LogPartitionTable, log_partition_pinning,
                      log_partition_constrained, constrained_window, logsumexp_1d)
 from .oracle import (OracleResult, brute_force_pinning, brute_force_copolymer,
                      brute_force_constrained, copolymer_reflection_partner)
-from .estimator import (FreeEnergyEstimate, PhiCurve, SelfAveragingReport,
-                        estimate_free_energy, estimate_phi,
-                        self_averaging_diagnostic, default_epsilon, worker_count)
-from .analysis import (CriticalFit, SmoothingReport, legendre_sup, locate_hc,
-                       fit_exponent, jackknife_exponent, smoothing_check,
-                       critical_power_fit, extrapolate_free_energy,
+from .estimator import (FreeEnergyEstimate, PhiCurve, estimate_free_energy,
+                        estimate_phi, default_epsilon)
+from .analysis import (CriticalFit, SmoothingReport, locate_hc, fit_exponent,
+                       smoothing_check, critical_power_fit, extrapolate_free_energy,
                        select_fit_points)
 
 __version__ = "0.1.0"

@@ -1,11 +1,11 @@
 """Critical-point location, exponent fits, and the smoothing-envelope check.
 
-The free energy and the density-constrained curve are conjugate:
-F(h) = sup_m (phi(m) - h m).  locate_hc finds the field where the
-size-extrapolated free energy stops clearing a noise threshold, fit_exponent
-measures the power of (h_c - h) on a log-log scale, and smoothing_check
-assembles the full comparison: disordered exponent and envelope versus the
-exactly solvable homogeneous model on the same kernel.
+locate_hc finds the field where the size-extrapolated free energy stops
+clearing a noise threshold, fit_exponent measures the power of (h_c - h) on
+a log-log scale, and smoothing_check assembles the full comparison:
+disordered exponent and envelope versus the exactly solvable homogeneous
+model on the same kernel.  Both the bisection and the smoothing scan
+estimate every size at a field and extrapolate through one helper.
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 
 from .disorder import DisorderLaw, smoothing_constant, spawn_seed
 from .engine import ModelSpec
-from .estimator import PhiCurve, estimate_free_energy
+from .estimator import estimate_free_energy
 from .kernel import ReturnKernel
 from .pure_solver import hc_pure, pure_asymptotics, solve_free_energy_pure
 
@@ -36,16 +36,6 @@ class CriticalFit:
     fit_window: tuple | None = None
     envelope_constant: float | None = None
     points: tuple = ()
-
-
-def legendre_sup(phi: PhiCurve, h: float) -> tuple[float, float]:
-    """Grid supremum of phi(m) - h m; ties resolve to the smaller density."""
-    mask = phi.feasible & np.isfinite(phi.values)
-    if not mask.any():
-        raise ValueError("constrained curve has no feasible entry")
-    vals = phi.values[mask] - h * phi.m_grid[mask]
-    best = int(np.argmax(vals))  # first maximum = smallest m on an ascending grid
-    return float(vals[best]), float(phi.m_grid[mask][best])
 
 
 def _wls_line(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
@@ -79,14 +69,30 @@ def _wls_line(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
 
 
 def extrapolate_free_energy(n_values, means, stderrs) -> tuple[float, float]:
-    """Infinite-size intercept of F_N = F_inf + a log(N)/N; returns (F_inf, a)."""
+    """Infinite-size intercept of F_N = F_inf + a log(N)/N; returns
+    (F_inf, sigma) with sigma the weighted-fit standard error of F_inf.
+
+    A single size is its own limit: (mean, stderr).
+    """
     n_values = np.asarray(n_values, dtype=float)
     y = np.asarray(means, dtype=float)
     if len(n_values) == 1:
-        return float(y[0]), 0.0
+        return float(y[0]), float(stderrs[0])
     x = np.log(n_values) / n_values
-    a, b, _, _ = _wls_line(x, y, np.asarray(stderrs, dtype=float))
-    return float(a), float(b)
+    a, _, var_a, _ = _wls_line(x, y, np.asarray(stderrs, dtype=float))
+    return float(a), math.sqrt(var_a)
+
+
+def _extrapolate_at(kind: str, beta: float, h: float, kernel: ReturnKernel,
+                    law: DisorderLaw, n_list, replicas: int, seeds):
+    """Estimate F_N at field h on every size (seeds[i] for n_list[i]) and
+    extrapolate; returns (F_inf, sigma, per-size estimates)."""
+    model = ModelSpec(kind, beta, h, kernel)
+    ests = [estimate_free_energy(model, law, n, replicas, s)
+            for n, s in zip(n_list, seeds)]
+    f_inf, sigma = extrapolate_free_energy(n_list, [e.mean for e in ests],
+                                           [e.stderr for e in ests])
+    return f_inf, sigma, ests
 
 
 def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
@@ -110,14 +116,11 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     if threshold_floor is None:
         threshold_floor = 4.0 / n_big
     probes = []
+    seeds = [spawn_seed(seed, i) for i in range(len(n_list))]
 
     def localized(h: float) -> bool:
-        ests = [estimate_free_energy(ModelSpec(kind, beta, h, kernel), law, n,
-                                     replicas, spawn_seed(seed, i))
-                for i, n in enumerate(n_list)]
-        f_inf, _ = extrapolate_free_energy([e.n for e in ests],
-                                           [e.mean for e in ests],
-                                           [e.stderr for e in ests])
+        f_inf, _, ests = _extrapolate_at(kind, beta, h, kernel, law, n_list,
+                                         replicas, seeds)
         thr = max(3.0 * ests[-1].stderr, threshold_floor)
         probes.append((h, f_inf, thr))
         return f_inf > thr
@@ -192,46 +195,15 @@ def fit_exponent(points, hc: float, hc_err: float = 0.0) -> CriticalFit:
                        points=tuple(used))
 
 
-def jackknife_exponent(h_values, replica_matrix, stderrs, hc: float,
-                       hc_err: float = 0.0) -> tuple[float, float]:
-    """Leave-one-replica-out uncertainty for the fitted exponent.
-
-    The usable window is fixed by the full-sample means so resampling only
-    moves the ordinates; returns (mean of leave-one-out slopes, jackknife
-    standard error).
-    """
-    replica_matrix = np.asarray(replica_matrix)
-    n_rep = replica_matrix.shape[0]
-    full_means = replica_matrix.mean(axis=0)
-    rows = list(zip(h_values, full_means, stderrs))
-    used = select_fit_points(rows, hc, hc_err)
-    if len(used) < 4 or n_rep < 2:
-        raise ValueError("jackknife needs >= 4 usable points and >= 2 replicas")
-    keep = [i for i, (h, _, _) in enumerate(zip(h_values, full_means, stderrs))
-            if any(abs(h - hu) < 1e-15 for hu, _, _ in used)]
-    gaps = np.array([hc - h_values[i] for i in keep])
-    sigma = np.array([stderrs[i] for i in keep])
-    x = np.log(gaps)
-    slopes = []
-    for r in range(n_rep):
-        loo = np.delete(replica_matrix[:, keep], r, axis=0).mean(axis=0)
-        if np.any(loo <= 0):
-            continue
-        _, b, _, _ = _wls_line(x, np.log(loo), sigma / np.maximum(loo, 1e-300))
-        slopes.append(b)
-    slopes = np.array(slopes)
-    m = slopes.mean()
-    var = (len(slopes) - 1) / len(slopes) * ((slopes - m) ** 2).sum()
-    return float(m), float(math.sqrt(var))
-
-
 def critical_power_fit(points, hc_lo: float, hc_hi: float,
                        grid_size: int = 400) -> tuple[float, float, float]:
     """Fit F = C (hc' - h)^kappa with the critical point as a parameter.
 
-    For each candidate hc' on a grid the log-log line is solved by weighted
-    least squares and the weighted residual recorded; returns
-    (hc_best, exponent, chi2) at the grid minimizer.  Used because a
+    For every candidate hc' > max(h) on a grid the log-log line is solved
+    by weighted least squares (the _wls_line solve, done for the whole
+    grid at once) and the weighted residual recorded; returns
+    (hc_best, exponent, chi2) at the first grid minimizer, or
+    (hc_hi, 0.0, inf) when no candidate qualifies.  Used because a
     threshold-based critical-point search is biased low by construction
     (it needs the free energy to clear the noise), which would drag a
     fixed-hc log-log slope below its true value.
@@ -241,22 +213,31 @@ def critical_power_fit(points, hc_lo: float, hc_hi: float,
     err = np.array([p[2] for p in points])
     sigma = err / f
     y = np.log(f)
-    h_max = float(h.max())
-    best = (math.inf, hc_hi, 0.0)
-    for hc_try in np.linspace(hc_lo, hc_hi, grid_size):
-        if hc_try <= h_max:
-            continue
-        x = np.log(hc_try - h)
-        a, b, _, _ = _wls_line(x, y, sigma)
-        resid = y - a - b * x
-        if np.any(sigma > 0):
-            floor = sigma[sigma > 0].min()
-            chi2 = float(((resid / np.maximum(sigma, floor)) ** 2).sum())
-        else:
-            chi2 = float((resid**2).sum())
-        if chi2 < best[0]:
-            best = (chi2, float(hc_try), float(b))
-    return best[1], best[2], best[0]
+    grid = np.linspace(hc_lo, hc_hi, grid_size)
+    grid = grid[grid > h.max()]
+    scale = np.ones_like(sigma)
+    if np.any(sigma > 0):
+        scale = np.maximum(sigma, sigma[sigma > 0].min())
+    w = 1.0 / scale**2
+    # one row per candidate; sums along the last axis as in _wls_line
+    x = np.log(grid[:, None] - h)
+    sw = w.sum()
+    sx = (w * x).sum(axis=-1)
+    sxx = (w * x * x).sum(axis=-1)
+    sy = (w * y).sum()
+    sxy = (w * x * y).sum(axis=-1)
+    det = sw * sxx - sx * sx
+    if np.any(det <= 0):
+        raise ValueError("degenerate fit design")
+    a = (sxx * sy - sx * sxy) / det
+    b = (sw * sxy - sx * sy) / det
+    resid = y - a[:, None] - b[:, None] * x
+    chi2 = ((resid / scale) ** 2).sum(axis=-1)
+    chi2[np.isnan(chi2)] = math.inf
+    if not np.any(chi2 < math.inf):
+        return float(hc_hi), 0.0, math.inf
+    best = int(np.argmin(chi2))
+    return float(grid[best]), float(b[best]), float(chi2[best])
 
 
 @dataclass(frozen=True)
@@ -338,23 +319,14 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
 
     gaps = sorted(scan_gaps, reverse=True)
     h_values = [hc - g for g in gaps] + [hc + gaps[-1], hc + gaps[len(gaps) // 2]]
-    # per scan point: estimates on every size, extrapolated to N = inf
-    ests = [[estimate_free_energy(ModelSpec(kind, beta, h, kernel), law, n,
-                                  replicas, spawn_seed(seed, 1000 + i))
-             for n in n_list] for i, h in enumerate(h_values)]
-
-    def extrapolate_row(means, stderrs):
-        if len(n_list) == 1:
-            return float(means[0]), float(stderrs[0])
-        x = np.log(np.array(n_list, dtype=float)) / np.array(n_list, dtype=float)
-        a, _, var_a, _ = _wls_line(x, np.asarray(means, dtype=float),
-                                   np.asarray(stderrs, dtype=float))
-        return float(a), math.sqrt(var_a)
-
-    points = []
-    for h, row in zip(h_values, ests):
-        f_inf, sig = extrapolate_row([e.mean for e in row], [e.stderr for e in row])
+    # per scan point: estimates on every size (one seed shared by the
+    # sizes), extrapolated to N = inf
+    points, ests = [], []
+    for i, h in enumerate(h_values):
+        f_inf, sig, row = _extrapolate_at(kind, beta, h, kernel, law, n_list, replicas,
+                                          [spawn_seed(seed, 1000 + i)] * len(n_list))
         points.append((h, f_inf, sig))
+        ests.append(row)
     points = tuple(points)
 
     loc = [p for p in points if p[0] < hc]
@@ -379,7 +351,7 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
             if h not in used_h:
                 continue
             means = [float(np.delete(e.replica_values, r).mean()) for e in row]
-            f_inf, _ = extrapolate_row(means, [e.stderr for e in row])
+            f_inf, _ = extrapolate_free_energy(n_list, means, [e.stderr for e in row])
             if f_inf > 0:
                 pts_r.append((h, f_inf, stderr_by_h[h]))
         if len(pts_r) >= 5:

@@ -70,13 +70,22 @@ def _int_list(text: str):
     return [int(x) for x in text.split(",") if x]
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _float_list(text: str):
     """Comma list or lo:hi:step range (inclusive of hi up to rounding)."""
     if ":" in text:
-        lo, hi, step = (float(x) for x in text.split(":"))
-        count = int(round((hi - lo) / step)) + 1
-        return [lo + i * step for i in range(count)]
-    return [float(x) for x in text.split(",") if x]
+        lo, hi, step = (_finite(x) for x in text.split(":"))
+        span = (hi - lo) / step if step else -1.0
+        if not (math.isfinite(span) and round(span) >= 0):
+            raise ValueError("empty or unbounded range")
+        return [lo + i * step for i in range(int(round(span)) + 1)]
+    return [_finite(x) for x in text.split(",") if x]
 
 
 def read_config_file(path: str) -> dict:
@@ -97,7 +106,7 @@ def read_config_file(path: str) -> dict:
 _COMMON = {
     "kernel": (str, None, "kernel spec (see module docstring)"),
     "law": (str, "gaussian", "disorder law"),
-    "beta": (float, 0.0, "disorder strength"),
+    "beta": (_finite, 0.0, "disorder strength"),
     "seed": (int, 0, "master seed (64-bit)"),
     "replicas": (int, 8, "disorder replicas"),
     "out": (str, None, "output directory"),
@@ -120,22 +129,22 @@ _OPTIONS = {
         **_COMMON,
         "kind": (str, "pinning", "model kind"),
         "m_grid": (_float_list, None, "density grid, comma list or lo:hi:step"),
-        "epsilon": (float, None, "window half-width (default max(1/sqrt(N), 2s/N))"),
+        "epsilon": (_finite, None, "window half-width (default max(1/sqrt(N), 2s/N))"),
         "N": (int, None, "system size"),
     },
     "hc": {
         **_COMMON,
         "kind": (str, "pinning", "model kind"),
         "N_list": (_int_list, None, "extrapolation sizes"),
-        "tol": (float, 1e-3, "bisection tolerance on h"),
-        "h_lo": (float, None, "optional lower search bound"),
-        "h_hi": (float, None, "optional upper search bound"),
+        "tol": (_finite, 1e-3, "bisection tolerance on h"),
+        "h_lo": (_finite, None, "optional lower search bound"),
+        "h_hi": (_finite, None, "optional upper search bound"),
     },
     "smooth": {
         **_COMMON,
         "kind": (str, "pinning", "model kind"),
         "N_list": (_int_list, None, "extrapolation sizes"),
-        "tol": (float, 2e-3, "bisection tolerance on h"),
+        "tol": (_finite, 2e-3, "bisection tolerance on h"),
         "scan_gaps": (_float_list, None, "distances below h_c to scan"),
     },
     "verify": {
@@ -349,9 +358,7 @@ def _cmd_smooth(merged: dict) -> int:
     print(f"envelope_ok={report.envelope_ok} ratio_decreasing={report.ratio_decreasing}")
     out = _outdir(merged)
     if out:
-        payload = report.to_dict()
-        payload["exponent_err"] = report.exponent_err
-        _write_json(out / "smooth.json", payload)
+        _write_json(out / "smooth.json", report.to_dict())
         rows = [(merged["N_list"][-1], report.beta, h, f, s,
                  merged["replicas"], merged["seed"]) for h, f, s in report.points]
         _write_csv(out / "smooth_points.csv",

@@ -125,19 +125,6 @@ class DisorderLaw:
             return SQRT3 * (x / 3.0 - x**3 / 45.0 + 2.0 * x**5 / 945.0)
         return SQRT3 * (1.0 / math.tanh(x) - 1.0 / x)
 
-    def tilted_second_moment(self, u: float) -> float:
-        if self.family == "gaussian":
-            return 1.0 + u * u
-        if self.family == "rademacher":
-            return 1.0
-        x = SQRT3 * u
-        xi = self.tilted_mean(u)
-        if abs(x) < 0.02:
-            dxi = 3.0 * (1.0 / 3.0 - x * x / 15.0 + 2.0 * x**4 / 189.0)
-        else:
-            dxi = 3.0 * (1.0 / (x * x) - 1.0 / math.sinh(x) ** 2)
-        return dxi + xi * xi
-
 
 def _log_cosh(u: float) -> float:
     a = abs(u)
@@ -223,8 +210,7 @@ def tilt_entropy(law: DisorderLaw, u: float, ell: int) -> float:
     """Relative entropy of exponentially tilting the first ell coordinates.
 
     Equals ell * (u xi(u) - log z(u)) with z the moment generating function
-    and xi the tilted mean; the tilted mean and second moment themselves are
-    available as law.tilted_mean / law.tilted_second_moment.
+    and xi the tilted mean (law.tilted_mean).
     """
     if ell < 1:
         raise ValueError("ell must be positive")

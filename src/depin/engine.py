@@ -43,6 +43,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("pinning", "copolymer"):
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if not (math.isfinite(self.beta) and math.isfinite(self.h)):
+            raise ValueError("beta and h must be finite")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
         if self.kind == "copolymer" and self.h < 0:

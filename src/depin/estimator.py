@@ -25,10 +25,12 @@ from .engine import (LogPartitionTable, ModelSpec, constrained_window,
 
 
 def worker_count() -> int:
+    """Worker processes for replica builds: DEPIN_THREADS, at most the cores."""
+    cores = os.cpu_count() or 1
     env = os.environ.get("DEPIN_THREADS")
     if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+        return max(1, min(int(env), cores))
+    return cores
 
 
 def _map_replicas(fn, tasks):
@@ -163,25 +165,3 @@ def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | No
                        for i in range(len(m_grid))])
     return PhiCurve(m_grid, epsilon, values, stderr, feasible, n, replicas, seed,
                     replica_values=matrix)
-
-
-@dataclass(frozen=True)
-class SelfAveragingReport:
-    """Replica variance of (1/N) log Z across a ladder of sizes."""
-
-    rows: tuple  # (N, mean, variance) triples
-    variance_decreased: bool
-
-
-def self_averaging_diagnostic(model: ModelSpec, law: DisorderLaw, n_list,
-                              replicas: int, seed: int) -> SelfAveragingReport:
-    """Variance of the per-size free-energy estimates; checks concentration."""
-    n_list = list(n_list)
-    if sorted(n_list) != n_list:
-        raise ValueError("n_list must be ascending")
-    rows = []
-    for i, n in enumerate(n_list):
-        est = estimate_free_energy(model, law, n, replicas, spawn_seed(seed, i))
-        var = float(est.replica_values.var(ddof=1)) if replicas > 1 else 0.0
-        rows.append((n, est.mean, var))
-    return SelfAveragingReport(tuple(rows), rows[-1][2] < rows[0][2])

@@ -22,10 +22,6 @@ from scipy.special import zeta
 NORMALIZATION_TOL = 1e-12
 FILE_NORMALIZATION_TOL = 1e-9
 
-# slack allowed in the one-sided tail-exponent check; the declared alpha is a
-# liminf statement, so the check records where it starts holding, never rejects
-ALPHA_CHECK_SLACK = 0.1
-
 
 @dataclass(frozen=True, eq=False)
 class ReturnKernel:
@@ -93,24 +89,6 @@ class ReturnKernel:
         suf.flags.writeable = False
         return suf
 
-    @cached_property
-    def alpha_support_start(self) -> int | None:
-        """Smallest atom index n0 >= 2 with log K(sn)/log n >= -alpha - slack
-        for every supported n >= n0, or None if the declared-exponent regime
-        is not reached within the truncation horizon."""
-        dens = self.density[:-1] if self.folded_tail else self.density
-        if self.alpha is None or len(dens) < 2:
-            return None
-        n = np.arange(2, len(dens) + 1, dtype=float)
-        with np.errstate(divide="ignore"):
-            ratio = np.log(dens[1:]) / np.log(n)
-        ok = ratio >= -self.alpha - ALPHA_CHECK_SLACK
-        if not ok[-1]:
-            return None
-        # last False position, regime starts right after it
-        bad = np.nonzero(~ok)[0]
-        return 2 if len(bad) == 0 else int(bad[-1]) + 3
-
     def tail_mass(self, n: int) -> float:
         """P(n < first return < inf) for the tabulated law, K(inf) excluded.
 
@@ -120,10 +98,6 @@ class ReturnKernel:
             n = 0
         idx = min(n // self.period, self.n_max)
         return float(self._suffix_mass[idx])
-
-    def tilted_mass(self, b: float) -> float:
-        """sum_n K(n) exp(-b n) over the tabulated atoms."""
-        return float((self.density * np.exp(-b * self.steps)).sum())
 
     @cached_property
     def mean_return_steps(self) -> float:
@@ -205,12 +179,6 @@ def geometric_kernel(p: float, n_max: int | None = None) -> ReturnKernel:
     dens[-1] = p ** (n_max - 1.0)
     return ReturnKernel(dens, 0.0, 1, None, n_max, folded_tail=True,
                         family="geometric", family_params={"p": float(p)})
-
-
-def geometric_tilted_mass(p: float, b: float) -> float:
-    """Closed form sum_n (1-p) p^(n-1) e^(-bn) = (1-p)e^-b / (1 - p e^-b)."""
-    x = math.exp(-b)
-    return (1.0 - p) * x / (1.0 - p * x)
 
 
 def kernel_from_file(path) -> ReturnKernel:

@@ -73,8 +73,10 @@ def solve_free_energy_pure(kernel: ReturnKernel, h: float) -> PureSolution:
     so Newton's method started at b = 0 increases monotonically to the
     root.  A root below the smallest subnormal is returned as that
     subnormal, so b > 0 exactly when h < h_c.  residual is
-    |left side - right side| at the returned b.
+    |left side - right side| at the returned b.  A non-finite h is rejected.
     """
+    if not math.isfinite(h):
+        raise ValueError("h must be finite")
     hc = hc_pure(kernel)
     if not h < hc:
         return PureSolution(0.0, h, 0.0, False)

@@ -4,86 +4,28 @@ import numpy as np
 import pytest
 
 import depin as dp
-from depin.estimator import PhiCurve
 
 
-LAW = dp.disorder_law("gaussian")
 GEO = dp.geometric_kernel(0.5, n_max=64)
-
-
-def synthetic_curve(m_grid, values, stderr=None):
-    m_grid = np.asarray(m_grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    stderr = np.zeros_like(values) if stderr is None else np.asarray(stderr)
-    feasible = np.isfinite(values)
-    return PhiCurve(m_grid, 0.05, values, stderr, feasible, 100, 1, 0)
-
-
-def test_legendre_synthetic_quadratic():
-    m = np.linspace(0.0, 1.0, 101)
-    curve = synthetic_curve(m, -m**2)
-    val, arg = dp.legendre_sup(curve, 0.0)
-    assert val == 0.0 and arg == 0.0
-
-
-def test_legendre_synthetic_linear():
-    m = np.linspace(0.0, 1.0, 101)
-    curve = synthetic_curve(m, 0.5 * m)
-    val, arg = dp.legendre_sup(curve, 1.0)
-    assert val == 0.0 and arg == 0.0  # ties resolve to the smaller density
-    val, arg = dp.legendre_sup(curve, 0.25)
-    assert val == pytest.approx(0.25) and arg == 1.0
-
-
-def test_legendre_shift_invariance():
-    m = np.linspace(0.0, 1.0, 51)
-    base = np.cos(3 * m) * 0.2
-    v0, a0 = dp.legendre_sup(synthetic_curve(m, base), 0.3)
-    v1, a1 = dp.legendre_sup(synthetic_curve(m, base + 2.5), 0.3)
-    assert v1 == pytest.approx(v0 + 2.5, abs=1e-14)
-    assert a1 == a0
-
-
-def test_legendre_monotone_convex_in_h():
-    m = np.linspace(0.0, 1.0, 51)
-    curve = synthetic_curve(m, 0.3 - (m - 0.4) ** 2)
-    hs = np.linspace(-1.0, 1.0, 21)
-    vals = [dp.legendre_sup(curve, h)[0] for h in hs]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-    for i in range(1, 20):
-        assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-12
-
-
-def test_legendre_infeasible_ignored():
-    curve = synthetic_curve([0.0, 0.5, 1.0], [-math.inf, 0.2, -math.inf])
-    val, arg = dp.legendre_sup(curve, 0.1)
-    assert arg == 0.5 and val == pytest.approx(0.2 - 0.05)
-    with pytest.raises(ValueError):
-        dp.legendre_sup(synthetic_curve([0.2], [-math.inf]), 0.0)
-
-
-def test_legendre_engine_bracketing():
-    # the grid supremum of the count-resolved table brackets (1/N) log Z
-    n, beta, h = 128, 1.1, -0.4
-    om = dp.sample_disorder(LAW, n, 15)
-    model = dp.ModelSpec("pinning", beta, h, GEO)
-    table = dp.log_partition_constrained(model, om, n)
-    m_grid = np.arange(0, n + 1) / n
-    vals = np.where(np.isfinite(table.logz_j[-1]), table.logz_j[-1] / n, -math.inf)
-    curve = synthetic_curve(m_grid, vals)
-    sup, _ = dp.legendre_sup(curve, h)
-    logz = dp.log_partition_pinning(model, om, n).final_logz
-    assert n * sup <= logz + 1e-10
-    assert logz <= n * sup + math.log(n + 1) + 1e-10
 
 
 def test_extrapolation_recovers_planted():
     ns = [512, 1024, 2048, 4096]
     truth, amp = 0.137, -2.4
     ys = [truth + amp * math.log(n) / n for n in ns]
-    f_inf, a = dp.extrapolate_free_energy(ns, ys, [0.0] * 4)
+    f_inf, sigma = dp.extrapolate_free_energy(ns, ys, [0.0] * 4)
     assert f_inf == pytest.approx(truth, abs=1e-12)
-    assert a == pytest.approx(amp, abs=1e-10)
+    assert sigma == 0.0  # no error bars, no uncertainty
+    # equal error bars s: sigma is s times the intercept entry of (X^T X)^-1
+    s = 1e-3
+    f_inf, sigma = dp.extrapolate_free_energy(ns, ys, [s] * 4)
+    x = np.log(ns) / np.array(ns, dtype=float)
+    design = np.column_stack([np.ones(4), x])
+    cov = np.linalg.inv(design.T @ design)
+    assert f_inf == pytest.approx(truth, abs=1e-12)
+    assert sigma == pytest.approx(s * math.sqrt(cov[0, 0]), rel=1e-9)
+    # one size is its own limit
+    assert dp.extrapolate_free_energy([512], [0.2], [0.01]) == (0.2, 0.01)
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.5, 2.0, 3.0])
@@ -139,20 +81,6 @@ def test_critical_power_fit_recovers_planted():
     hc_fit, expo, _chi2 = dp.critical_power_fit(pts, hc - 0.05, hc + 0.05)
     assert hc_fit == pytest.approx(hc, abs=3e-4)
     assert expo == pytest.approx(kappa, abs=0.01)
-
-
-def test_jackknife_exponent_planted():
-    rng = np.random.Generator(np.random.Philox(key=9))
-    hc, kappa, reps = 0.0, 2.0, 40
-    gaps = np.geomspace(0.01, 0.3, 8)
-    h = [-g for g in gaps]
-    truth = np.array([0.8 * g**kappa for g in gaps])
-    noise = 0.02 * truth * rng.standard_normal((reps, len(gaps)))
-    matrix = truth[None, :] + noise
-    stderr = matrix.std(axis=0, ddof=1) / math.sqrt(reps)
-    slope, err = dp.jackknife_exponent(h, matrix, stderr, hc)
-    assert err > 0
-    assert abs(slope - kappa) <= 3.0 * err + 0.05
 
 
 def test_locate_hc_beta0_kernels(gaussian_law):

@@ -110,6 +110,23 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text("just garbage\n", encoding="utf-8")
     assert run(["pure", "--config", str(bad), "--kernel", "geometric:p=0.5",
                 "--h", "-1"]) == 1
+    geo = ["--kernel", "geometric:p=0.5"]
+    # non-finite numbers are usage errors, never a NaN result with exit 0
+    assert run(["fe", *geo, "--beta", "inf", "--h=-0.5", "--N", "64",
+                "--replicas", "2"]) == 2
+    assert run(["fe", *geo, "--beta", "nan", "--h=-0.5", "--N", "64",
+                "--replicas", "2"]) == 2
+    assert run(["pure", *geo, "--h=nan"]) == 2
+    assert run(["pure", *geo, "--h=-inf"]) == 2
+    assert run(["hc", *geo, "--N-list", "64", "--tol", "nan"]) == 2
+    assert run(["hc", *geo, "--N-list", "64", "--h-lo=-inf", "--h-hi", "0"]) == 2
+    assert run(["phi", *geo, "--N", "64", "--epsilon", "nan", "--m-grid", "0.5"]) == 2
+    assert run(["smooth", *geo, "--N-list", "64", "--tol", "inf"]) == 2
+    # ranges: zero, non-finite or wrong-signed steps, and ranges whose
+    # length overflows, are usage errors
+    for grid in ("0.1:0.9:0", "0.1:0.9:nan", "0.1:0.9:inf", "0.1:0.9:-0.1",
+                 "0.1:nan:0.1", "-1e308:1e308:1"):
+        assert run(["phi", *geo, f"--m-grid={grid}", "--N", "64"]) == 2
     capsys.readouterr()
 
 

@@ -19,6 +19,13 @@ def test_model_spec_validation():
         dp.ModelSpec("pinning", -0.5, 0.0, GEO)
     with pytest.raises(ValueError):
         dp.ModelSpec("copolymer", 1.0, -0.1, GEO)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            dp.ModelSpec("pinning", bad, 0.0, GEO)
+        with pytest.raises(ValueError):
+            dp.ModelSpec("pinning", 1.0, bad, GEO)
+    with pytest.raises(ValueError):
+        dp.ModelSpec("pinning", 1.0, -math.inf, GEO)
     dp.ModelSpec("pinning", 0.0, -3.0, GEO)  # negative h fine for pinning
 
 

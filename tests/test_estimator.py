@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 import depin as dp
+from depin.estimator import worker_count
 
 
 GEO = dp.geometric_kernel(0.5, n_max=64)
@@ -136,20 +138,33 @@ def test_phi_deterministic(monkeypatch):
 
 
 def test_self_averaging():
-    model = dp.ModelSpec("pinning", 1.0, -0.3, GEO)
-    rep = dp.self_averaging_diagnostic(model, LAW, [256, 512, 1024, 2048], 24, 31)
-    assert len(rep.rows) == 4
-    assert rep.variance_decreased
-    assert rep.rows[-1][2] < rep.rows[0][2]
+    # the replica variance of (1/N) log Z shrinks as N grows
+    def variance(model, n, replicas, seed):
+        return dp.estimate_free_energy(model, LAW, n, replicas,
+                                       seed).replica_values.var(ddof=1)
 
-    flat = dp.self_averaging_diagnostic(dp.ModelSpec("pinning", 0.0, -0.3, GEO),
-                                        LAW, [256, 512], 4, 31)
-    assert all(row[2] == 0.0 for row in flat.rows)
+    model = dp.ModelSpec("pinning", 1.0, -0.3, GEO)
+    ladder = [variance(model, n, 24, dp.spawn_seed(31, i))
+              for i, n in enumerate([256, 512, 1024, 2048])]
+    assert ladder[-1] < ladder[0]
+
+    flat = dp.ModelSpec("pinning", 0.0, -0.3, GEO)
+    assert all(variance(flat, n, 4, dp.spawn_seed(31, i)) == 0.0
+               for i, n in enumerate([256, 512]))
 
 
 def test_estimate_validation():
     model = dp.ModelSpec("pinning", 1.0, 0.0, GEO)
     with pytest.raises(ValueError):
         dp.estimate_free_energy(model, LAW, 256, 0, 1)
-    with pytest.raises(ValueError):
-        dp.self_averaging_diagnostic(model, LAW, [512, 256], 2, 1)
+
+
+def test_worker_count_capped_at_cores(monkeypatch):
+    # only the count is asked for, so no pool is started
+    cores = os.cpu_count() or 1
+    monkeypatch.setenv("DEPIN_THREADS", "1000000")
+    assert worker_count() == cores
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    assert worker_count() == 1
+    monkeypatch.delenv("DEPIN_THREADS")
+    assert worker_count() == cores

@@ -79,11 +79,6 @@ def test_geometric_values_and_gf():
     kern = dp.geometric_kernel(0.5)
     assert kern.density[0] == 0.5
     assert kern.density[1] == 0.25
-    assert kern.tilted_mass(0.0) == pytest.approx(1.0, abs=1e-15)
-    # closed-form geometric series as the oracle
-    closed = 0.5 * math.exp(-1.0) / (1.0 - 0.5 * math.exp(-1.0))
-    assert kern.tilted_mass(1.0) == pytest.approx(closed, rel=1e-14)
-    assert dp.geometric_tilted_mass(0.5, 1.0) == pytest.approx(closed, rel=1e-15)
     with pytest.raises(ValueError):
         dp.geometric_kernel(1.0)
     with pytest.raises(ValueError):
@@ -126,17 +121,6 @@ def test_kernel_immutable():
     kern = dp.geometric_kernel(0.5, n_max=10)
     with pytest.raises(ValueError):
         kern.density[0] = 0.9
-
-
-def test_alpha_support_start():
-    # power law with c close to 1 enters the declared-exponent regime early
-    kern = dp.power_kernel(3.0, 1, 1000)
-    n0 = kern.alpha_support_start
-    assert n0 is not None
-    n = np.arange(n0, 1001)
-    assert np.all(np.log(kern.density[n0 - 1:]) / np.log(n) >= -3.1)
-    # srw's prefactor keeps it below the slack line at practical horizons
-    assert dp.srw_kernel(100).alpha_support_start is None
 
 
 def test_kernel_from_file_roundtrip(tmp_path):

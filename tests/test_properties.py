@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import depin as dp
+from depin.analysis import _wls_line
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,3 +73,56 @@ def test_pinning_engine_vs_oracle_random(beta, h, seed, n):
     got = dp.log_partition_pinning(model, om, n).final_logz
     want = math.log(dp.brute_force_pinning(kern, om, beta, h, n).value)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _grid_fit_loop(points, hc_lo, hc_hi, grid_size):
+    """Reference for critical_power_fit: one _wls_line solve per candidate."""
+    h = np.array([p[0] for p in points])
+    f = np.array([p[1] for p in points])
+    err = np.array([p[2] for p in points])
+    sigma = err / f
+    y = np.log(f)
+    h_max = float(h.max())
+    best = (math.inf, hc_hi, 0.0)
+    for hc_try in np.linspace(hc_lo, hc_hi, grid_size):
+        if hc_try <= h_max:
+            continue
+        x = np.log(hc_try - h)
+        a, b, _, _ = _wls_line(x, y, sigma)
+        resid = y - a - b * x
+        if np.any(sigma > 0):
+            floor = sigma[sigma > 0].min()
+            chi2 = float(((resid / np.maximum(sigma, floor)) ** 2).sum())
+        else:
+            chi2 = float((resid**2).sum())
+        if chi2 < best[0]:
+            best = (chi2, float(hc_try), float(b))
+    return best[1], best[2], best[0]
+
+
+def _outcome(fn, *args):
+    try:
+        with np.errstate(all="ignore"):  # extreme draws overflow both alike
+            return tuple(float(v).hex() for v in fn(*args))  # bit for bit
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def _scans(draw):
+    k = draw(st.integers(2, 12))
+    rows = st.tuples(st.floats(-1.0, 0.0), st.floats(1e-6, 10.0),
+                     st.just(0.0) if draw(st.booleans()) else st.floats(0.0, 1.0))
+    return draw(st.lists(rows, min_size=k, max_size=k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=_scans(), lo=st.floats(-1.5, 0.5), width=st.floats(0.0, 1.0),
+       grid_size=st.sampled_from([1, 2, 37, 200, 400]))
+@example(points=[(-0.3, 0.5, 0.01), (-0.3, 0.2, 0.02)], lo=0.0, width=0.5,
+         grid_size=200)  # one abscissa: degenerate design
+@example(points=[(-0.3, 0.5, 0.01), (-0.1, 0.2, 0.0), (0.0, 0.1, 0.0)],
+         lo=-0.5, width=0.5, grid_size=400)  # every candidate <= max(h)
+def test_critical_power_fit_matches_per_candidate_loop(points, lo, width, grid_size):
+    args = (points, lo, lo + width, grid_size)
+    assert _outcome(dp.critical_power_fit, *args) == _outcome(_grid_fit_loop, *args)

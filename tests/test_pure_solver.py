@@ -44,6 +44,9 @@ def test_delocalized_side_is_zero():
     wet = dp.power_kernel(3.0, 1, 100, defect_mass=0.5)
     assert dp.solve_free_energy_pure(wet, math.log(0.5)).b == 0.0
     assert dp.solve_free_energy_pure(wet, math.log(0.5) - 1e-4).b > 0.0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            dp.solve_free_energy_pure(kern, bad)
 
 
 def test_b_monotone_in_h():

@@ -86,10 +86,10 @@ def extrapolate_free_energy(n_values, means, stderrs) -> tuple[float, float]:
 def _extrapolate_at(kind: str, beta: float, h: float, kernel: ReturnKernel,
                     law: DisorderLaw, n_list, replicas: int, seeds):
     """Estimate F_N at field h on every size (seeds[i] for n_list[i]) and
-    extrapolate; returns (F_inf, sigma, per-size estimates)."""
+    extrapolate; returns (F_inf, sigma, per-size estimates).  Sizes that
+    share a seed, or all sizes when beta = 0, come from one build."""
     model = ModelSpec(kind, beta, h, kernel)
-    ests = [estimate_free_energy(model, law, n, replicas, s)
-            for n, s in zip(n_list, seeds)]
+    ests = estimate_free_energy(model, law, n_list, replicas, seeds)
     f_inf, sigma = extrapolate_free_energy(n_list, [e.mean for e in ests],
                                            [e.stderr for e in ests])
     return f_inf, sigma, ests
@@ -112,6 +112,8 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     if tol <= 0:
         raise ValueError("tol must be positive")
     n_list = sorted(n_list)
+    if not n_list or n_list[0] < 1:
+        raise ValueError("need at least one size, all positive")
     n_big = n_list[-1]
     if threshold_floor is None:
         threshold_floor = 4.0 / n_big
@@ -149,6 +151,8 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
 
     while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # the bracket is two adjacent floats
+            break
         if localized(mid):
             lo = mid
         else:

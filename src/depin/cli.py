@@ -66,8 +66,18 @@ def parse_kernel_spec(text: str):
     raise ValueError(f"unknown kernel family {name!r}")
 
 
-def _int_list(text: str):
-    return [int(x) for x in text.split(",") if x]
+def _size(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("not a positive integer")
+    return value
+
+
+def _size_list(text: str):
+    sizes = [_size(x) for x in text.split(",") if x]
+    if not sizes:
+        raise ValueError("empty list")
+    return sizes
 
 
 def _finite(text: str) -> float:
@@ -77,15 +87,24 @@ def _finite(text: str) -> float:
     return value
 
 
+MAX_RANGE_POINTS = 100_000
+
+
 def _float_list(text: str):
-    """Comma list or lo:hi:step range (inclusive of hi up to rounding)."""
+    """Comma list or lo:hi:step range (inclusive of hi up to rounding) of at
+    most MAX_RANGE_POINTS points."""
     if ":" in text:
         lo, hi, step = (_finite(x) for x in text.split(":"))
         span = (hi - lo) / step if step else -1.0
         if not (math.isfinite(span) and round(span) >= 0):
             raise ValueError("empty or unbounded range")
+        if round(span) >= MAX_RANGE_POINTS:
+            raise ValueError(f"range of more than {MAX_RANGE_POINTS} points")
         return [lo + i * step for i in range(int(round(span)) + 1)]
-    return [_finite(x) for x in text.split(",") if x]
+    values = [_finite(x) for x in text.split(",") if x]
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
 def read_config_file(path: str) -> dict:
@@ -123,19 +142,19 @@ _OPTIONS = {
         **_COMMON,
         "kind": (str, "pinning", "model kind"),
         "h": (_float_list, None, "field value(s)"),
-        "N": (_int_list, None, "system size(s)"),
+        "N": (_size_list, None, "system size(s)"),
     },
     "phi": {
         **_COMMON,
         "kind": (str, "pinning", "model kind"),
         "m_grid": (_float_list, None, "density grid, comma list or lo:hi:step"),
         "epsilon": (_finite, None, "window half-width (default max(1/sqrt(N), 2s/N))"),
-        "N": (int, None, "system size"),
+        "N": (_size, None, "system size"),
     },
     "hc": {
         **_COMMON,
         "kind": (str, "pinning", "model kind"),
-        "N_list": (_int_list, None, "extrapolation sizes"),
+        "N_list": (_size_list, None, "extrapolation sizes"),
         "tol": (_finite, 1e-3, "bisection tolerance on h"),
         "h_lo": (_finite, None, "optional lower search bound"),
         "h_hi": (_finite, None, "optional upper search bound"),
@@ -143,7 +162,7 @@ _OPTIONS = {
     "smooth": {
         **_COMMON,
         "kind": (str, "pinning", "model kind"),
-        "N_list": (_int_list, None, "extrapolation sizes"),
+        "N_list": (_size_list, None, "extrapolation sizes"),
         "tol": (_finite, 2e-3, "bisection tolerance on h"),
         "scan_gaps": (_float_list, None, "distances below h_c to scan"),
     },
@@ -286,11 +305,15 @@ def _cmd_pure(merged: dict) -> int:
 def _cmd_fe(merged: dict) -> int:
     kernel = parse_kernel_spec(merged["kernel"])
     law = disorder_law(merged["law"])
+    ns = merged["N"]
+    # one build per field serves every size; rows stay N-outer, h-inner
+    by_h = [estimate_free_energy(ModelSpec(merged["kind"], merged["beta"], h, kernel),
+                                 law, ns, merged["replicas"], merged["seed"])
+            for h in merged["h"]]
     rows = []
-    for n in merged["N"]:
-        for h in merged["h"]:
-            model = ModelSpec(merged["kind"], merged["beta"], h, kernel)
-            est = estimate_free_energy(model, law, n, merged["replicas"], merged["seed"])
+    for i, n in enumerate(ns):
+        for h, ests in zip(merged["h"], by_h):
+            est = ests[i]
             rows.append((n, merged["beta"], h, est.mean, est.stderr,
                          merged["replicas"], merged["seed"]))
             print(f"N={n} h={_fmt(h)} F={_fmt(est.mean)} stderr={_fmt(est.stderr)}")

@@ -13,11 +13,17 @@ completed excursion is above or below the interface; the sites strictly
 below carry weight exp(-(beta w + h)) each), and contact-count-resolved
 tables that fix the number of rewarded sites instead of weighting it by h.
 
+The pinned-endpoint recursion also runs on a block of disorder rows at once
+(log_partition_pinning with a 2-D array), bit for bit a set of single
+builds.  Couplings under which log Z could leave the floating-point range
+are rejected.
+
 Tables are deterministic functions of (model, disorder sample, N); builds
 share no mutable state and can run concurrently.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,40 +87,78 @@ def logsumexp_1d(values: np.ndarray) -> float:
     return float(m + np.log(np.exp(values - m).sum()))
 
 
-def _check_inputs(model: ModelSpec, omega: DisorderSample, n: int) -> int:
+def _check_inputs(model: ModelSpec, length: int, n: int) -> int:
     s = model.kernel.period
     if n < s or n % s != 0:
         raise ValueError(f"N={n} is not a positive multiple of the period {s}")
-    if len(omega.values) < n:
-        raise ValueError(f"disorder sample of length {len(omega.values)} shorter than N={n}")
+    if length < n:
+        raise ValueError(f"disorder sample of length {length} shorter than N={n}")
     return n // s
 
 
-def log_partition_pinning(model: ModelSpec, omega: DisorderSample, n: int) -> LogPartitionTable:
-    """Pinned-endpoint table: log Z_m for m = 0, s, ..., n."""
+def _check_range(model: ModelSpec, values: np.ndarray, steps: int) -> None:
+    # each of the `steps` charged sites moves log Z by at most the charge
+    # beta max|w| + |h|, plus |log K| <= 745 and the log of a window sum
+    # (< 255), so every table entry and prefix sum stays below
+    # steps * (charge + 1000); the copolymer forms also subtract two prefix
+    # sums, which can reach twice that.  Keeping this below the largest float
+    # rules out inf and NaN, and a -inf that is an underflow rather than Z = 0.
+    top = max(0.0, float(values.max()), -float(values.min()))
+    charge = model.beta * top + abs(model.h)
+    spread = 1.0 if model.kind == "pinning" else 2.0
+    if not spread * steps * (charge + 1000.0) < sys.float_info.max:
+        raise ValueError("couplings too large for this N: log Z would leave the "
+                         "floating-point range")
+
+
+def _pinning_rows(model: ModelSpec, values: np.ndarray, n: int) -> np.ndarray:
     if model.kind != "pinning":
         raise ValueError("pinning recursion called with a non-pinning model")
-    t_max = _check_inputs(model, omega, n)
+    rows = len(values)
+    t_max = _check_inputs(model, values.shape[1], n)
     kern = model.kernel
     w_max = min(t_max, kern.n_max)
     rk = kern.log_density[:w_max][::-1].copy()  # rk[w_max-1-j] = log K((j+1)s)
-    charges = model.beta * omega.values[kern.period - 1:n:kern.period] - model.h
+    _check_range(model, values[:, :n], t_max)
+    # one row of charges per step, beta w - h as for a lone row
+    charges = np.empty((t_max, rows))
+    np.multiply(values[:, kern.period - 1:n:kern.period].T, model.beta, out=charges)
+    charges -= model.h
 
-    logz = np.empty(t_max + 1)
-    logz[0] = 0.0
-    buf = np.empty(w_max)
-    for t in range(1, t_max + 1):
-        w = min(t, w_max)
-        seg = buf[:w]
-        np.add(logz[t - w:t], rk[w_max - w:], out=seg)
-        m = seg.max()
-        if m == -math.inf:
-            logz[t] = -math.inf
-            continue
-        np.subtract(seg, m, out=seg)
-        np.exp(seg, out=seg)
-        logz[t] = charges[t - 1] + m + math.log(seg.sum())
-    return LogPartitionTable(logz, kern.period, n)
+    logz = np.empty((rows, t_max + 1))
+    logz[:, 0] = 0.0
+    buf = np.empty(rows * w_max)
+    # a row whose window is all -inf turns to NaN on the shift by its max;
+    # the comprehension gives it -inf instead
+    with np.errstate(invalid="ignore"):
+        for t in range(1, t_max + 1):
+            w = min(t, w_max)
+            seg = buf[:rows * w].reshape(rows, w)
+            np.add(logz[:, t - w:t], rk[w_max - w:], out=seg)
+            m = seg.max(axis=1, keepdims=True)
+            np.subtract(seg, m, out=seg)
+            np.exp(seg, out=seg)
+            logz[:, t] = [c + mm + math.log(x) if mm != -math.inf else -math.inf
+                          for c, mm, x in zip(charges[t - 1].tolist(), m.ravel().tolist(),
+                                              seg.sum(axis=1).tolist())]
+    return logz
+
+
+def log_partition_pinning(model: ModelSpec, omega, n: int):
+    """Pinned-endpoint log Z_m for m = 0, s, ..., n.
+
+    omega is one DisorderSample, giving its LogPartitionTable, or a block of
+    disorder rows w_1.. as a 2-D array of shape (R, >= n), giving the
+    (R, n/s + 1) array of their log Z.  Every step runs the window
+    log-sum-exp on all rows at once, with each row's arithmetic exactly that
+    of a lone row, so row r of a block equals the table of values[r] bit for
+    bit.  The recursion reads no charge beyond position m, so the entries up
+    to m of a longer build are those of a build at N = m.
+    """
+    if isinstance(omega, DisorderSample):
+        logz = _pinning_rows(model, omega.values[None, :], n)[0]
+        return LogPartitionTable(logz, model.kernel.period, n)
+    return _pinning_rows(model, omega, n)
 
 
 def log_partition_free_endpoint(model: ModelSpec, omega: DisorderSample, n: int) -> float:
@@ -146,12 +190,13 @@ def log_partition_copolymer(model: ModelSpec, omega: DisorderSample, n: int) -> 
     """
     if model.kind != "copolymer":
         raise ValueError("copolymer recursion called with a non-copolymer model")
-    t_max = _check_inputs(model, omega, n)
+    t_max = _check_inputs(model, len(omega.values), n)
     kern = model.kernel
     s = kern.period
     w_max = min(t_max, kern.n_max)
     rk = kern.log_density[:w_max][::-1].copy()
 
+    _check_range(model, omega.values[:n], n)
     site_charge = model.beta * omega.values[:n] + model.h
     prefix = np.concatenate([[0.0], np.cumsum(site_charge)])
     c_grid = prefix[::s]                      # prefix at positions 0, s, 2s, ...
@@ -190,7 +235,7 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample, n: int,
     Memory is O((N/s) * J); builds beyond MAX_CONSTRAINED_ROWS rows require
     allow_large=True.
     """
-    t_max = _check_inputs(model, omega, n)
+    t_max = _check_inputs(model, len(omega.values), n)
     if t_max > MAX_CONSTRAINED_ROWS and not allow_large:
         raise ValueError(
             f"constrained table with {t_max} rows exceeds the default bound; "
@@ -199,6 +244,7 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample, n: int,
     s = kern.period
     w_max = min(t_max, kern.n_max)
     log_k = kern.log_density
+    _check_range(model, omega.values[:n], n)
 
     if model.kind == "pinning":
         rk = log_k[:w_max][::-1].copy()

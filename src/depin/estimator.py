@@ -2,10 +2,18 @@
 
 Replicas are IID disorder realizations; replica r of a run with master seed
 S draws its charges from the child seed spawn_seed(S, r), so results do not
-depend on how replicas are scheduled.  Aggregation is a fold in fixed
-replica order, which makes every estimate bit-reproducible for identical
-inputs regardless of the worker count (capped by the DEPIN_THREADS
-environment variable).
+depend on how replicas are scheduled.  The replicas are cut into contiguous
+blocks, one per worker process (their number capped by the DEPIN_THREADS
+environment variable); a block of pinning replicas runs through the
+recursion together, one row per replica, in runs of at most BLOCK_CELLS
+charges so that a worker's memory does not grow with the replica count.
+Aggregation is a fold in fixed replica order, which makes every estimate
+bit-reproducible for identical inputs regardless of the worker count.
+
+The disorder stream and the recursion are both prefix-consistent: log Z at
+a size N is the same number whether the chain is built to N or beyond.  So
+one build at the largest size serves every size that shares a seed, and
+with beta = 0 (inert disorder) every size at all.
 
 Error bars are plain standard errors over replicas; jackknife resampling is
 reserved for derived quantities (see the analysis module).
@@ -19,9 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disorder import DisorderLaw, sample_disorder, spawn_seed
-from .engine import (LogPartitionTable, ModelSpec, constrained_window,
-                     log_partition_constrained, log_partition_pinning,
-                     log_partition_copolymer)
+from .engine import (ModelSpec, constrained_window, log_partition_constrained,
+                     log_partition_copolymer, log_partition_pinning)
 
 
 def worker_count() -> int:
@@ -33,33 +40,60 @@ def worker_count() -> int:
     return cores
 
 
-def _map_replicas(fn, tasks):
-    """Run fn over tasks, in parallel when allowed; results keep task order."""
-    workers = min(worker_count(), len(tasks))
-    if workers <= 1 or len(tasks) < 2:
-        return [fn(t) for t in tasks]
+def _map_replicas(fn, args: tuple, replicas: int) -> list:
+    """Run fn(args + (lo, hi)) on contiguous replica blocks lo..hi-1, one
+    block per worker and in parallel when allowed; results keep block order."""
+    workers = max(1, min(worker_count(), replicas))
+    edges = [replicas * i // workers for i in range(workers + 1)]
+    tasks = [args + (lo, hi) for lo, hi in zip(edges, edges[1:])]
+    if workers == 1:
+        return [fn(tasks[0])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (4 * workers))
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return list(pool.map(fn, tasks))
 
 
-def _build_table(model: ModelSpec, law: DisorderLaw, n: int, seed: int) -> LogPartitionTable:
-    omega = sample_disorder(law, n, seed)
-    if model.kind == "pinning":
-        return log_partition_pinning(model, omega, n)
-    return log_partition_copolymer(model, omega, n)
+# disorder cells (replicas x N) sampled and recursed together in one worker:
+# a larger block is cut into runs of whole replicas under this budget
+BLOCK_CELLS = 1 << 20
 
 
-def _fe_task(args) -> float:
-    model, law, n, seed = args
-    return _build_table(model, law, n, seed).final_logz / n
+def _fe_block(args) -> np.ndarray:
+    """(1/N) log Z of replicas lo..hi-1 at every size, one column per size;
+    the sizes sharing a seed read one build at their largest N."""
+    model, law, n_list, seeds, lo, hi = args
+    s = model.kernel.period
+    out = np.empty((hi - lo, len(n_list)))
+    for seed in dict.fromkeys(seeds):
+        cols = [i for i, sd in enumerate(seeds) if sd == seed]
+        top = max(n_list[i] for i in cols)
+        step = max(1, BLOCK_CELLS // top)
+        for a in range(lo, hi, step):
+            b = min(hi, a + step)
+            if model.kind == "pinning":
+                values = np.empty((b - a, top))
+                for r in range(a, b):
+                    values[r - a] = sample_disorder(law, top, spawn_seed(seed, r)).values
+                logz = log_partition_pinning(model, values, top)
+            else:
+                logz = np.array([log_partition_copolymer(
+                    model, sample_disorder(law, top, spawn_seed(seed, r)), top).logz
+                    for r in range(a, b)])
+            for i in cols:
+                out[a - lo:b - lo, i] = logz[:, n_list[i] // s] / n_list[i]
+    return out
 
 
-def _phi_task(args) -> np.ndarray:
-    model, law, n, seed, m_grid, epsilon = args
-    omega = sample_disorder(law, n, seed)
-    table = log_partition_constrained(model, omega, n)
-    return np.array([constrained_window(table, m, epsilon) / n for m in m_grid])
+def _phi_row(model: ModelSpec, law: DisorderLaw, n: int, m_grid, epsilon: float,
+             seed: int) -> list:
+    # one (N/s+1)^2 table at a time: it is freed when the row is returned
+    table = log_partition_constrained(model, sample_disorder(law, n, seed), n)
+    return [constrained_window(table, m, epsilon) / n for m in m_grid]
+
+
+def _phi_block(args) -> np.ndarray:
+    model, law, n, m_grid, epsilon, seed, lo, hi = args
+    return np.array([_phi_row(model, law, n, m_grid, epsilon, spawn_seed(seed, r))
+                     for r in range(lo, hi)])
 
 
 @dataclass(frozen=True)
@@ -108,30 +142,51 @@ def default_epsilon(n: int, s: int) -> float:
 
 
 def _spread(values: np.ndarray) -> float:
-    if len(values) < 2:
+    # log Z = -inf (no path of length N) holds for every replica or none
+    if len(values) < 2 or values[0] == -math.inf:
         return 0.0
-    return float(values.std(ddof=1) / math.sqrt(len(values)))
+    # squared deviations overflow from about 1e154 on; dividing by a power
+    # of two is exact, and values below the cut-off are left as they are
+    top = float(np.abs(values).max())
+    scale = 2.0 ** math.frexp(top)[1] if top > 1e150 else 1.0
+    return float((values / scale).std(ddof=1) * scale / math.sqrt(len(values)))
 
 
-def estimate_free_energy(model: ModelSpec, law: DisorderLaw, n: int,
-                         replicas: int, seed: int) -> FreeEnergyEstimate:
+def estimate_free_energy(model: ModelSpec, law: DisorderLaw, n, replicas: int, seed):
     """Average (1/N) log Z over independent disorder replicas.
 
-    With beta = 0 the disorder is inert, so a single build serves all
-    replicas and the standard error is exactly zero.
+    n is one size, giving one estimate, or a list of sizes, giving one
+    estimate per size; seed is one seed for every size or a list with one
+    per size.  Each estimate of a list equals its own one-size call bit for
+    bit: the sizes that share a seed take their log Z from one build at
+    their largest N.  With beta = 0 the disorder is inert, so a single
+    build serves all replicas and sizes, and the standard error is exactly
+    zero.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
+    one = isinstance(n, (int, np.integer))
+    n_list = [n] if one else list(n)
+    seeds = [seed] * len(n_list) if isinstance(seed, (int, np.integer)) else list(seed)
+    if len(seeds) != len(n_list):
+        raise ValueError("need one seed per size")
+    s = model.kernel.period
+    for size in n_list:
+        if size < s or size % s != 0:
+            raise ValueError(f"N={size} is not a positive multiple of the period {s}")
     if model.beta == 0.0:
-        v = _fe_task((model, law, n, spawn_seed(seed, 0)))
-        values = np.full(replicas, v)
+        row = _fe_block((model, law, n_list, [seeds[0]] * len(n_list), 0, 1))[0]
+        matrix = np.tile(row, (replicas, 1))
     else:
-        tasks = [(model, law, n, spawn_seed(seed, r)) for r in range(replicas)]
-        values = np.array(_map_replicas(_fe_task, tasks))
-    mean = float(values.mean())
-    f_mean = mean + model.h / 2.0 if model.kind == "copolymer" else None
-    return FreeEnergyEstimate(mean, _spread(values), n, replicas, seed, model,
-                              f_mean=f_mean, replica_values=values)
+        matrix = np.vstack(_map_replicas(_fe_block, (model, law, n_list, seeds), replicas))
+    out = []
+    for i, (size, sd) in enumerate(zip(n_list, seeds)):
+        values = matrix[:, i].copy()
+        mean = float(values.mean())
+        f_mean = mean + model.h / 2.0 if model.kind == "copolymer" else None
+        out.append(FreeEnergyEstimate(mean, _spread(values), size, replicas, sd, model,
+                                      f_mean=f_mean, replica_values=values))
+    return out[0] if one else out
 
 
 def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | None,
@@ -142,6 +197,8 @@ def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | No
     carries only the disorder rewards); epsilon defaults to
     default_epsilon(n, s).
     """
+    if replicas < 1:
+        raise ValueError("need at least one replica")
     m_grid = np.asarray(m_grid, dtype=float)
     if len(m_grid) == 0:
         raise ValueError("empty density grid")
@@ -153,12 +210,11 @@ def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | No
         raise ValueError("window half-width must be positive with N * epsilon >= 1")
     grid = tuple(float(m) for m in m_grid)
     if model.beta == 0.0:
-        row = _phi_task((model, law, n, spawn_seed(seed, 0), grid, epsilon))
+        row = _phi_block((model, law, n, grid, epsilon, seed, 0, 1))[0]
         matrix = np.tile(row, (replicas, 1))
     else:
-        tasks = [(model, law, n, spawn_seed(seed, r), grid, epsilon)
-                 for r in range(replicas)]
-        matrix = np.vstack(_map_replicas(_phi_task, tasks))
+        matrix = np.vstack(_map_replicas(_phi_block, (model, law, n, grid, epsilon, seed),
+                                         replicas))
     feasible = np.isfinite(matrix[0])
     values = np.where(feasible, matrix.mean(axis=0), -math.inf)
     stderr = np.array([_spread(matrix[:, i]) if feasible[i] else 0.0

@@ -148,8 +148,8 @@ def power_kernel(alpha: float, s: int, n_max: int, defect_mass: float = 0.0) -> 
     folding, so the ratio K(s(n+1))/K(sn) = (n/(n+1))^alpha holds on the
     whole table.
     """
-    if alpha < 1.0:
-        raise ValueError("tail exponent must be >= 1")
+    if not (math.isfinite(alpha) and alpha >= 1.0):
+        raise ValueError("tail exponent must be finite and >= 1")
     if not 0.0 <= defect_mass < 1.0:
         raise ValueError("defect mass must lie in [0, 1)")
     if n_max < 1 or s < 1:

@@ -121,3 +121,12 @@ def test_select_fit_points():
     assert [p[0] for p in out] == [0.1, 0.29]  # insignificant and h > hc dropped
     out2 = dp.select_fit_points(pts, 0.3, hc_err=0.01)
     assert [p[0] for p in out2] == [0.1]
+
+
+def test_locate_hc_sizes_and_float_resolution(gaussian_law):
+    for bad in ([], [0, 512], [-64]):
+        with pytest.raises(ValueError):
+            dp.locate_hc("pinning", 0.0, GEO, gaussian_law, bad, 1, 3, 1e-3)
+    # a tolerance below float spacing ends at two adjacent floats
+    fit = dp.locate_hc("pinning", 0.0, GEO, gaussian_law, [64, 128], 1, 3, 1e-300)
+    assert 0.0 < fit.hc_err <= 0.5 * math.ulp(abs(fit.hc))

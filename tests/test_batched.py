@@ -1,0 +1,192 @@
+"""The batched pinning core and the multi-size estimates, bit for bit.
+
+A block of disorder rows must give each row exactly the bytes of a lone
+row, and one build at the largest size must give every smaller size
+exactly the estimate of its own build: output files are written with
+repr, so a last-bit change would change them.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+import depin as dp
+from depin import estimator
+from depin.cli import parse_kernel_spec, run
+
+
+def _reference_row(model, values, n):
+    """The one-row recursion as a plain per-step loop (the reference)."""
+    kern = model.kernel
+    t_max = n // kern.period
+    w_max = min(t_max, kern.n_max)
+    rk = kern.log_density[:w_max][::-1].copy()
+    charges = model.beta * values[kern.period - 1:n:kern.period] - model.h
+    logz = np.empty(t_max + 1)
+    logz[0] = 0.0
+    buf = np.empty(w_max)
+    for t in range(1, t_max + 1):
+        w = min(t, w_max)
+        seg = buf[:w]
+        np.add(logz[t - w:t], rk[w_max - w:], out=seg)
+        m = seg.max()
+        if m == -math.inf:
+            logz[t] = -math.inf
+            continue
+        np.subtract(seg, m, out=seg)
+        np.exp(seg, out=seg)
+        logz[t] = charges[t - 1] + m + math.log(seg.sum())
+    return logz
+
+
+def _kernel(n_max, period, zero_frac, first_zero, key):
+    """A normalized table with a share of zero atoms (maybe the first)."""
+    rng = np.random.default_rng(key)
+    dens = rng.random(n_max) + 0.01
+    dens[rng.random(n_max) < zero_frac] = 0.0
+    if first_zero and n_max > 1:
+        dens[0] = 0.0
+    if not dens.any():
+        dens[-1] = 1.0
+    return dp.ReturnKernel(dens / dens.sum(), 0.0, period, None, n_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 40),
+       n_max=st.one_of(st.integers(1, 7), st.integers(129, 200)),
+       period=st.sampled_from([1, 2]),
+       steps=st.integers(1, 220),
+       extra=st.integers(0, 5),
+       beta=st.floats(0.0, 5.0),
+       h=st.floats(-10.0, 10.0),
+       zero_frac=st.sampled_from([0.0, 0.3, 0.8]),
+       first_zero=st.booleans(),
+       law=st.sampled_from(["gaussian", "uniform", "rademacher"]),
+       seed=st.integers(0, 2**63))
+@example(rows=3, n_max=4, period=1, steps=12, extra=0, beta=0.0, h=0.0,
+         zero_frac=0.8, first_zero=True, law="gaussian", seed=1)  # -inf rows
+@example(rows=40, n_max=200, period=2, steps=220, extra=3, beta=5.0, h=-10.0,
+         zero_frac=0.3, first_zero=False, law="rademacher", seed=2)
+def test_batched_rows_match_single_rows(rows, n_max, period, steps, extra, beta, h,
+                                        zero_frac, first_zero, law, seed):
+    kern = _kernel(n_max, period, zero_frac, first_zero, seed)
+    model = dp.ModelSpec("pinning", beta, h, kern)
+    n = steps * period
+    law = dp.disorder_law(law)
+    omegas = [dp.sample_disorder(law, n + extra, dp.spawn_seed(seed, r))
+              for r in range(rows)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = dp.log_partition_pinning(model, np.stack([om.values for om in omegas]), n)
+        singles = [dp.log_partition_pinning(model, om, n).logz for om in omegas]
+    assert block.shape == (rows, steps + 1)
+    for r, om in enumerate(omegas):
+        ref = _reference_row(model, om.values, n)
+        assert block[r].tobytes() == ref.tobytes()
+        assert singles[r].tobytes() == ref.tobytes()
+    if first_zero and n_max > 1:
+        assert np.all(block[:, 1] == -math.inf)
+
+
+def _same_estimate(a, b):
+    assert (a.n, a.replicas, a.seed, a.model) == (b.n, b.replicas, b.seed, b.model)
+    assert float(a.mean).hex() == float(b.mean).hex()
+    assert float(a.stderr).hex() == float(b.stderr).hex()
+    assert repr(a.f_mean) == repr(b.f_mean)
+    assert a.replica_values.tobytes() == b.replica_values.tobytes()
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["pinning", "copolymer"]),
+       sizes=st.lists(st.integers(1, 48), min_size=1, max_size=4),
+       replicas=st.integers(1, 5),
+       beta=st.sampled_from([0.0, 0.5, 1.5]),
+       h=st.floats(0.0, 1.5),
+       shared=st.booleans(),
+       seed=st.integers(0, 2**63))
+@example(kind="copolymer", sizes=[8, 4, 8], replicas=3, beta=0.0, h=0.0,
+         shared=False, seed=3)
+@example(kind="pinning", sizes=[40, 6], replicas=5, beta=1.5, h=0.0,
+         shared=True, seed=4)
+def test_multi_size_matches_per_size(monkeypatch, kind, sizes, replicas, beta, h,
+                                     shared, seed):
+    # distinct seeds per size are only shared work when the disorder is inert
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    kern = dp.srw_kernel(12) if kind == "copolymer" else dp.geometric_kernel(0.5, n_max=16)
+    n_list = [kern.period * k for k in sizes]
+    model = dp.ModelSpec(kind, beta, h if kind == "copolymer" else -h, kern)
+    law = dp.disorder_law("gaussian")
+    seeds = [seed] * len(n_list) if shared or beta > 0 else [
+        dp.spawn_seed(seed, i) for i in range(len(n_list))]
+    multi = dp.estimate_free_energy(model, law, n_list, replicas, seeds)
+    for est, n, sd in zip(multi, n_list, seeds):
+        _same_estimate(est, dp.estimate_free_energy(model, law, n, replicas, sd))
+
+
+def test_multi_size_distinct_seeds_build_per_seed(monkeypatch):
+    # with disorder, sizes on different seeds keep their own replicas
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    model = dp.ModelSpec("pinning", 1.0, -0.2, dp.geometric_kernel(0.5, n_max=16))
+    law = dp.disorder_law("gaussian")
+    multi = dp.estimate_free_energy(model, law, [32, 64, 32], 4, [5, 6, 7])
+    for est, n, sd in zip(multi, [32, 64, 32], [5, 6, 7]):
+        _same_estimate(est, dp.estimate_free_energy(model, law, n, 4, sd))
+    assert multi[0].mean != multi[2].mean
+
+
+@pytest.mark.parametrize("kind", ["pinning", "copolymer"])
+def test_sub_blocks_match_one_block(monkeypatch, kind):
+    # a block cut into runs of replicas under the cell budget, runs of 2 and
+    # a last run of 1, gives the bytes of the uncut block
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    kern = dp.srw_kernel(12) if kind == "copolymer" else dp.geometric_kernel(0.5, n_max=16)
+    model = dp.ModelSpec(kind, 1.0, 0.3 if kind == "copolymer" else -0.3, kern)
+    law = dp.disorder_law("gaussian")
+    whole = dp.estimate_free_energy(model, law, [32, 64], 5, 8)
+    monkeypatch.setattr(estimator, "BLOCK_CELLS", 2 * 64 + 1)
+    cut = dp.estimate_free_energy(model, law, [32, 64], 5, 8)
+    for a, b in zip(whole, cut):
+        _same_estimate(a, b)
+
+
+def test_one_size_and_one_seed_forms():
+    model = dp.ModelSpec("pinning", 1.0, -0.2, dp.geometric_kernel(0.5, n_max=16))
+    law = dp.disorder_law("gaussian")
+    one = dp.estimate_free_energy(model, law, 32, 3, 5)
+    assert isinstance(one, dp.FreeEnergyEstimate)
+    _same_estimate(one, dp.estimate_free_energy(model, law, [32], 3, [5])[0])
+    _same_estimate(one, dp.estimate_free_energy(model, law, [64, 32], 3, 5)[1])
+    with pytest.raises(ValueError, match="one seed per size"):
+        dp.estimate_free_energy(model, law, [32, 64], 3, [5])
+
+
+def _fe_bytes(tmp_path, monkeypatch, kind, threads):
+    monkeypatch.setenv("DEPIN_THREADS", threads)
+    out = tmp_path / f"{kind}{threads}"
+    kernel = "srw:n_max=32" if kind == "copolymer" else "geometric:p=0.5,n_max=32"
+    assert run(["fe", "--kind", kind, "--kernel", kernel, "--beta", "1",
+                "--h=0.6,0.1,0.35", "--N", "128,64,96", "--replicas", "5",
+                "--seed", "9", "--out", str(out)]) == 0
+    return (out / "fe.csv").read_bytes()
+
+
+def test_fe_rows_and_bytes_across_workers(tmp_path, monkeypatch, capsys):
+    # 5 replicas over 2 workers: blocks of 2 and 3
+    for kind in ("pinning", "copolymer"):
+        one = _fe_bytes(tmp_path, monkeypatch, kind, "1")
+        two = _fe_bytes(tmp_path, monkeypatch, kind, "2")
+        assert one == two
+        rows = [ln.split(",") for ln in one.decode().splitlines()
+                if not ln.startswith("#")][1:]
+        assert [(r[0], r[2]) for r in rows] == [
+            (n, h) for n in ("128", "64", "96") for h in ("0.6", "0.1", "0.35")]
+        # each row is the estimate of its own size
+        model = dp.ModelSpec(kind, 1.0, 0.35, parse_kernel_spec(
+            "srw:n_max=32" if kind == "copolymer" else "geometric:p=0.5,n_max=32"))
+        est = dp.estimate_free_energy(model, dp.disorder_law("gaussian"), 96, 5, 9)
+        assert rows[-1][3] == repr(est.mean)
+    capsys.readouterr()

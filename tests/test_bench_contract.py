@@ -1,18 +1,20 @@
 """The names the benchmark in bench/ reaches into must exist in depin.
 
 The traced benchmark rebinds every function that bench/tracing.py lists
-in WRAPPED, looked up by name; the checks and the set-up timing call a few
-more.  A rename or removal in src/depin would break those runs without
+in WRAPPED, looked up by name; the checks, the set-up timing and the
+tracer's self-test reach a few more as depin.<module>.<name>.  A rename or removal in src/depin would break those runs without
 failing any other test.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import depin
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -38,3 +40,14 @@ def test_other_benchmark_names_exist():
     for name in ("disorder_law", "sample_disorder", "spawn_seed"):
         assert callable(getattr(depin, name, None)), name
     assert callable(getattr(depin.cli, "parse_kernel_spec", None))
+
+
+def test_dotted_names_in_bench_exist():
+    # e.g. the self-test reads depin.estimator.log_partition_pinning
+    missing = []
+    for path in sorted(BENCH.glob("*.py")):
+        for module, name in re.findall(r"\bdepin\.(\w+)\.(\w+)", path.read_text()):
+            mod = importlib.import_module(f"depin.{module}")
+            if not hasattr(mod, name):
+                missing.append(f"{path.name}: depin.{module}.{name}")
+    assert not missing

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from depin.cli import parse_kernel_spec, read_config_file, run
+from depin.cli import (MAX_RANGE_POINTS, _float_list, parse_kernel_spec,
+                       read_config_file, run)
 
 
 def test_parse_kernel_specs(tmp_path):
@@ -125,9 +126,20 @@ def test_exit_codes(tmp_path, capsys):
     # ranges: zero, non-finite or wrong-signed steps, and ranges whose
     # length overflows, are usage errors
     for grid in ("0.1:0.9:0", "0.1:0.9:nan", "0.1:0.9:inf", "0.1:0.9:-0.1",
-                 "0.1:nan:0.1", "-1e308:1e308:1"):
+                 "0.1:nan:0.1", "-1e308:1e308:1", "1:2:1e-300"):
         assert run(["phi", *geo, f"--m-grid={grid}", "--N", "64"]) == 2
+    # an infinite tail exponent is a bad kernel, not a one-atom law
+    assert run(["pure", "--kernel", "power:alpha=inf,s=1,n_max=100", "--h=-0.5",
+                "--asymptotics"]) == 1
     capsys.readouterr()
+
+
+def test_range_point_cap():
+    # the length is checked before any point is built
+    assert len(_float_list(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS
+    for text in (f"0:{MAX_RANGE_POINTS}:1", "1:2:1e-300"):
+        with pytest.raises(ValueError, match="more than"):
+            _float_list(text)
 
 
 def test_verify_subcommand(capsys):

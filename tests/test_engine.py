@@ -279,3 +279,31 @@ def test_table_entries_finite_or_neginf():
     assert not np.any(np.isposinf(table.logz_j))
     # j beyond n/s is unreachable
     assert np.all(np.isneginf(table.logz_j[-1][17:]))
+
+
+def test_couplings_beyond_float_range_rejected():
+    # log Z would overflow (h, beta) or underflow to a spurious -inf (h > 0)
+    om = dp.sample_disorder(LAW, 64, 4)
+    geo = dp.geometric_kernel(0.5, n_max=16)
+    for beta, h in ((1.0, -1e307), (1.0, 1e308), (1e307, 0.0)):
+        with pytest.raises(ValueError, match="floating-point range"):
+            dp.log_partition_pinning(dp.ModelSpec("pinning", beta, h, geo), om, 64)
+        with pytest.raises(ValueError, match="floating-point range"):
+            dp.log_partition_constrained(dp.ModelSpec("pinning", beta, h, geo), om, 64)
+    with pytest.raises(ValueError, match="floating-point range"):
+        dp.log_partition_copolymer(dp.ModelSpec("copolymer", 1e307, 1.0, SRW), om, 64)
+    # large but representable: finite and exact to rounding
+    table = dp.log_partition_pinning(dp.ModelSpec("pinning", 0.0, -1e300, geo), om, 64)
+    assert table.final_logz == pytest.approx(64e300, rel=1e-12)
+    # just inside the pinning bound, 64 * (2.8e306 + 1000) < 1.797e308: log Z
+    # is near the largest float and finite; 2.9e306 is just outside it
+    table = dp.log_partition_pinning(dp.ModelSpec("pinning", 0.0, -2.8e306, geo), om, 64)
+    assert math.isfinite(table.final_logz)
+    assert table.final_logz == pytest.approx(64 * 2.8e306, rel=1e-12)
+    with pytest.raises(ValueError, match="floating-point range"):
+        dp.log_partition_pinning(dp.ModelSpec("pinning", 0.0, -2.9e306, geo), om, 64)
+    # the copolymer forms subtract prefix sums, so their bound is half as wide
+    est = dp.log_partition_copolymer(dp.ModelSpec("copolymer", 0.0, 1.4e306, SRW), om, 64)
+    assert math.isfinite(est.final_logz)
+    with pytest.raises(ValueError, match="floating-point range"):
+        dp.log_partition_copolymer(dp.ModelSpec("copolymer", 0.0, 1.5e306, SRW), om, 64)

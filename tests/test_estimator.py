@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -168,3 +169,27 @@ def test_worker_count_capped_at_cores(monkeypatch):
     assert worker_count() == 1
     monkeypatch.delenv("DEPIN_THREADS")
     assert worker_count() == cores
+
+
+def test_unreachable_size_has_zero_spread(tmp_path):
+    # atoms at 4 and 8 only: no path has length 6, so log Z = -inf on every
+    # replica and the spread is 0, not NaN
+    path = tmp_path / "k.csv"
+    path.write_text("s=1,k_inf=0.0,alpha=nan\n4,0.5\n8,0.5\n", encoding="utf-8")
+    model = dp.ModelSpec("pinning", 1.0, 0.0, dp.kernel_from_file(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = dp.estimate_free_energy(model, LAW, 6, 3, 5)
+    assert est.mean == -math.inf and est.stderr == 0.0
+
+
+def test_spread_of_huge_free_energies_is_finite():
+    # (1/N) log Z near 1e299: the squared deviations would overflow to an
+    # infinite standard error; the spread is that of the values scaled down
+    model = dp.ModelSpec("pinning", 1e300, 0.0, dp.geometric_kernel(0.5, n_max=16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = dp.estimate_free_energy(model, LAW, 64, 4, 5)
+    scaled = est.replica_values / 1e290
+    want = scaled.std(ddof=1) / 2.0 * 1e290
+    assert math.isfinite(est.stderr) and est.stderr == pytest.approx(want, rel=1e-12)

@@ -68,6 +68,8 @@ def test_power_kernel_rejects_bad_args():
         dp.power_kernel(2.0, 1, 10, defect_mass=1.0)
     with pytest.raises(ValueError):
         dp.power_kernel(math.nan, 1, 10)
+    with pytest.raises(ValueError):
+        dp.power_kernel(math.inf, 1, 10)
 
 
 def test_power_kernel_trivial():

@@ -20,6 +20,11 @@ from .kernel import ReturnKernel
 from .pure_solver import hc_pure, pure_asymptotics, solve_free_energy_pure
 
 
+class UsageError(ValueError):
+    """An input that no run can use, such as a size no path reaches (exit
+    code 2 on the command line)."""
+
+
 @dataclass(frozen=True)
 class CriticalFit:
     """Critical point and/or critical-exponent fit results.
@@ -107,13 +112,17 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     the phase indicator is "extrapolated F above threshold" with threshold
     the larger of 3x the biggest-size standard error and a floor of
     4/max(N) that keeps the beta = 0 case (zero standard error) off the
-    finite-size extrapolation residue.
+    finite-size extrapolation residue.  A size that no chain of the
+    kernel's excursions reaches is a UsageError, raised before any estimate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     n_list = sorted(n_list)
     if not n_list or n_list[0] < 1:
         raise ValueError("need at least one size, all positive")
+    for n in n_list:
+        if not kernel.reaches(n):
+            raise UsageError(f"no path of the kernel ends at N={n}")
     n_big = n_list[-1]
     if threshold_floor is None:
         threshold_floor = 4.0 / n_big

@@ -24,19 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import locate_hc, smoothing_check
-from .disorder import disorder_law, sample_disorder, spawn_seed
-from .engine import (ModelSpec, log_partition_constrained, log_partition_copolymer,
-                     log_partition_pinning)
+from .analysis import UsageError, locate_hc, smoothing_check
+from .disorder import disorder_law
+from .engine import ModelSpec
 from .estimator import estimate_free_energy, estimate_phi
 from .kernel import geometric_kernel, kernel_from_file, power_kernel, srw_kernel
-from .oracle import (brute_force_constrained, brute_force_copolymer,
-                     brute_force_pinning)
+from .oracle import verify_battery
 from .pure_solver import pure_asymptotics, solve_free_energy_pure
-
-
-class UsageError(ValueError):
-    """Bad or missing command-line option (exit code 2)."""
 
 
 def parse_kernel_spec(text: str):
@@ -391,55 +385,11 @@ def _cmd_smooth(merged: dict) -> int:
     return 0
 
 
-def _verify_battery(n_cap: int, draws: int, seed: int):
-    """Cross-check the recursions against brute force; yields (name, ok, detail)."""
-    law = disorder_law("gaussian")
-    kern = geometric_kernel(0.5, n_max=32)
-    kern_srw = srw_kernel(16)
-    rel = 1e-12
-
-    def pin_case(i):
-        rng_seed = spawn_seed(seed, i)
-        om = sample_disorder(law, 16, rng_seed)
-        beta = 0.25 * (i % 8)
-        h = -2.0 + 0.37 * (i % 11)
-        n = min(n_cap, 16)
-        model = ModelSpec("pinning", beta, h, kern)
-        got = log_partition_pinning(model, om, n).final_logz
-        want = math.log(brute_force_pinning(kern, om, beta, h, n).value)
-        return abs(got - want) <= rel * max(1.0, abs(want))
-
-    def cop_case(i):
-        om = sample_disorder(law, 14, spawn_seed(seed, 1000 + i))
-        beta = 0.25 * (i % 8)
-        h = 0.3 * (i % 5)
-        n = min(n_cap - n_cap % 2, 14)
-        model = ModelSpec("copolymer", beta, h, kern_srw)
-        got = log_partition_copolymer(model, om, n).final_logz
-        want = math.log(brute_force_copolymer(kern_srw, om, beta, h, n).value)
-        return abs(got - want) <= rel * max(1.0, abs(want))
-
-    def con_case(i):
-        om = sample_disorder(law, 16, spawn_seed(seed, 2000 + i))
-        beta = 0.25 * (i % 8)
-        n = min(n_cap, 16)
-        model = ModelSpec("pinning", beta, 0.0, kern)
-        table = log_partition_constrained(model, om, n)
-        want = brute_force_constrained(kern, om, beta, n)
-        for j, val in want.items():
-            if abs(math.exp(table.logz_j[-1][j]) - val) > rel * val:
-                return False
-        return True
-
-    for name, case in (("pinning", pin_case), ("copolymer", cop_case),
-                       ("constrained", con_case)):
-        ok = sum(1 for i in range(draws) if case(i))
-        yield name, ok == draws, f"{ok}/{draws}"
-
-
 def _cmd_verify(merged: dict) -> int:
     all_ok = True
-    for name, ok, detail in _verify_battery(merged["N"], merged["draws"], merged["seed"]):
+    battery = verify_battery(geometric_kernel(0.5, n_max=32), merged["N"],
+                             merged["draws"], merged["seed"])
+    for name, ok, detail in battery:
         all_ok &= ok
         print(f"{name}: {detail} {'ok' if ok else 'FAILED'}")
     if all_ok:

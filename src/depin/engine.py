@@ -12,6 +12,9 @@ free-endpoint value (last excursion unfinished), the copolymer form (each
 completed excursion is above or below the interface; the sites strictly
 below carry weight exp(-(beta w + h)) each), and contact-count-resolved
 tables that fix the number of rewarded sites instead of weighting it by h.
+A count-resolved build keeps only the last w = min(N/s, n_max) rows of its
+(N/s + 1)-row recursion, so its memory is O(w * J) for J counts, and
+returns the final row.
 
 The pinned-endpoint recursion also runs on a block of disorder rows at once
 (log_partition_pinning with a 2-D array), bit for bit a set of single
@@ -32,10 +35,6 @@ from .disorder import DisorderSample
 from .kernel import ReturnKernel
 
 LOG2 = math.log(2.0)
-
-# (N/s)^2 tables above this row count require an explicit override
-MAX_CONSTRAINED_ROWS = 8192
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -61,10 +60,12 @@ class ModelSpec:
 class LogPartitionTable:
     """log Z at positions 0, s, 2s, ..., N (log Z_0 = 0 by convention).
 
-    logz_j, when present, resolves position n by the exact count j of
-    rewarded sites: contacts for pinning, below-interface sites for the
-    copolymer.  Entries are finite or -inf (-inf marks counts no path can
-    realize).
+    logz_j, when present, is the read-only (1, J) final row of a
+    count-resolved build: position N resolved by the exact count j of
+    rewarded sites (contacts for pinning, J = N/s + 1; below-interface
+    sites for the copolymer, J = N + 1).  Entries are finite or -inf (-inf
+    marks counts no path can realize).  The rows of shorter positions are
+    not kept; a build at a shorter N gives them bit for bit.
     """
 
     logz: np.ndarray
@@ -213,18 +214,24 @@ def log_partition_copolymer(model: ModelSpec, omega: DisorderSample, n: int) -> 
     return LogPartitionTable(logz, s, n)
 
 
-def _columnwise_lse(mat: np.ndarray) -> np.ndarray:
-    m = mat.max(axis=0)
-    finite = np.isfinite(m)
-    safe = np.where(finite, m, 0.0)
-    z = np.exp(mat - safe).sum(axis=0)
-    with np.errstate(divide="ignore"):
-        return np.where(finite, safe + np.log(z), -math.inf)
+def _ring(w_max: int, t_max: int, width: int) -> np.ndarray:
+    """Rows of width entries, all -inf, for the last w_max rows of a
+    recursion over t = 0..t_max.  Row u lives at u mod w_max and again at
+    u mod w_max + w_max, so any w_max consecutive rows are one slice, in
+    order; when the window never wraps (w_max = t_max) one copy is enough."""
+    return np.full((2 * w_max if t_max > w_max else w_max, width), -math.inf)
 
 
-def log_partition_constrained(model: ModelSpec, omega: DisorderSample, n: int,
-                              allow_large: bool = False) -> LogPartitionTable:
-    """Count-resolved table: logz_j[t, j] fixes the rewarded-site count j.
+def _store(ring: np.ndarray, w_max: int, u: int, row: np.ndarray) -> None:
+    """Write row u (its first len(row) entries) to both of its ring slots."""
+    ring[u % w_max, :len(row)] = row
+    if len(ring) > w_max:
+        ring[u % w_max + w_max, :len(row)] = row
+
+
+def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
+                              n: int) -> LogPartitionTable:
+    """Count-resolved table: logz_j[-1, j] fixes the rewarded-site count j.
 
     The coupling h is deliberately absent from the recursion (it is
     reinstated by the conjugate weight exp(-h j), see the logz field and
@@ -232,57 +239,85 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample, n: int,
     pinning j counts contacts; for the copolymer j counts below-interface
     sites, so an excursion of length k assigned below adds k - 1.
 
-    Memory is O((N/s) * J); builds beyond MAX_CONSTRAINED_ROWS rows require
-    allow_large=True.
+    Row t (position t s) depends only on the w = min(N/s, n_max) rows
+    before it, so only those are kept, in a ring (_ring), and the window
+    step works in buffers allocated once per build: memory is O(w * J) for
+    J = N/s + 1 counts (pinning) or N + 1 (copolymer).  logz[t] is taken
+    from each row as it completes; logz_j keeps the final row only.
     """
     t_max = _check_inputs(model, len(omega.values), n)
-    if t_max > MAX_CONSTRAINED_ROWS and not allow_large:
-        raise ValueError(
-            f"constrained table with {t_max} rows exceeds the default bound; "
-            "pass allow_large=True to override")
     kern = model.kernel
     s = kern.period
     w_max = min(t_max, kern.n_max)
     log_k = kern.log_density
     _check_range(model, omega.values[:n], n)
 
+    width = t_max + 1 if model.kind == "pinning" else n + 1
+    ring = _ring(w_max, t_max, width)
+    _store(ring, w_max, 0, np.zeros(1))
+    charge = model.h * np.arange(width, dtype=float)
+    logz = np.empty(t_max + 1)
+    logz[0] = logsumexp_1d(ring[0] - charge)
     if model.kind == "pinning":
         rk = log_k[:w_max][::-1].copy()
         rewards = model.beta * omega.values[s - 1:n:s]
-        table = np.full((t_max + 1, t_max + 1), -math.inf)
-        table[0, 0] = 0.0
-        for t in range(1, t_max + 1):
-            w = min(t, w_max)
-            block = table[t - w:t, 0:t] + rk[w_max - w:, None]
-            table[t, 1:t + 1] = rewards[t - 1] + _columnwise_lse(block)
-        counts = np.arange(t_max + 1, dtype=float)
+        cells = np.empty(w_max * t_max)
+        col_max = np.empty(t_max)
+        col_sum = np.empty(t_max)
+        empty = np.empty(t_max, dtype=bool)
+        # a column with no path (max -inf) is shifted by 0 instead, so its
+        # sum is 0 and its log -inf
+        with np.errstate(divide="ignore"):
+            for t in range(1, t_max + 1):
+                w = min(t, w_max)
+                lo = (t - w) % w_max
+                block = cells[:w * t].reshape(w, t)
+                np.add(ring[lo:lo + w, :t], rk[w_max - w:, None], out=block)
+                m, z, dead = col_max[:t], col_sum[:t], empty[:t]
+                np.max(block, axis=0, out=m)
+                np.equal(m, -math.inf, out=dead)
+                np.copyto(m, 0.0, where=dead)
+                np.subtract(block, m, out=block)
+                np.exp(block, out=block)
+                np.sum(block, axis=0, out=z)
+                np.log(z, out=z)
+                np.add(m, z, out=z)
+                row = ring[t % w_max, :t + 1]
+                row[0] = -math.inf
+                np.add(rewards[t - 1], z, out=row[1:])
+                _store(ring, w_max, t, row)
+                logz[t] = logsumexp_1d(ring[t % w_max] - charge)
     else:
         rewards_prefix = np.concatenate([[0.0], np.cumsum(model.beta * omega.values[:n])])
-        table = np.full((t_max + 1, n + 1), -math.inf)
-        table[0, 0] = 0.0
+        acc = np.empty(width)
+        term = np.empty(width)
         for t in range(1, t_max + 1):
             w = min(t, w_max)
-            acc = np.full(n + 1, -math.inf)
+            lo = (t - w) % w_max
+            window = ring[lo:lo + w]
+            acc.fill(-math.inf)
             end_prefix = rewards_prefix[t * s - 1]
             for j_exc in range(w):
                 u = t - 1 - j_exc
-                base = table[u]
-                k_len = (j_exc + 1) * s
+                base = window[w - 1 - j_exc]
                 if s == 1 and j_exc == 0:
-                    np.logaddexp(acc, base + log_k[0], out=acc)
+                    np.add(base, log_k[0], out=term)
+                    np.logaddexp(acc, term, out=acc)
                     continue
-                np.logaddexp(acc, base + (log_k[j_exc] - LOG2), out=acc)
-                shift = k_len - 1
-                below = base[:n + 1 - shift] + (
-                    log_k[j_exc] - LOG2 - (end_prefix - rewards_prefix[u * s]))
+                half = log_k[j_exc] - LOG2
+                np.add(base, half, out=term)
+                np.logaddexp(acc, term, out=acc)
+                shift = (j_exc + 1) * s - 1
+                below = term[:width - shift]
+                np.add(base[:width - shift],
+                       half - (end_prefix - rewards_prefix[u * s]), out=below)
                 np.logaddexp(acc[shift:], below, out=acc[shift:])
-            table[t] = acc
-        counts = np.arange(n + 1, dtype=float)
+            _store(ring, w_max, t, acc)
+            logz[t] = logsumexp_1d(acc - charge)
 
-    table.flags.writeable = False
-    logz = np.array([logsumexp_1d(table[t] - model.h * counts)
-                     for t in range(t_max + 1)])
-    return LogPartitionTable(logz, s, n, logz_j=table)
+    final = ring[t_max % w_max][None, :].copy()
+    final.flags.writeable = False
+    return LogPartitionTable(logz, s, n, logz_j=final)
 
 
 def constrained_window(table: LogPartitionTable, m: float, epsilon: float) -> float:

@@ -85,7 +85,6 @@ def _fe_block(args) -> np.ndarray:
 
 def _phi_row(model: ModelSpec, law: DisorderLaw, n: int, m_grid, epsilon: float,
              seed: int) -> list:
-    # one (N/s+1)^2 table at a time: it is freed when the row is returned
     table = log_partition_constrained(model, sample_disorder(law, n, seed), n)
     return [constrained_window(table, m, epsilon) / n for m in m_grid]
 

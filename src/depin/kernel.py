@@ -99,6 +99,29 @@ class ReturnKernel:
         idx = min(n // self.period, self.n_max)
         return float(self._suffix_mass[idx])
 
+    def reaches(self, n: int) -> bool:
+        """Whether a chain of completed excursions ends exactly at n: n is a
+        sum of atom positions of positive mass."""
+        if n < self.period or n % self.period:
+            return False
+        t = n // self.period
+        if self.density[0] > 0.0:
+            return True
+        # bit u of `reach` marks u periods as reachable; an atom a that is
+        # not already a sum of smaller ones adds 1, 2, 4, ... copies of a,
+        # so 0 to 2^k - 1 copies after k shifts
+        reach, top = 1, (1 << (t + 1)) - 1
+        for a in (np.flatnonzero(self.density[:t]) + 1).tolist():
+            if reach >> t & 1:
+                return True
+            if reach & (1 << a):
+                continue
+            step = a
+            while step <= t:
+                reach |= (reach << step) & top
+                step *= 2
+        return bool(reach >> t & 1)
+
     @cached_property
     def mean_return_steps(self) -> float:
         """sum n K(n) of the tabulated law (always finite)."""

@@ -5,7 +5,7 @@ exactly rounded accumulation (math.fsum), guarded to desk scale.  The
 pinning evaluators walk every composition of N into kernel atoms; the
 copolymer evaluator walks every +-1 bridge and scores the signed-site
 Hamiltonian directly, which keeps it independent of the excursion algebra
-used by the recursion engine.
+used by the recursion engine.  verify_battery compares the two.
 """
 
 import itertools
@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderSample
-from .kernel import ReturnKernel
+from .disorder import DisorderSample, disorder_law, sample_disorder, spawn_seed
+from .engine import (ModelSpec, log_partition_constrained, log_partition_copolymer,
+                     log_partition_pinning)
+from .kernel import ReturnKernel, srw_kernel
 
 PINNING_GUARD = 24
 COPOLYMER_GUARD = 14
@@ -170,3 +172,49 @@ def brute_force_constrained(kernel: ReturnKernel, omega: DisorderSample,
     else:
         rec_cop(0, 1.0, 0)
     return {j: math.fsum(vals) for j, vals in sorted(buckets.items())}
+
+
+def verify_battery(kernel: ReturnKernel, n_cap: int, draws: int, seed: int):
+    """Cross-check the recursions against brute force to 1e-12 relative.
+
+    Runs `draws` gaussian instances per recursion, on sizes up to n_cap:
+    pinning and count-resolved pinning on `kernel`, the copolymer on the
+    SRW kernel (its oracle walks +-1 bridges).  Yields (name, ok, detail)
+    with detail "passed/draws".
+    """
+    law = disorder_law("gaussian")
+    kern_srw = srw_kernel(16)
+    rel = 1e-12
+
+    def pin_case(i):
+        om = sample_disorder(law, 16, spawn_seed(seed, i))
+        beta = 0.25 * (i % 8)
+        h = -2.0 + 0.37 * (i % 11)
+        n = min(n_cap, 16)
+        got = log_partition_pinning(ModelSpec("pinning", beta, h, kernel), om, n).final_logz
+        want = math.log(brute_force_pinning(kernel, om, beta, h, n).value)
+        return abs(got - want) <= rel * max(1.0, abs(want))
+
+    def cop_case(i):
+        om = sample_disorder(law, 14, spawn_seed(seed, 1000 + i))
+        beta = 0.25 * (i % 8)
+        h = 0.3 * (i % 5)
+        n = min(n_cap - n_cap % 2, 14)
+        model = ModelSpec("copolymer", beta, h, kern_srw)
+        got = log_partition_copolymer(model, om, n).final_logz
+        want = math.log(brute_force_copolymer(kern_srw, om, beta, h, n).value)
+        return abs(got - want) <= rel * max(1.0, abs(want))
+
+    def con_case(i):
+        om = sample_disorder(law, 16, spawn_seed(seed, 2000 + i))
+        beta = 0.25 * (i % 8)
+        n = min(n_cap, 16)
+        table = log_partition_constrained(ModelSpec("pinning", beta, 0.0, kernel), om, n)
+        want = brute_force_constrained(kernel, om, beta, n)
+        return all(abs(math.exp(table.logz_j[-1][j]) - val) <= rel * val
+                   for j, val in want.items())
+
+    for name, case in (("pinning", pin_case), ("copolymer", cop_case),
+                       ("constrained", con_case)):
+        ok = sum(1 for i in range(draws) if case(i))
+        yield name, ok == draws, f"{ok}/{draws}"

@@ -43,6 +43,18 @@ def assert_log_close(log_value: float, reference_value: float, rel: float = 1e-1
         f"log values differ by {diff:.3e}")
 
 
+def sparse_kernel(n_max, period, zero_frac, first_zero, key):
+    """A normalized table with a share of zero atoms (maybe the first)."""
+    rng = np.random.default_rng(key)
+    dens = rng.random(n_max) + 0.01
+    dens[rng.random(n_max) < zero_frac] = 0.0
+    if first_zero and n_max > 1:
+        dens[0] = 0.0
+    if not dens.any():
+        dens[-1] = 1.0
+    return dp.ReturnKernel(dens / dens.sum(), 0.0, period, None, n_max)
+
+
 @pytest.fixture()
 def gaussian_law():
     return dp.disorder_law("gaussian")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import depin as dp
+from conftest import sparse_kernel
 from depin import estimator
 from depin.cli import parse_kernel_spec, run
 
@@ -42,18 +43,6 @@ def _reference_row(model, values, n):
     return logz
 
 
-def _kernel(n_max, period, zero_frac, first_zero, key):
-    """A normalized table with a share of zero atoms (maybe the first)."""
-    rng = np.random.default_rng(key)
-    dens = rng.random(n_max) + 0.01
-    dens[rng.random(n_max) < zero_frac] = 0.0
-    if first_zero and n_max > 1:
-        dens[0] = 0.0
-    if not dens.any():
-        dens[-1] = 1.0
-    return dp.ReturnKernel(dens / dens.sum(), 0.0, period, None, n_max)
-
-
 @settings(max_examples=40, deadline=None)
 @given(rows=st.integers(1, 40),
        n_max=st.one_of(st.integers(1, 7), st.integers(129, 200)),
@@ -72,7 +61,7 @@ def _kernel(n_max, period, zero_frac, first_zero, key):
          zero_frac=0.3, first_zero=False, law="rademacher", seed=2)
 def test_batched_rows_match_single_rows(rows, n_max, period, steps, extra, beta, h,
                                         zero_frac, first_zero, law, seed):
-    kern = _kernel(n_max, period, zero_frac, first_zero, seed)
+    kern = sparse_kernel(n_max, period, zero_frac, first_zero, seed)
     model = dp.ModelSpec("pinning", beta, h, kern)
     n = steps * period
     law = dp.disorder_law(law)

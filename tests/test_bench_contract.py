@@ -51,3 +51,33 @@ def test_dotted_names_in_bench_exist():
             if not hasattr(mod, name):
                 missing.append(f"{path.name}: depin.{module}.{name}")
     assert not missing
+
+
+def test_extras_bind_the_parameters_they_read():
+    # each function of _EXTRAS runs once under the tracer; the tracer binds
+    # its arguments by name (arguments["model"], ["n"]) and reads the result
+    import depin.cli  # noqa: F401  (the tracer rebinds depin.cli.run too)
+
+    tracing = _load_tracing()
+    law = depin.disorder_law("gaussian")
+    geo = depin.geometric_kernel(0.5, n_max=8)
+    pin = depin.ModelSpec("pinning", 1.0, 0.0, geo)
+    cop = depin.ModelSpec("copolymer", 1.0, 0.5, depin.srw_kernel(4))
+    calls = {
+        "sample_disorder": lambda: depin.sample_disorder(law, 16, 1),
+        "log_partition_pinning": lambda: depin.log_partition_pinning(
+            pin, depin.sample_disorder(law, 16, 1), 16),
+        "log_partition_copolymer": lambda: depin.log_partition_copolymer(
+            cop, depin.sample_disorder(law, 16, 1), 16),
+        "log_partition_constrained": lambda: depin.log_partition_constrained(
+            pin, depin.sample_disorder(law, 16, 1), 16),
+        "locate_hc": lambda: depin.locate_hc("pinning", 0.0, geo, law, [16, 32], 1, 1, 0.1),
+    }
+    assert set(calls) == set(tracing._EXTRAS)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for call in calls.values():
+            call()
+    seen = {rec["name"] for rec in tracer.records()
+            if set(rec) & {"draws", "cells", "probes"}}
+    assert seen == set(calls)

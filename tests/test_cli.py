@@ -131,6 +131,16 @@ def test_exit_codes(tmp_path, capsys):
     # an infinite tail exponent is a bad kernel, not a one-atom law
     assert run(["pure", "--kernel", "power:alpha=inf,s=1,n_max=100", "--h=-0.5",
                 "--asymptotics"]) == 1
+    # a size that no path reaches (atoms at 4 and 8 only) is named before
+    # any estimate runs
+    k48 = tmp_path / "k48.csv"
+    k48.write_text("s=1,k_inf=0.0,alpha=2.0\n4,0.5\n8,0.5\n", encoding="utf-8")
+    for cmd in ("hc", "smooth"):
+        capsys.readouterr()
+        assert run([cmd, "--kernel", f"file:{k48}", "--beta", "1", "--N-list", "6,8,16",
+                    "--replicas", "2", "--tol", "0.01"]) == 2
+        assert capsys.readouterr().err == (
+            f"depin {cmd}: usage error: no path of the kernel ends at N=6\n")
     capsys.readouterr()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,9 +157,13 @@ def test_constrained_first_row_and_infeasible():
     # one contact at position 8 means a single excursion of length 8
     assert table.logz_j[-1][1] == pytest.approx(
         1.1 * om.values[7] + math.log(SRW.density[3]), abs=1e-13)
-    # more contacts than positions/period is impossible
-    assert table.logz_j[2][3] == -math.inf
-    assert table.logz_j[0][0] == 0.0
+    # the table keeps its final row only; shorter positions are the final
+    # rows of shorter builds: no path of length 4 has 3 contacts (the row
+    # stops at j = 4/s), and every pinned path has at least one
+    short = dp.log_partition_constrained(model, om, 4)
+    assert table.logz_j.shape == (1, 5) and short.logz_j.shape == (1, 3)
+    assert short.logz_j[-1][0] == -math.inf
+    assert table.logz[0] == short.logz[0] == 0.0
 
 
 @pytest.mark.parametrize("kind,h", [("pinning", -0.8), ("pinning", 0.6),
@@ -179,11 +184,19 @@ def test_constrained_reconstruction_identity(kind, h):
     assert table.final_logz == pytest.approx(direct, abs=1e-12)
 
 
-def test_constrained_memory_guard():
-    om = dp.sample_disorder(LAW, 9000, 0)
-    model = dp.ModelSpec("pinning", 1.0, 0.0, GEO)
-    with pytest.raises(ValueError):
-        dp.log_partition_constrained(model, om, 9000)
+def test_constrained_memory_is_w_rows():
+    # a build keeps w = 8 rows of 2049 counts, twice, where the whole
+    # (N/s + 1)^2 table would take 33.6 MB
+    om = dp.sample_disorder(LAW, 2048, 0)
+    model = dp.ModelSpec("pinning", 1.0, 0.0, dp.geometric_kernel(0.5, n_max=8))
+    tracemalloc.start()
+    try:
+        table = dp.log_partition_constrained(model, om, 2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.logz_j.shape == (1, 2049)
+    assert peak < 2_000_000
 
 
 def test_constrained_window_extraction():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import depin as dp
-from conftest import srw_first_return_enum
+from conftest import sparse_kernel, srw_first_return_enum
 
 
 def test_srw_matches_enumeration():
@@ -163,3 +163,19 @@ def test_kernel_from_file_rejects(tmp_path, body):
     path.write_text(body, encoding="utf-8")
     with pytest.raises(ValueError):
         dp.kernel_from_file(path)
+
+
+@pytest.mark.parametrize("key", range(40))
+def test_reaches_matches_position_recursion(key):
+    # n is reached iff some atom of positive mass ends a chain that is
+    # itself reached: the renewal recursion on booleans
+    rng = np.random.default_rng(key)
+    n_max, period = int(rng.integers(1, 12)), int(rng.integers(1, 3))
+    kern = sparse_kernel(n_max, period, 0.7, key % 2 == 0, key)
+    reached = [True]
+    for t in range(1, 61):
+        reached.append(any(reached[t - a] for a in range(1, min(t, n_max) + 1)
+                           if kern.density[a - 1] > 0.0))
+    for n in range(61 * period):
+        want = n > 0 and n % period == 0 and reached[n // period]
+        assert kern.reaches(n) == want, n

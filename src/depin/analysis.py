@@ -38,7 +38,6 @@ class CriticalFit:
     hc_err: float
     exponent: float | None = None
     exponent_err: float | None = None
-    fit_window: tuple | None = None
     envelope_constant: float | None = None
     points: tuple = ()
 
@@ -102,8 +101,7 @@ def _extrapolate_at(kind: str, beta: float, h: float, kernel: ReturnKernel,
 
 def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
               n_list, replicas: int, seed: int, tol: float,
-              h_window: tuple[float, float] | None = None,
-              threshold_floor: float | None = None) -> CriticalFit:
+              h_window: tuple[float, float] | None = None) -> CriticalFit:
     """Bisection for the critical field at fixed beta.
 
     At each probe h the free energy is estimated on every size in n_list
@@ -123,16 +121,14 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     for n in n_list:
         if not kernel.reaches(n):
             raise UsageError(f"no path of the kernel ends at N={n}")
-    n_big = n_list[-1]
-    if threshold_floor is None:
-        threshold_floor = 4.0 / n_big
+    floor = 4.0 / n_list[-1]
     probes = []
     seeds = [spawn_seed(seed, i) for i in range(len(n_list))]
 
     def localized(h: float) -> bool:
         f_inf, _, ests = _extrapolate_at(kind, beta, h, kernel, law, n_list,
                                          replicas, seeds)
-        thr = max(3.0 * ests[-1].stderr, threshold_floor)
+        thr = max(3.0 * ests[-1].stderr, floor)
         probes.append((h, f_inf, thr))
         return f_inf > thr
 
@@ -202,8 +198,6 @@ def fit_exponent(points, hc: float, hc_err: float = 0.0) -> CriticalFit:
     edge_gap, edge_f = gaps[0], f[0]
     return CriticalFit(hc=hc, hc_err=hc_err, exponent=float(slope),
                        exponent_err=float(math.sqrt(var_b)),
-                       fit_window=(float(min(h for h, _, _ in used)),
-                                   float(max(h for h, _, _ in used))),
                        envelope_constant=float(edge_f / edge_gap**2),
                        points=tuple(used))
 

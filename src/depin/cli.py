@@ -162,7 +162,7 @@ _OPTIONS = {
     },
     "verify": {
         "N": (int, 12, "maximum size for the oracle battery"),
-        "draws": (int, 20, "random draws per check"),
+        "draws": (_size, 20, "random draws per check"),
         "seed": (int, 0, "master seed"),
     },
 }
@@ -386,6 +386,8 @@ def _cmd_smooth(merged: dict) -> int:
 
 
 def _cmd_verify(merged: dict) -> int:
+    if merged["N"] < 2:
+        raise UsageError("--N must be at least 2: the copolymer check needs an even size")
     all_ok = True
     battery = verify_battery(geometric_kernel(0.5, n_max=32), merged["N"],
                              merged["draws"], merged["seed"])

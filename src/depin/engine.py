@@ -16,10 +16,10 @@ A count-resolved build keeps only the last w = min(N/s, n_max) rows of its
 (N/s + 1)-row recursion, so its memory is O(w * J) for J counts, and
 returns the final row.
 
-The pinned-endpoint recursion also runs on a block of disorder rows at once
-(log_partition_pinning with a 2-D array), bit for bit a set of single
-builds.  Couplings under which log Z could leave the floating-point range
-are rejected.
+The pinned-endpoint and copolymer recursions share one renewal core, which
+also steps a block of disorder rows at once (a 2-D array), bit for bit a
+set of single builds.  Couplings under which log Z could leave the
+floating-point range are rejected.
 
 Tables are deterministic functions of (model, disorder sample, N); builds
 share no mutable state and can run concurrently.
@@ -112,37 +112,64 @@ def _check_range(model: ModelSpec, values: np.ndarray, steps: int) -> None:
                          "floating-point range")
 
 
-def _pinning_rows(model: ModelSpec, values: np.ndarray, n: int) -> np.ndarray:
-    if model.kind != "pinning":
-        raise ValueError("pinning recursion called with a non-pinning model")
+def _renewal(kind: str, model: ModelSpec, omega, n: int):
+    """log Z_m, m = 0, s, ..., n: of one DisorderSample as its table, or of
+    each row of an (R, >= n) block as an array, stepping all rows at once.
+    Pinning adds the charge beta w - h to each step and finishes a row as
+    c + m + math.log(x); the copolymer adds a split term to each (step,
+    excursion) cell and finishes the block as m + np.log(x)."""
+    if model.kind != kind:
+        raise ValueError(f"{kind} recursion called with a non-{kind} model")
+    one = isinstance(omega, DisorderSample)
+    values = omega.values[None, :] if one else omega
     rows = len(values)
     t_max = _check_inputs(model, values.shape[1], n)
     kern = model.kernel
+    s = kern.period
     w_max = min(t_max, kern.n_max)
     rk = kern.log_density[:w_max][::-1].copy()  # rk[w_max-1-j] = log K((j+1)s)
-    _check_range(model, values[:, :n], t_max)
-    # one row of charges per step, beta w - h as for a lone row
-    charges = np.empty((t_max, rows))
-    np.multiply(values[:, kern.period - 1:n:kern.period].T, model.beta, out=charges)
-    charges -= model.h
+    pinning = kind == "pinning"
+    _check_range(model, values[:, :n], t_max if pinning else n)
+    if pinning:
+        # one row of charges per step, beta w - h as for a lone row
+        charges = np.empty((t_max, rows))
+        np.multiply(values[:, s - 1:n:s].T, model.beta, out=charges)
+        charges -= model.h
+    else:
+        # interior charge of an excursion u s .. t s: prefix[t s - 1] - prefix[u s]
+        prefix = np.zeros((rows, n + 1))
+        np.cumsum(model.beta * values[:, :n] + model.h, axis=1, out=prefix[:, 1:])
+        c_grid, c_last = prefix[:, ::s], prefix[:, s - 1::s]
+        split_buf = np.empty(rows * w_max)
 
     logz = np.empty((rows, t_max + 1))
     logz[:, 0] = 0.0
     buf = np.empty(rows * w_max)
     # a row whose window is all -inf turns to NaN on the shift by its max;
-    # the comprehension gives it -inf instead
+    # it finishes at -inf instead
     with np.errstate(invalid="ignore"):
         for t in range(1, t_max + 1):
             w = min(t, w_max)
             seg = buf[:rows * w].reshape(rows, w)
             np.add(logz[:, t - w:t], rk[w_max - w:], out=seg)
+            if not pinning:
+                split = split_buf[:rows * w].reshape(rows, w)
+                np.subtract(c_grid[:, t - w:t], c_last[:, t - 1:t], out=split)
+                np.logaddexp(0.0, split, out=split)
+                split -= LOG2
+                seg += split
             m = seg.max(axis=1, keepdims=True)
             np.subtract(seg, m, out=seg)
             np.exp(seg, out=seg)
-            logz[:, t] = [c + mm + math.log(x) if mm != -math.inf else -math.inf
-                          for c, mm, x in zip(charges[t - 1].tolist(), m.ravel().tolist(),
-                                              seg.sum(axis=1).tolist())]
-    return logz
+            x = seg.sum(axis=1)
+            if pinning:
+                logz[:, t] = [c + mm + math.log(xx) if mm != -math.inf else -math.inf
+                              for c, mm, xx in zip(charges[t - 1].tolist(),
+                                                   m.ravel().tolist(), x.tolist())]
+            else:
+                np.add(m[:, 0], np.log(x, out=x), out=logz[:, t])
+                logz[m[:, 0] == -math.inf, t] = -math.inf
+    return LogPartitionTable(logz[0], s, n) if one else logz
 
 
 def log_partition_pinning(model: ModelSpec, omega, n: int):
@@ -156,10 +183,7 @@ def log_partition_pinning(model: ModelSpec, omega, n: int):
     bit.  The recursion reads no charge beyond position m, so the entries up
     to m of a longer build are those of a build at N = m.
     """
-    if isinstance(omega, DisorderSample):
-        logz = _pinning_rows(model, omega.values[None, :], n)[0]
-        return LogPartitionTable(logz, model.kernel.period, n)
-    return _pinning_rows(model, omega, n)
+    return _renewal("pinning", model, omega, n)
 
 
 def log_partition_free_endpoint(model: ModelSpec, omega: DisorderSample, n: int) -> float:
@@ -179,39 +203,19 @@ def log_partition_free_endpoint(model: ModelSpec, omega: DisorderSample, n: int)
     return logsumexp_1d(terms)
 
 
-def log_partition_copolymer(model: ModelSpec, omega: DisorderSample, n: int) -> LogPartitionTable:
-    """Copolymer table in the below-interface form.
+def log_partition_copolymer(model: ModelSpec, omega, n: int):
+    """Copolymer log Z_m for m = 0, s, ..., n, in the below-interface form.
 
     A completed excursion over sites u+1..u+k contributes K(k)/2 times
     (1 + exp(-sum of (beta w + h) over its k-1 interior sites)); the two
     summands are the above/below choices of the excursion sign.  For k = s
     = 1 the interior is empty and the expression collapses to the undivided
     weight K(1), as there is no sign to choose.  Interior sums come from a
-    prefix-sum table, so each transition costs O(1).
+    prefix-sum block, so each transition costs O(1).  omega is one
+    DisorderSample or an (R, >= n) block of rows, as for
+    log_partition_pinning, and row r of a block is bit for bit its table.
     """
-    if model.kind != "copolymer":
-        raise ValueError("copolymer recursion called with a non-copolymer model")
-    t_max = _check_inputs(model, len(omega.values), n)
-    kern = model.kernel
-    s = kern.period
-    w_max = min(t_max, kern.n_max)
-    rk = kern.log_density[:w_max][::-1].copy()
-
-    _check_range(model, omega.values[:n], n)
-    site_charge = model.beta * omega.values[:n] + model.h
-    prefix = np.concatenate([[0.0], np.cumsum(site_charge)])
-    c_grid = prefix[::s]                      # prefix at positions 0, s, 2s, ...
-    c_last = prefix[s - 1::s][:t_max]         # prefix at positions t*s - 1
-
-    logz = np.empty(t_max + 1)
-    logz[0] = 0.0
-    for t in range(1, t_max + 1):
-        w = min(t, w_max)
-        interior = c_last[t - 1] - c_grid[t - w:t]
-        split = np.logaddexp(0.0, -interior) - LOG2
-        seg = logz[t - w:t] + rk[w_max - w:] + split
-        logz[t] = logsumexp_1d(seg)
-    return LogPartitionTable(logz, s, n)
+    return _renewal("copolymer", model, omega, n)
 
 
 def _ring(w_max: int, t_max: int, width: int) -> np.ndarray:

@@ -4,9 +4,10 @@ Replicas are IID disorder realizations; replica r of a run with master seed
 S draws its charges from the child seed spawn_seed(S, r), so results do not
 depend on how replicas are scheduled.  The replicas are cut into contiguous
 blocks, one per worker process (their number capped by the DEPIN_THREADS
-environment variable); a block of pinning replicas runs through the
-recursion together, one row per replica, in runs of at most BLOCK_CELLS
-charges so that a worker's memory does not grow with the replica count.
+environment variable); a block of replicas, pinning or copolymer, runs
+through the one renewal core together, one row per replica, in runs of at
+most BLOCK_CELLS charges so that a worker's memory does not grow with the
+replica count.
 Aggregation is a fold in fixed replica order, which makes every estimate
 bit-reproducible for identical inputs regardless of the worker count.
 
@@ -62,6 +63,8 @@ def _fe_block(args) -> np.ndarray:
     the sizes sharing a seed read one build at their largest N."""
     model, law, n_list, seeds, lo, hi = args
     s = model.kernel.period
+    # looked up at call time, so that a wrapper bound to the name sees the call
+    recursion = globals()[f"log_partition_{model.kind}"]
     out = np.empty((hi - lo, len(n_list)))
     for seed in dict.fromkeys(seeds):
         cols = [i for i, sd in enumerate(seeds) if sd == seed]
@@ -69,15 +72,10 @@ def _fe_block(args) -> np.ndarray:
         step = max(1, BLOCK_CELLS // top)
         for a in range(lo, hi, step):
             b = min(hi, a + step)
-            if model.kind == "pinning":
-                values = np.empty((b - a, top))
-                for r in range(a, b):
-                    values[r - a] = sample_disorder(law, top, spawn_seed(seed, r)).values
-                logz = log_partition_pinning(model, values, top)
-            else:
-                logz = np.array([log_partition_copolymer(
-                    model, sample_disorder(law, top, spawn_seed(seed, r)), top).logz
-                    for r in range(a, b)])
+            values = np.empty((b - a, top))
+            for r in range(a, b):
+                values[r - a] = sample_disorder(law, top, spawn_seed(seed, r)).values
+            logz = recursion(model, values, top)
             for i in cols:
                 out[a - lo:b - lo, i] = logz[:, n_list[i] // s] / n_list[i]
     return out

@@ -1,4 +1,4 @@
-"""The batched pinning core and the multi-size estimates, bit for bit.
+"""The batched renewal core and the multi-size estimates, bit for bit.
 
 A block of disorder rows must give each row exactly the bytes of a lone
 row, and one build at the largest size must give every smaller size
@@ -43,8 +43,39 @@ def _reference_row(model, values, n):
     return logz
 
 
-@settings(max_examples=40, deadline=None)
-@given(rows=st.integers(1, 40),
+def _reference_copolymer_row(model, values, n):
+    """The one-row copolymer recursion as a plain per-step loop (the reference)."""
+    kern = model.kernel
+    s = kern.period
+    t_max = n // s
+    w_max = min(t_max, kern.n_max)
+    rk = kern.log_density[:w_max][::-1].copy()
+    prefix = np.concatenate([[0.0], np.cumsum(model.beta * values[:n] + model.h)])
+    c_grid = prefix[::s]
+    c_last = prefix[s - 1::s][:t_max]
+    logz = np.empty(t_max + 1)
+    logz[0] = 0.0
+    for t in range(1, t_max + 1):
+        w = min(t, w_max)
+        interior = c_last[t - 1] - c_grid[t - w:t]
+        split = np.logaddexp(0.0, -interior) - math.log(2.0)
+        seg = logz[t - w:t] + rk[w_max - w:] + split
+        m = seg.max()
+        if m == -math.inf:
+            logz[t] = -math.inf
+            continue
+        logz[t] = float(m + np.log(np.exp(seg - m).sum()))
+    return logz
+
+
+_REFERENCE = {"pinning": _reference_row, "copolymer": _reference_copolymer_row}
+_RECURSION = {"pinning": dp.log_partition_pinning,
+              "copolymer": dp.log_partition_copolymer}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["pinning", "copolymer"]),
+       rows=st.integers(1, 40),
        n_max=st.one_of(st.integers(1, 7), st.integers(129, 200)),
        period=st.sampled_from([1, 2]),
        steps=st.integers(1, 220),
@@ -55,25 +86,32 @@ def _reference_row(model, values, n):
        first_zero=st.booleans(),
        law=st.sampled_from(["gaussian", "uniform", "rademacher"]),
        seed=st.integers(0, 2**63))
-@example(rows=3, n_max=4, period=1, steps=12, extra=0, beta=0.0, h=0.0,
-         zero_frac=0.8, first_zero=True, law="gaussian", seed=1)  # -inf rows
-@example(rows=40, n_max=200, period=2, steps=220, extra=3, beta=5.0, h=-10.0,
-         zero_frac=0.3, first_zero=False, law="rademacher", seed=2)
-def test_batched_rows_match_single_rows(rows, n_max, period, steps, extra, beta, h,
+# atoms [0, 0, 1, 0]: rows reach -inf
+@example(kind="pinning", rows=3, n_max=4, period=1, steps=12, extra=0, beta=0.0,
+         h=0.0, zero_frac=0.8, first_zero=True, law="gaussian", seed=1)
+@example(kind="copolymer", rows=3, n_max=4, period=1, steps=12, extra=0, beta=1.0,
+         h=0.5, zero_frac=0.8, first_zero=True, law="gaussian", seed=1)
+@example(kind="pinning", rows=40, n_max=200, period=2, steps=220, extra=3, beta=5.0,
+         h=-10.0, zero_frac=0.3, first_zero=False, law="rademacher", seed=2)
+@example(kind="copolymer", rows=40, n_max=200, period=2, steps=220, extra=3, beta=5.0,
+         h=10.0, zero_frac=0.3, first_zero=False, law="rademacher", seed=2)
+def test_batched_rows_match_single_rows(kind, rows, n_max, period, steps, extra, beta, h,
                                         zero_frac, first_zero, law, seed):
     kern = sparse_kernel(n_max, period, zero_frac, first_zero, seed)
-    model = dp.ModelSpec("pinning", beta, h, kern)
+    # copolymer couplings are restricted to h >= 0
+    model = dp.ModelSpec(kind, beta, abs(h) if kind == "copolymer" else h, kern)
+    recursion = _RECURSION[kind]
     n = steps * period
     law = dp.disorder_law(law)
     omegas = [dp.sample_disorder(law, n + extra, dp.spawn_seed(seed, r))
               for r in range(rows)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        block = dp.log_partition_pinning(model, np.stack([om.values for om in omegas]), n)
-        singles = [dp.log_partition_pinning(model, om, n).logz for om in omegas]
+        block = recursion(model, np.stack([om.values for om in omegas]), n)
+        singles = [recursion(model, om, n).logz for om in omegas]
+        refs = [_REFERENCE[kind](model, om.values, n) for om in omegas]
     assert block.shape == (rows, steps + 1)
-    for r, om in enumerate(omegas):
-        ref = _reference_row(model, om.values, n)
+    for r, ref in enumerate(refs):
         assert block[r].tobytes() == ref.tobytes()
         assert singles[r].tobytes() == ref.tobytes()
     if first_zero and n_max > 1:

@@ -81,3 +81,20 @@ def test_extras_bind_the_parameters_they_read():
     seen = {rec["name"] for rec in tracer.records()
             if set(rec) & {"draws", "cells", "probes"}}
     assert seen == set(calls)
+
+
+def test_estimator_calls_the_traced_recursion(monkeypatch):
+    # the tracer rebinds module names; an estimate that reached its
+    # recursion by any other path would leave the engine layer untimed
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    tracing = _load_tracing()
+    law = depin.disorder_law("gaussian")
+    models = {"pinning": depin.ModelSpec("pinning", 1.0, -0.2,
+                                         depin.geometric_kernel(0.5, n_max=8)),
+              "copolymer": depin.ModelSpec("copolymer", 1.0, 0.3, depin.srw_kernel(8))}
+    for kind, model in models.items():
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            depin.estimate_free_energy(model, law, 16, 2, 1)
+        names = [rec["name"] for rec in tracer.records()]
+        assert f"log_partition_{kind}" in names, (kind, names)

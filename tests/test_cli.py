@@ -141,6 +141,13 @@ def test_exit_codes(tmp_path, capsys):
                     "--replicas", "2", "--tol", "0.01"]) == 2
         assert capsys.readouterr().err == (
             f"depin {cmd}: usage error: no path of the kernel ends at N=6\n")
+    # verify with nothing to check, or a size the copolymer check cannot
+    # use, stops before any check runs
+    for opts in (["--draws", "0"], ["--draws=-3"], ["--N", "0"], ["--N", "1"]):
+        capsys.readouterr()
+        assert run(["verify", *opts]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("depin verify: usage error: ")
     capsys.readouterr()
 
 

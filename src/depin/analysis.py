@@ -15,7 +15,7 @@ import numpy as np
 
 from .disorder import DisorderLaw, smoothing_constant, spawn_seed
 from .engine import ModelSpec
-from .estimator import estimate_free_energy
+from .estimator import SPECULATION_CELLS, estimate_free_energy
 from .kernel import ReturnKernel
 from .pure_solver import hc_pure, pure_asymptotics, solve_free_energy_pure
 
@@ -87,16 +87,31 @@ def extrapolate_free_energy(n_values, means, stderrs) -> tuple[float, float]:
     return float(a), math.sqrt(var_a)
 
 
-def _extrapolate_at(kind: str, beta: float, h: float, kernel: ReturnKernel,
-                    law: DisorderLaw, n_list, replicas: int, seeds):
-    """Estimate F_N at field h on every size (seeds[i] for n_list[i]) and
-    extrapolate; returns (F_inf, sigma, per-size estimates).  Sizes that
-    share a seed, or all sizes when beta = 0, come from one build."""
-    model = ModelSpec(kind, beta, h, kernel)
-    ests = estimate_free_energy(model, law, n_list, replicas, seeds)
-    f_inf, sigma = extrapolate_free_energy(n_list, [e.mean for e in ests],
-                                           [e.stderr for e in ests])
-    return f_inf, sigma, ests
+def _extrapolate_at(kind: str, beta: float, h_values, kernel: ReturnKernel,
+                    law: DisorderLaw, n_list, replicas: int, seeds) -> list:
+    """Estimate F_N at each field of h_values on every size (seeds[i] for
+    n_list[i]) and extrapolate; returns one (F_inf, sigma, per-size
+    estimates) per field.  The fields are rows of one build, and so are the
+    sizes that share a seed, or all sizes when beta = 0."""
+    models = [ModelSpec(kind, beta, h, kernel) for h in h_values]
+    out = []
+    for ests in estimate_free_energy(models, law, n_list, replicas, seeds):
+        f_inf, sigma = extrapolate_free_energy(n_list, [e.mean for e in ests],
+                                               [e.stderr for e in ests])
+        out.append((f_inf, sigma, ests))
+    return out
+
+
+def _speculation_depth(beta: float, kernel: ReturnKernel, n_max: int,
+                       replicas: int) -> int:
+    """Levels of the bisection tree evaluated per build: the largest d >= 1
+    with (2^d - 1) fields x rows per field x window <= SPECULATION_CELLS."""
+    rows = 1 if beta == 0.0 else replicas
+    cells = rows * min(n_max // kernel.period, kernel.n_max)
+    depth = 1
+    while (2 ** (depth + 1) - 1) * cells <= SPECULATION_CELLS:
+        depth += 1
+    return depth
 
 
 def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
@@ -112,6 +127,13 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     4/max(N) that keeps the beta = 0 case (zero standard error) off the
     finite-size extrapolation residue.  A size that no chain of the
     kernel's excursions reaches is a UsageError, raised before any estimate.
+
+    The search speculates when a build is narrow: the bracket ends are
+    evaluated in one build, and then the next d levels of the bisection
+    tree, 2^d - 1 midpoints, as (field, replica) rows of one build, with d
+    set by SPECULATION_CELLS.  Only the probes the one-at-a-time bisection
+    makes are kept, in its order, and every field is estimated bit for bit
+    as alone, so the result and the probes never depend on d.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -124,13 +146,23 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     floor = 4.0 / n_list[-1]
     probes = []
     seeds = [spawn_seed(seed, i) for i in range(len(n_list))]
+    depth = _speculation_depth(beta, kernel, n_list[-1], replicas)
 
-    def localized(h: float) -> bool:
-        f_inf, _, ests = _extrapolate_at(kind, beta, h, kernel, law, n_list,
-                                         replicas, seeds)
-        thr = max(3.0 * ests[-1].stderr, floor)
-        probes.append((h, f_inf, thr))
-        return f_inf > thr
+    def evaluate(h_values) -> list:
+        """A probe (h, F_inf, threshold) per field, from one build."""
+        return [(h, f_inf, max(3.0 * ests[-1].stderr, floor))
+                for h, (f_inf, _, ests) in zip(h_values, _extrapolate_at(
+                    kind, beta, h_values, kernel, law, n_list, replicas, seeds))]
+
+    def localized(probe) -> bool:
+        return probe[1] > probe[2]
+
+    def split(lo: float, hi: float):
+        """The bisection's next midpoint of (lo, hi), or None where it stops."""
+        mid = 0.5 * (lo + hi)
+        if not hi - lo > 2.0 * tol or mid in (lo, hi):  # adjacent floats
+            return None
+        return mid
 
     if h_window is None:
         if kind == "pinning":
@@ -141,27 +173,51 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     else:
         lo, hi = h_window
     width = hi - lo
-    for _ in range(8):
-        if localized(lo):
+    # the first hi probe is kept while lo widens, since hi does not move
+    lo_probe, hi_probe = evaluate([lo, hi])
+    for i in range(8):
+        if i:
+            lo -= width
+            lo_probe, = evaluate([lo])
+        probes.append(lo_probe)
+        if localized(lo_probe):
             break
-        lo -= width
     else:
         raise ValueError("no localized endpoint found in the search range")
-    for _ in range(8):
-        if not localized(hi):
+    for i in range(8):
+        if i:
+            hi += width
+            hi_probe, = evaluate([hi])
+        probes.append(hi_probe)
+        if not localized(hi_probe):
             break
-        hi += width
     else:
         raise ValueError("no delocalized endpoint found in the search range")
 
-    while hi - lo > 2.0 * tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # the bracket is two adjacent floats
+    while True:
+        # the midpoints of the next `depth` levels below (lo, hi), one build
+        level, mids = [(lo, hi)], []
+        for _ in range(depth):
+            below = []
+            for a, b in level:
+                mid = split(a, b)
+                if mid is not None:
+                    mids.append(mid)
+                    below += [(a, mid), (mid, b)]
+            level = below
+        if not mids:
             break
-        if localized(mid):
-            lo = mid
-        else:
-            hi = mid
+        probe_at = dict(zip(mids, evaluate(mids)))
+        # walk the path the one-at-a-time bisection takes through them
+        for _ in range(depth):
+            mid = split(lo, hi)
+            if mid is None:
+                break
+            probes.append(probe_at[mid])
+            if localized(probe_at[mid]):
+                lo = mid
+            else:
+                hi = mid
     return CriticalFit(hc=0.5 * (lo + hi), hc_err=0.5 * (hi - lo),
                        points=tuple(probes))
 
@@ -268,7 +324,7 @@ class SmoothingReport:
     ratio_decreasing: bool
     ratios: tuple
     points: tuple               # (h, extrapolated F, stderr), both sides of h_c
-    pure_order: str
+    pure_order: str | None      # the pure_* fields are None for a copolymer
     pure_slope: float | None
     pure_ratio_target: float | None
     constants_route: str
@@ -313,8 +369,9 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
     critical exponent comes from a power-law fit that re-fits the critical
     point on the scan (critical_power_fit), with a leave-one-replica-out
     jackknife for its uncertainty; the envelope and ratio diagnostics are
-    anchored at the conservative bisection h_c.  The homogeneous model on
-    the same kernel is solved for contrast.
+    anchored at the conservative bisection h_c.  For pinning the
+    homogeneous model on the same kernel is solved for contrast; a
+    copolymer has no such contrast, and its scan leaves out fields below 0.
     """
     if beta <= 0:
         raise ValueError("the envelope check needs beta > 0")
@@ -327,13 +384,18 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
     gaps = sorted(scan_gaps, reverse=True)
     h_values = [hc - g for g in gaps] + [hc + gaps[-1], hc + gaps[len(gaps) // 2]]
     # per scan point: estimates on every size (one seed shared by the
-    # sizes), extrapolated to N = inf
+    # sizes), extrapolated to N = inf; each point keeps the seed of its
+    # place in the full list, and copolymer couplings exist only at h >= 0
     points, ests = [], []
     for i, h in enumerate(h_values):
-        f_inf, sig, row = _extrapolate_at(kind, beta, h, kernel, law, n_list, replicas,
-                                          [spawn_seed(seed, 1000 + i)] * len(n_list))
+        if kind == "copolymer" and h < 0:
+            continue
+        (f_inf, sig, row), = _extrapolate_at(kind, beta, [h], kernel, law, n_list,
+                                             replicas,
+                                             [spawn_seed(seed, 1000 + i)] * len(n_list))
         points.append((h, f_inf, sig))
         ests.append(row)
+    h_values = [p[0] for p in points]
     points = tuple(points)
 
     loc = [p for p in points if p[0] < hc]
@@ -380,15 +442,18 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
         ratios[i + 1][1] <= ratios[i][1] + 2.0 * (ratios[i][2] + ratios[i + 1][2])
         for i in range(len(ratios) - 1))
 
-    pure = pure_asymptotics(kernel)
-    hc0 = hc_pure(kernel)
-    pure_slope = solve_free_energy_pure(kernel, hc0 - 1e-3).b / 1e-3
+    # the homogeneous pinning model is the contrast of pinning only
+    pure_order = pure_slope = pure_target = None
+    if kind == "pinning":
+        pure = pure_asymptotics(kernel)
+        pure_order, pure_target = pure.order, pure.slope
+        pure_slope = solve_free_energy_pure(kernel, hc_pure(kernel) - 1e-3).b / 1e-3
 
     return SmoothingReport(
         beta=beta, alpha=kernel.alpha, hc=hc, hc_err=hc_err, hc_fit=hc_fit,
         exponent=exponent, exponent_err=jack_err,
         envelope_ok=envelope_ok, envelope_prefactor=consts.envelope(1.0),
         ratio_decreasing=ratio_decreasing, ratios=ratios, points=points,
-        pure_order=pure.order, pure_slope=pure_slope,
-        pure_ratio_target=pure.slope, constants_route=consts.route,
+        pure_order=pure_order, pure_slope=pure_slope,
+        pure_ratio_target=pure_target, constants_route=consts.route,
         config=dict(config or {}))

@@ -5,7 +5,8 @@ flat key=value config file (--config); explicit flags override file
 entries.  Every output file embeds the effective configuration, the tool
 version and the seed, and contains nothing run-dependent beyond them, so
 identical configurations produce byte-identical outputs regardless of the
-worker count (capped by the DEPIN_THREADS environment variable).
+worker count (capped by the DEPIN_THREADS environment variable, which must
+be an integer >= 1 when set).
 
 Kernel specs: ``geometric:p=0.5[,n_max=64]``, ``srw:n_max=512``,
 ``power:alpha=3,s=1,n_max=4096[,defect=0.5]``, ``file:PATH``.
@@ -27,7 +28,7 @@ from . import __version__
 from .analysis import UsageError, locate_hc, smoothing_check
 from .disorder import disorder_law
 from .engine import ModelSpec
-from .estimator import estimate_free_energy, estimate_phi
+from .estimator import estimate_free_energy, estimate_phi, worker_count
 from .kernel import geometric_kernel, kernel_from_file, power_kernel, srw_kernel
 from .oracle import verify_battery
 from .pure_solver import pure_asymptotics, solve_free_energy_pure
@@ -300,10 +301,9 @@ def _cmd_fe(merged: dict) -> int:
     kernel = parse_kernel_spec(merged["kernel"])
     law = disorder_law(merged["law"])
     ns = merged["N"]
-    # one build per field serves every size; rows stay N-outer, h-inner
-    by_h = [estimate_free_energy(ModelSpec(merged["kind"], merged["beta"], h, kernel),
-                                 law, ns, merged["replicas"], merged["seed"])
-            for h in merged["h"]]
+    # one build serves every field and size; rows stay N-outer, h-inner
+    models = [ModelSpec(merged["kind"], merged["beta"], h, kernel) for h in merged["h"]]
+    by_h = estimate_free_energy(models, law, ns, merged["replicas"], merged["seed"])
     rows = []
     for i, n in enumerate(ns):
         for h, ests in zip(merged["h"], by_h):
@@ -419,6 +419,10 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        try:
+            worker_count()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         merged = _merge_options(args.command, args)
         return _HANDLERS[args.command](merged)
     except UsageError as exc:

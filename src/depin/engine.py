@@ -17,9 +17,11 @@ A count-resolved build keeps only the last w = min(N/s, n_max) rows of its
 returns the final row.
 
 The pinned-endpoint and copolymer recursions share one renewal core, which
-also steps a block of disorder rows at once (a 2-D array), bit for bit a
-set of single builds.  Couplings under which log Z could leave the
-floating-point range are rejected.
+also steps a block of rows at once, bit for bit a set of single builds.  A
+row is a (field, replica) pair: a disorder row of a 2-D array, with its own
+field h from an optional column (model.h for every row by default).
+Couplings under which log Z could leave the floating-point range are
+rejected.
 
 Tables are deterministic functions of (model, disorder sample, N); builds
 share no mutable state and can run concurrently.
@@ -97,25 +99,41 @@ def _check_inputs(model: ModelSpec, length: int, n: int) -> int:
     return n // s
 
 
-def _check_range(model: ModelSpec, values: np.ndarray, steps: int) -> None:
+def _check_range(model: ModelSpec, values: np.ndarray, steps: int, h_max: float) -> None:
     # each of the `steps` charged sites moves log Z by at most the charge
-    # beta max|w| + |h|, plus |log K| <= 745 and the log of a window sum
+    # beta max|w| + |h| (h_max: the largest |h| of the rows), plus
+    # |log K| <= 745 and the log of a window sum
     # (< 255), so every table entry and prefix sum stays below
     # steps * (charge + 1000); the copolymer forms also subtract two prefix
     # sums, which can reach twice that.  Keeping this below the largest float
     # rules out inf and NaN, and a -inf that is an underflow rather than Z = 0.
     top = max(0.0, float(values.max()), -float(values.min()))
-    charge = model.beta * top + abs(model.h)
+    charge = model.beta * top + h_max
     spread = 1.0 if model.kind == "pinning" else 2.0
     if not spread * steps * (charge + 1000.0) < sys.float_info.max:
         raise ValueError("couplings too large for this N: log Z would leave the "
                          "floating-point range")
 
 
-def _renewal(kind: str, model: ModelSpec, omega, n: int):
+def _field_column(model: ModelSpec, h, rows: int) -> np.ndarray:
+    """The field of each row: model.h for every row, or the column h."""
+    if h is None:
+        return np.full(rows, model.h)
+    h = np.asarray(h, dtype=float)
+    if h.shape != (rows,):
+        raise ValueError(f"need one field per row: {rows} rows, field shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("fields h must be finite")
+    if model.kind == "copolymer" and np.any(h < 0):
+        raise ValueError("copolymer couplings are restricted to h >= 0")
+    return h
+
+
+def _renewal(kind: str, model: ModelSpec, omega, n: int, h=None):
     """log Z_m, m = 0, s, ..., n: of one DisorderSample as its table, or of
-    each row of an (R, >= n) block as an array, stepping all rows at once.
-    Pinning adds the charge beta w - h to each step and finishes a row as
+    each row of an (R, >= n) block as an array, stepping all rows at once;
+    row r carries the field h[r] (default model.h).  Pinning adds the
+    charge beta w - h to each step and finishes a row as
     c + m + math.log(x); the copolymer adds a split term to each (step,
     excursion) cell and finishes the block as m + np.log(x)."""
     if model.kind != kind:
@@ -124,21 +142,22 @@ def _renewal(kind: str, model: ModelSpec, omega, n: int):
     values = omega.values[None, :] if one else omega
     rows = len(values)
     t_max = _check_inputs(model, values.shape[1], n)
+    h = _field_column(model, h, rows)
     kern = model.kernel
     s = kern.period
     w_max = min(t_max, kern.n_max)
     rk = kern.log_density[:w_max][::-1].copy()  # rk[w_max-1-j] = log K((j+1)s)
     pinning = kind == "pinning"
-    _check_range(model, values[:, :n], t_max if pinning else n)
+    _check_range(model, values[:, :n], t_max if pinning else n, float(np.abs(h).max()))
     if pinning:
         # one row of charges per step, beta w - h as for a lone row
         charges = np.empty((t_max, rows))
         np.multiply(values[:, s - 1:n:s].T, model.beta, out=charges)
-        charges -= model.h
+        charges -= h
     else:
         # interior charge of an excursion u s .. t s: prefix[t s - 1] - prefix[u s]
         prefix = np.zeros((rows, n + 1))
-        np.cumsum(model.beta * values[:, :n] + model.h, axis=1, out=prefix[:, 1:])
+        np.cumsum(model.beta * values[:, :n] + h[:, None], axis=1, out=prefix[:, 1:])
         c_grid, c_last = prefix[:, ::s], prefix[:, s - 1::s]
         split_buf = np.empty(rows * w_max)
 
@@ -172,18 +191,20 @@ def _renewal(kind: str, model: ModelSpec, omega, n: int):
     return LogPartitionTable(logz[0], s, n) if one else logz
 
 
-def log_partition_pinning(model: ModelSpec, omega, n: int):
+def log_partition_pinning(model: ModelSpec, omega, n: int, h=None):
     """Pinned-endpoint log Z_m for m = 0, s, ..., n.
 
     omega is one DisorderSample, giving its LogPartitionTable, or a block of
     disorder rows w_1.. as a 2-D array of shape (R, >= n), giving the
-    (R, n/s + 1) array of their log Z.  Every step runs the window
-    log-sum-exp on all rows at once, with each row's arithmetic exactly that
-    of a lone row, so row r of a block equals the table of values[r] bit for
+    (R, n/s + 1) array of their log Z.  h, when given, is a column of R
+    fields, one per row, in place of model.h; so the rows of a block can be
+    (field, replica) pairs.  Every step runs the window log-sum-exp on all
+    rows at once, with each row's arithmetic exactly that of a lone row, so
+    row r of a block equals the table of values[r] at the field h[r] bit for
     bit.  The recursion reads no charge beyond position m, so the entries up
     to m of a longer build are those of a build at N = m.
     """
-    return _renewal("pinning", model, omega, n)
+    return _renewal("pinning", model, omega, n, h)
 
 
 def log_partition_free_endpoint(model: ModelSpec, omega: DisorderSample, n: int) -> float:
@@ -203,7 +224,7 @@ def log_partition_free_endpoint(model: ModelSpec, omega: DisorderSample, n: int)
     return logsumexp_1d(terms)
 
 
-def log_partition_copolymer(model: ModelSpec, omega, n: int):
+def log_partition_copolymer(model: ModelSpec, omega, n: int, h=None):
     """Copolymer log Z_m for m = 0, s, ..., n, in the below-interface form.
 
     A completed excursion over sites u+1..u+k contributes K(k)/2 times
@@ -212,10 +233,11 @@ def log_partition_copolymer(model: ModelSpec, omega, n: int):
     = 1 the interior is empty and the expression collapses to the undivided
     weight K(1), as there is no sign to choose.  Interior sums come from a
     prefix-sum block, so each transition costs O(1).  omega is one
-    DisorderSample or an (R, >= n) block of rows, as for
-    log_partition_pinning, and row r of a block is bit for bit its table.
+    DisorderSample or an (R, >= n) block of rows, and h an optional column
+    of R fields (each >= 0), as for log_partition_pinning; row r of a block
+    is bit for bit its own table.
     """
-    return _renewal("copolymer", model, omega, n)
+    return _renewal("copolymer", model, omega, n, h)
 
 
 def _ring(w_max: int, t_max: int, width: int) -> np.ndarray:
@@ -254,7 +276,7 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
     s = kern.period
     w_max = min(t_max, kern.n_max)
     log_k = kern.log_density
-    _check_range(model, omega.values[:n], n)
+    _check_range(model, omega.values[:n], n, abs(model.h))
 
     width = t_max + 1 if model.kind == "pinning" else n + 1
     ring = _ring(w_max, t_max, width)

@@ -5,9 +5,11 @@ S draws its charges from the child seed spawn_seed(S, r), so results do not
 depend on how replicas are scheduled.  The replicas are cut into contiguous
 blocks, one per worker process (their number capped by the DEPIN_THREADS
 environment variable); a block of replicas, pinning or copolymer, runs
-through the one renewal core together, one row per replica, in runs of at
-most BLOCK_CELLS charges so that a worker's memory does not grow with the
-replica count.
+through the one renewal core together, in runs of at most BLOCK_CELLS
+charges so that a worker's memory does not grow with the replica count.
+A row of the core is a (field, replica) pair: the fields of one estimate
+share each replica's disorder row, so a list of fields costs one build,
+not one per field.
 Aggregation is a fold in fixed replica order, which makes every estimate
 bit-reproducible for identical inputs regardless of the worker count.
 
@@ -33,12 +35,22 @@ from .engine import (ModelSpec, constrained_window, log_partition_constrained,
 
 
 def worker_count() -> int:
-    """Worker processes for replica builds: DEPIN_THREADS, at most the cores."""
+    """Worker processes for replica builds: DEPIN_THREADS, at most the cores.
+
+    An unset or empty DEPIN_THREADS means every core; any other value must
+    be an integer >= 1 (ValueError otherwise).
+    """
     cores = os.cpu_count() or 1
     env = os.environ.get("DEPIN_THREADS")
-    if env:
-        return max(1, min(int(env), cores))
-    return cores
+    if not env:
+        return cores
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"DEPIN_THREADS must be an integer >= 1, not {env!r}")
+    return min(value, cores)
 
 
 def _map_replicas(fn, args: tuple, replicas: int) -> list:
@@ -53,31 +65,42 @@ def _map_replicas(fn, args: tuple, replicas: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-# disorder cells (replicas x N) sampled and recursed together in one worker:
-# a larger block is cut into runs of whole replicas under this budget
+# disorder cells (rows x N) sampled and recursed together in one worker: a
+# larger block is cut into runs of rows under this budget
 BLOCK_CELLS = 1 << 20
+# window cells (rows x w) of one speculative bisection build, see
+# analysis.locate_hc: below it a build's time is mostly per-step overhead
+SPECULATION_CELLS = 1 << 10
 
 
 def _fe_block(args) -> np.ndarray:
-    """(1/N) log Z of replicas lo..hi-1 at every size, one column per size;
-    the sizes sharing a seed read one build at their largest N."""
-    model, law, n_list, seeds, lo, hi = args
+    """(1/N) log Z of replicas lo..hi-1 for every field and size, shape
+    (fields, replicas, sizes).  Rows are (field, replica) pairs in replica
+    order, pair k being field k % F of replica k // F for F fields; the
+    sizes sharing a seed read one build at their largest N."""
+    fields, model, law, n_list, seeds, lo, hi = args
+    nf = len(fields)
     s = model.kernel.period
     # looked up at call time, so that a wrapper bound to the name sees the call
     recursion = globals()[f"log_partition_{model.kind}"]
-    out = np.empty((hi - lo, len(n_list)))
+    out = np.empty((nf, hi - lo, len(n_list)))
     for seed in dict.fromkeys(seeds):
         cols = [i for i, sd in enumerate(seeds) if sd == seed]
         top = max(n_list[i] for i in cols)
+        # whole replicas per run when they fit; otherwise a replica's fields
+        # are cut over runs, and each run samples the replicas it touches
         step = max(1, BLOCK_CELLS // top)
-        for a in range(lo, hi, step):
-            b = min(hi, a + step)
-            values = np.empty((b - a, top))
-            for r in range(a, b):
-                values[r - a] = sample_disorder(law, top, spawn_seed(seed, r)).values
-            logz = recursion(model, values, top)
+        if step >= nf:
+            step -= step % nf
+        for a in range(lo * nf, hi * nf, step):
+            k = np.arange(a, min(hi * nf, a + step))
+            reps = range(k[0] // nf, k[-1] // nf + 1)
+            sample = np.empty((len(reps), top))
+            for r in reps:
+                sample[r - reps[0]] = sample_disorder(law, top, spawn_seed(seed, r)).values
+            logz = recursion(model, sample[k // nf - reps[0]], top, fields[k % nf])
             for i in cols:
-                out[a - lo:b - lo, i] = logz[:, n_list[i] // s] / n_list[i]
+                out[k % nf, k // nf - lo, i] = logz[:, n_list[i] // s] / n_list[i]
     return out
 
 
@@ -149,41 +172,56 @@ def _spread(values: np.ndarray) -> float:
     return float((values / scale).std(ddof=1) * scale / math.sqrt(len(values)))
 
 
-def estimate_free_energy(model: ModelSpec, law: DisorderLaw, n, replicas: int, seed):
+def estimate_free_energy(model, law: DisorderLaw, n, replicas: int, seed):
     """Average (1/N) log Z over independent disorder replicas.
 
-    n is one size, giving one estimate, or a list of sizes, giving one
-    estimate per size; seed is one seed for every size or a list with one
-    per size.  Each estimate of a list equals its own one-size call bit for
-    bit: the sizes that share a seed take their log Z from one build at
-    their largest N.  With beta = 0 the disorder is inert, so a single
-    build serves all replicas and sizes, and the standard error is exactly
-    zero.
+    model is one ModelSpec, or a list of them that differ only in h, giving
+    one result per model; n is one size, giving one estimate, or a list of
+    sizes, giving one estimate per size; seed is one seed for every size or
+    a list with one per size.  Each estimate of a list equals its own
+    one-model, one-size call bit for bit: the fields share each replica's
+    disorder and are rows of one build, and the sizes that share a seed
+    take their log Z from one build at their largest N.  With beta = 0 the
+    disorder is inert, so a single build serves all replicas and sizes,
+    and the standard error is exactly zero.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
+    one_model = isinstance(model, ModelSpec)
+    models = [model] if one_model else list(model)
+    if not models:
+        raise ValueError("need at least one model")
+    first = models[0]
+    if any((m.kind, m.beta, m.kernel) != (first.kind, first.beta, first.kernel)
+           for m in models):
+        raise ValueError("the models of one estimate may differ only in h")
     one = isinstance(n, (int, np.integer))
     n_list = [n] if one else list(n)
     seeds = [seed] * len(n_list) if isinstance(seed, (int, np.integer)) else list(seed)
     if len(seeds) != len(n_list):
         raise ValueError("need one seed per size")
-    s = model.kernel.period
+    s = first.kernel.period
     for size in n_list:
         if size < s or size % s != 0:
             raise ValueError(f"N={size} is not a positive multiple of the period {s}")
-    if model.beta == 0.0:
-        row = _fe_block((model, law, n_list, [seeds[0]] * len(n_list), 0, 1))[0]
-        matrix = np.tile(row, (replicas, 1))
+    fields = np.array([m.h for m in models])
+    if first.beta == 0.0:
+        rows = _fe_block((fields, first, law, n_list, [seeds[0]] * len(n_list), 0, 1))
+        matrix = np.repeat(rows, replicas, axis=1)
     else:
-        matrix = np.vstack(_map_replicas(_fe_block, (model, law, n_list, seeds), replicas))
-    out = []
-    for i, (size, sd) in enumerate(zip(n_list, seeds)):
-        values = matrix[:, i].copy()
-        mean = float(values.mean())
-        f_mean = mean + model.h / 2.0 if model.kind == "copolymer" else None
-        out.append(FreeEnergyEstimate(mean, _spread(values), size, replicas, sd, model,
-                                      f_mean=f_mean, replica_values=values))
-    return out[0] if one else out
+        matrix = np.concatenate(_map_replicas(
+            _fe_block, (fields, first, law, n_list, seeds), replicas), axis=1)
+    results = []
+    for m, per_field in zip(models, matrix):
+        out = []
+        for i, (size, sd) in enumerate(zip(n_list, seeds)):
+            values = per_field[:, i].copy()
+            mean = float(values.mean())
+            f_mean = mean + m.h / 2.0 if m.kind == "copolymer" else None
+            out.append(FreeEnergyEstimate(mean, _spread(values), size, replicas, sd, m,
+                                          f_mean=f_mean, replica_values=values))
+        results.append(out[0] if one else out)
+    return results[0] if one_model else results
 
 
 def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | None,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import depin as dp
+from depin import analysis
 
 
 GEO = dp.geometric_kernel(0.5, n_max=64)
@@ -130,3 +131,100 @@ def test_locate_hc_sizes_and_float_resolution(gaussian_law):
     # a tolerance below float spacing ends at two adjacent floats
     fit = dp.locate_hc("pinning", 0.0, GEO, gaussian_law, [64, 128], 1, 3, 1e-300)
     assert 0.0 < fit.hc_err <= 0.5 * math.ulp(abs(fit.hc))
+
+
+def _sequential_locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol,
+                          h_window=None):
+    """locate_hc as a bisection of one probe per build (the reference):
+    returns (hc, hc_err, probes)."""
+    n_list = sorted(n_list)
+    floor = 4.0 / n_list[-1]
+    probes = []
+    seeds = [dp.spawn_seed(seed, i) for i in range(len(n_list))]
+
+    def localized(h):
+        ests = dp.estimate_free_energy(dp.ModelSpec(kind, beta, h, kernel), law, n_list,
+                                       replicas, seeds)
+        f_inf, _ = dp.extrapolate_free_energy(n_list, [e.mean for e in ests],
+                                              [e.stderr for e in ests])
+        thr = max(3.0 * ests[-1].stderr, floor)
+        probes.append((h, f_inf, thr))
+        return f_inf > thr
+
+    if h_window is None:
+        if kind == "pinning":
+            base = dp.hc_pure(kernel)
+            lo, hi = base - 0.25, base + law.log_mgf(beta) + 0.25
+        else:
+            lo, hi = 0.0, 0.5 + beta * beta
+    else:
+        lo, hi = h_window
+    width = hi - lo
+    for _ in range(8):
+        if localized(lo):
+            break
+        lo -= width
+    else:
+        raise ValueError("no localized endpoint found in the search range")
+    for _ in range(8):
+        if not localized(hi):
+            break
+        hi += width
+    else:
+        raise ValueError("no delocalized endpoint found in the search range")
+    while hi - lo > 2.0 * tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if localized(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), 0.5 * (hi - lo), probes
+
+
+_SPECULATION_CASES = [
+    # kind, beta, kernel, sizes, replicas, tol, window, speculation depth
+    ("pinning", 0.0, GEO, [256, 512], 1, 1e-3, None, 4),
+    ("pinning", 1.0, dp.geometric_kernel(0.5, n_max=8), [64, 128], 4, 1e-3, None, 5),
+    ("pinning", 1.0, dp.geometric_kernel(0.5, n_max=256), [256, 512], 4, 1e-2, None, 1),
+    ("copolymer", 1.0, dp.srw_kernel(16), [32, 64], 3, 1e-2, None, 4),
+    ("pinning", 0.0, GEO, [64, 128], 1, 1e-300, None, 4),
+    ("pinning", 0.0, GEO, [256], 1, 1e-3, (1.0, 1.5), 4),
+    ("pinning", 0.0, GEO, [256], 1, 1e-3, (-3.0, -2.5), 4),
+]
+
+
+@pytest.mark.parametrize("case", _SPECULATION_CASES)
+def test_speculation_equals_sequential_bisection(monkeypatch, gaussian_law, case):
+    # several bisection levels per build keep the one-probe-at-a-time
+    # probes, in order, to the last bit, in fewer builds
+    kind, beta, kern, sizes, replicas, tol, window, depth = case
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    assert analysis._speculation_depth(beta, kern, max(sizes), replicas) == depth
+    hc, hc_err, probes = _sequential_locate_hc(kind, beta, kern, gaussian_law, sizes,
+                                               replicas, 3, tol, window)
+    builds = []
+
+    def counted(models, *args):
+        builds.append(len(models))
+        return dp.estimate_free_energy(models, *args)
+
+    monkeypatch.setattr(analysis, "estimate_free_energy", counted)
+    fit = dp.locate_hc(kind, beta, kern, gaussian_law, sizes, replicas, 3, tol,
+                       h_window=window)
+    assert (repr(fit.hc), repr(fit.hc_err)) == (repr(hc), repr(hc_err))
+    assert [repr(p) for p in fit.points] == [repr(p) for p in probes]
+    if depth == 1:
+        assert len(builds) == len(probes) - 1  # the bracket ends share a build
+    else:
+        assert len(builds) < len(probes) - 1
+
+
+def test_speculation_keeps_the_bracket_failure(gaussian_law):
+    # a window too deep in the delocalized phase fails as the sequential
+    # search does, after the same probes
+    for search in (_sequential_locate_hc, dp.locate_hc):
+        with pytest.raises(ValueError, match="no localized endpoint found"):
+            search("pinning", 0.0, GEO, gaussian_law, [512], 1, 3, 1e-3,
+                   h_window=(5.0, 5.5))

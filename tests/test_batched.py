@@ -118,6 +118,62 @@ def test_batched_rows_match_single_rows(kind, rows, n_max, period, steps, extra,
         assert np.all(block[:, 1] == -math.inf)
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["pinning", "copolymer"]),
+       replicas=st.integers(1, 6),
+       fields=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5),
+       n_max=st.one_of(st.integers(1, 7), st.integers(129, 200)),
+       period=st.sampled_from([1, 2]),
+       steps=st.integers(1, 220),
+       beta=st.floats(0.0, 5.0),
+       zero_frac=st.sampled_from([0.0, 0.3, 0.8]),
+       first_zero=st.booleans(),
+       seed=st.integers(0, 2**63))
+# atoms [0, 0, 1, 0]: rows reach -inf
+@example(kind="pinning", replicas=2, fields=[0.0, -10.0, 10.0], n_max=4, period=1,
+         steps=12, beta=0.0, zero_frac=0.8, first_zero=True, seed=1)
+@example(kind="copolymer", replicas=2, fields=[0.5, 0.0, 10.0], n_max=4, period=1,
+         steps=12, beta=1.0, zero_frac=0.8, first_zero=True, seed=1)
+@example(kind="copolymer", replicas=3, fields=[10.0, 0.0], n_max=200, period=2,
+         steps=220, beta=5.0, zero_frac=0.3, first_zero=False, seed=2)
+def test_field_column_matches_one_field_calls(kind, replicas, fields, n_max, period,
+                                              steps, beta, zero_frac, first_zero, seed):
+    # rows are (field, replica) pairs, each field in its own row of the
+    # column; every row is the bytes of its one-field call
+    kern = sparse_kernel(n_max, period, zero_frac, first_zero, seed)
+    if kind == "copolymer":
+        fields = [abs(h) for h in fields]
+    n = steps * period
+    law = dp.disorder_law("gaussian")
+    omegas = [dp.sample_disorder(law, n, dp.spawn_seed(seed, r)).values
+              for r in range(replicas)]
+    pairs = [(h, om) for om in omegas for h in fields]
+    recursion = _RECURSION[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = recursion(dp.ModelSpec(kind, beta, fields[0], kern),
+                          np.stack([om for _, om in pairs]), n,
+                          np.array([h for h, _ in pairs]))
+        singles = [recursion(dp.ModelSpec(kind, beta, h, kern), om[None, :], n)[0]
+                   for h, om in pairs]
+    assert block.shape == (len(pairs), steps + 1)
+    for row, single in zip(block, singles):
+        assert row.tobytes() == single.tobytes()
+
+
+def test_field_column_rejects_bad_fields():
+    law = dp.disorder_law("gaussian")
+    values = np.stack([dp.sample_disorder(law, 8, r).values for r in range(2)])
+    pin = dp.ModelSpec("pinning", 1.0, 0.0, dp.geometric_kernel(0.5, n_max=4))
+    cop = dp.ModelSpec("copolymer", 1.0, 0.0, dp.srw_kernel(4))
+    with pytest.raises(ValueError, match="one field per row"):
+        dp.log_partition_pinning(pin, values, 8, np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        dp.log_partition_pinning(pin, values, 8, np.array([0.0, math.nan]))
+    with pytest.raises(ValueError, match="h >= 0"):
+        dp.log_partition_copolymer(cop, values, 8, np.array([0.5, -0.5]))
+
+
 def _same_estimate(a, b):
     assert (a.n, a.replicas, a.seed, a.model) == (b.n, b.replicas, b.seed, b.model)
     assert float(a.mean).hex() == float(b.mean).hex()
@@ -178,6 +234,45 @@ def test_sub_blocks_match_one_block(monkeypatch, kind):
     cut = dp.estimate_free_energy(model, law, [32, 64], 5, 8)
     for a, b in zip(whole, cut):
         _same_estimate(a, b)
+
+
+@pytest.mark.parametrize("kind", ["pinning", "copolymer"])
+@pytest.mark.parametrize("budget", [None, 3 * 64, 2 * 64 + 1])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_fields_match_one_field_calls(monkeypatch, kind, budget, beta):
+    # a list of fields is rows of one build: whole replicas per run, or
+    # (budget below the 3 fields of a replica) fields cut over runs; each
+    # result is the bytes of its one-field call, over 2 workers too
+    kern = dp.srw_kernel(12) if kind == "copolymer" else dp.geometric_kernel(0.5, n_max=16)
+    fields = [0.6, 0.1, 0.35] if kind == "copolymer" else [-0.6, 0.1, -0.35]
+    models = [dp.ModelSpec(kind, beta, h, kern) for h in fields]
+    law = dp.disorder_law("gaussian")
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    singles = [dp.estimate_free_energy(m, law, [32, 64], 5, [8, 9]) for m in models]
+    if budget is not None:
+        monkeypatch.setattr(estimator, "BLOCK_CELLS", budget)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DEPIN_THREADS", threads)
+        multi = dp.estimate_free_energy(models, law, [32, 64], 5, [8, 9])
+        assert len(multi) == len(models)
+        for got, want in zip(multi, singles):
+            for a, b in zip(got, want):
+                _same_estimate(a, b)
+    one = dp.estimate_free_energy(models[:1], law, 64, 5, 9)
+    _same_estimate(one[0], singles[0][1])
+
+
+def test_fields_must_share_kind_beta_and_kernel():
+    geo = dp.geometric_kernel(0.5, n_max=16)
+    law = dp.disorder_law("gaussian")
+    base = dp.ModelSpec("pinning", 1.0, 0.0, geo)
+    for other in (dp.ModelSpec("pinning", 0.5, 0.0, geo),
+                  dp.ModelSpec("pinning", 1.0, 0.0, dp.geometric_kernel(0.5, n_max=16)),
+                  dp.ModelSpec("copolymer", 1.0, 0.0, geo)):
+        with pytest.raises(ValueError, match="differ only in h"):
+            dp.estimate_free_energy([base, other], law, 32, 2, 1)
+    with pytest.raises(ValueError, match="at least one model"):
+        dp.estimate_free_energy([], law, 32, 2, 1)
 
 
 def test_one_size_and_one_seed_forms():

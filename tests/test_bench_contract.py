@@ -98,3 +98,31 @@ def test_estimator_calls_the_traced_recursion(monkeypatch):
             depin.estimate_free_energy(model, law, 16, 2, 1)
         names = [rec["name"] for rec in tracer.records()]
         assert f"log_partition_{kind}" in names, (kind, names)
+
+
+def test_fields_and_speculation_keep_their_spans(monkeypatch):
+    # a 3-field estimate and a speculating bisection still reach the
+    # recursion through its traced name, with model and n bound; the
+    # probes figure counts the probes the result reports
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    tracing = _load_tracing()
+    law = depin.disorder_law("gaussian")
+    geo = depin.geometric_kernel(0.5, n_max=8)
+    cop = depin.srw_kernel(8)
+    fields = {"pinning": (geo, [-0.4, 0.1, -0.2]), "copolymer": (cop, [0.3, 0.6, 0.1])}
+    for kind, (kern, hs) in fields.items():
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            depin.estimate_free_energy([depin.ModelSpec(kind, 1.0, h, kern) for h in hs],
+                                       law, [16, 32], 2, 1)
+        spans = [rec for rec in tracer.records() if rec["name"] == f"log_partition_{kind}"]
+        assert spans and all(rec["cells"] > 0 for rec in spans), kind
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        fit = depin.locate_hc("pinning", 0.0, geo, law, [64, 128], 1, 1, 1e-3)
+    recs = tracer.records()
+    hc = [rec for rec in recs if rec["name"] == "locate_hc"]
+    builds = [rec for rec in recs if rec["name"] == "log_partition_pinning"]
+    assert len(hc) == 1 and hc[0]["probes"] == len(fit.points)
+    assert builds and all(rec["cells"] > 0 for rec in builds)
+    assert len(builds) < len(fit.points)

@@ -151,6 +151,25 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_worker_count_is_a_usage_error(monkeypatch, capsys):
+    # checked before any command runs, with the variable named
+    args = ["fe", "--kernel", "geometric:p=0.5", "--beta", "1", "--h=-0.5",
+            "--N", "16", "--replicas", "2"]
+    for value in ("abc", "1e3", "-3", "0", "2.5"):
+        monkeypatch.setenv("DEPIN_THREADS", value)
+        capsys.readouterr()
+        assert run(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"depin fe: usage error: DEPIN_THREADS must be an integer >= 1, "
+                       f"not {value!r}\n")
+    assert run(["verify", "--N", "4", "--draws", "1"]) == 2
+    for value in ("1", "2", ""):
+        monkeypatch.setenv("DEPIN_THREADS", value)
+        assert run(args) == 0
+    capsys.readouterr()
+
+
 def test_range_point_cap():
     # the length is checked before any point is built
     assert len(_float_list(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS
@@ -179,3 +198,21 @@ def test_smooth_small_run(tmp_path, capsys):
         assert key in payload
     assert (out / "smooth_points.csv").exists()
     assert (out / "smooth.gp").exists()
+    assert isinstance(payload["pure_order"], str)
+
+
+def test_smooth_copolymer_scan_stays_at_nonnegative_fields(tmp_path, capsys):
+    # s * n_max > max N, and scan gaps above h_c: the fields below 0 are
+    # left out, and a copolymer has no homogeneous pinning contrast
+    out = tmp_path / "o"
+    code = run(["smooth", "--kind", "copolymer", "--kernel", "srw:n_max=512",
+                "--law", "gaussian", "--beta", "1", "--N-list", "128,256,512",
+                "--replicas", "16", "--seed", "2", "--tol", "0.01",
+                "--scan-gaps", "0.3,0.24,0.18,0.12,0.08,0.06", "--out", str(out)])
+    assert code == 0
+    payload = json.loads((out / "smooth.json").read_text())
+    assert payload["hc"] < 0.3
+    assert payload["points"] and all(h >= 0 for h, _f, _s in payload["points"])
+    assert (payload["pure_order"], payload["pure_slope"],
+            payload["pure_ratio_target"]) == (None, None, None)
+    capsys.readouterr()

@@ -5,17 +5,19 @@ clearing a noise threshold, fit_exponent measures the power of (h_c - h) on
 a log-log scale, and smoothing_check assembles the full comparison:
 disordered exponent and envelope versus the exactly solvable homogeneous
 model on the same kernel.  Both the bisection and the smoothing scan
-estimate every size at a field and extrapolate through one helper.
+estimate every size at a field and extrapolate through one helper, and
+every straight-line fit (the N = inf extrapolation, the log-log exponent,
+each candidate critical point of the power-law fit) is one _wls_line solve.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .disorder import DisorderLaw, smoothing_constant, spawn_seed
 from .engine import ModelSpec
-from .estimator import SPECULATION_CELLS, estimate_free_energy
+from .estimator import estimate_free_energy
 from .kernel import ReturnKernel
 from .pure_solver import hc_pure, pure_asymptotics, solve_free_energy_pure
 
@@ -42,34 +44,37 @@ class CriticalFit:
     points: tuple = ()
 
 
-def _wls_line(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
-    """Weighted least squares for y = a + b x; returns (a, b, var_a, var_b).
-
-    Weights are 1/sigma^2 when any sigma is positive (zero-sigma rows get
-    the smallest positive sigma), plain least squares otherwise; parameter
-    variances come from (X^T W X)^-1 with the given sigmas taken as true.
-    """
+def _scale(sigma: np.ndarray) -> np.ndarray:
+    """The sigmas a fit divides by: zeros raised to the smallest positive
+    sigma, or all ones when no sigma is positive."""
     if np.any(sigma > 0):
-        floor = sigma[sigma > 0].min()
-        w = 1.0 / np.maximum(sigma, floor) ** 2
-    else:
-        w = np.ones_like(x)
+        return np.maximum(sigma, sigma[sigma > 0].min())
+    return np.ones_like(sigma)
+
+
+def _wls_line(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
+    """Weighted least squares for y = a + b x, one line per leading index of
+    x (sums run along its last axis; y and sigma are shared by every line);
+    returns (a, b, var_a, var_b) with the leading shape of x.
+
+    Weights are 1/_scale(sigma)^2, so plain least squares when no sigma is
+    positive; parameter variances come from (X^T W X)^-1 with the given
+    sigmas taken as true, and are 0 when no sigma is positive.
+    """
+    w = 1.0 / _scale(sigma) ** 2
     sw = w.sum()
-    sx = (w * x).sum()
-    sxx = (w * x * x).sum()
-    sy = (w * y).sum()
-    sxy = (w * x * y).sum()
+    sx = (w * x).sum(axis=-1)
+    sxx = (w * x * x).sum(axis=-1)
+    sy = (w * y).sum(axis=-1)
+    sxy = (w * x * y).sum(axis=-1)
     det = sw * sxx - sx * sx
-    if det <= 0:
+    if np.any(det <= 0):
         raise ValueError("degenerate fit design")
     a = (sxx * sy - sx * sxy) / det
     b = (sw * sxy - sx * sy) / det
-    if np.any(sigma > 0):
-        var_a = sxx / det
-        var_b = sw / det
-    else:
-        var_a = var_b = 0.0
-    return a, b, var_a, var_b
+    if not np.any(sigma > 0):
+        return a, b, 0.0, 0.0
+    return a, b, sxx / det, sw / det
 
 
 def extrapolate_free_energy(n_values, means, stderrs) -> tuple[float, float]:
@@ -102,6 +107,11 @@ def _extrapolate_at(kind: str, beta: float, h_values, kernel: ReturnKernel,
     return out
 
 
+# window cells (rows x w) of one speculative bisection build, see locate_hc:
+# below it a build's time is mostly per-step overhead
+SPECULATION_CELLS = 1 << 10
+
+
 def _speculation_depth(beta: float, kernel: ReturnKernel, n_max: int,
                        replicas: int) -> int:
     """Levels of the bisection tree evaluated per build: the largest d >= 1
@@ -126,7 +136,10 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     the larger of 3x the biggest-size standard error and a floor of
     4/max(N) that keeps the beta = 0 case (zero standard error) off the
     finite-size extrapolation residue.  A size that no chain of the
-    kernel's excursions reaches is a UsageError, raised before any estimate.
+    kernel's excursions reaches is a UsageError, raised before any estimate,
+    and so is an h_window without lo < hi.  Each bracket end moves out by
+    the window's width until its phase is right, in at most 8 probes; a
+    copolymer's lower end stops at h = 0.
 
     The search speculates when a build is narrow: the bracket ends are
     evaluated in one build, and then the next d levels of the bisection
@@ -137,6 +150,8 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if replicas < 1:
+        raise ValueError("need at least one replica")
     n_list = sorted(n_list)
     if not n_list or n_list[0] < 1:
         raise ValueError("need at least one size, all positive")
@@ -172,27 +187,32 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
             lo, hi = 0.0, 0.5 + beta * beta
     else:
         lo, hi = h_window
+    if not lo < hi:
+        raise UsageError("the search window needs h_lo < h_hi")
     width = hi - lo
-    # the first hi probe is kept while lo widens, since hi does not move
+
+    def widen(end: float, probe, step: float, want: bool) -> float:
+        """Move a bracket end by step until its probe is localized (want) or
+        delocalized (not want), in at most 8 probes, all recorded; a
+        copolymer end stops at h = 0, below which no coupling exists."""
+        for i in range(8):
+            if i:
+                end += step
+                if kind == "copolymer" and end < 0.0:
+                    if probe[0] == 0.0:
+                        break
+                    end = 0.0
+                probe, = evaluate([end])
+            probes.append(probe)
+            if localized(probe) == want:
+                return end
+        side = "localized" if want else "delocalized"
+        raise ValueError(f"no {side} endpoint found in the search range")
+
+    # both first probes come from one build; the hi probe waits while lo widens
     lo_probe, hi_probe = evaluate([lo, hi])
-    for i in range(8):
-        if i:
-            lo -= width
-            lo_probe, = evaluate([lo])
-        probes.append(lo_probe)
-        if localized(lo_probe):
-            break
-    else:
-        raise ValueError("no localized endpoint found in the search range")
-    for i in range(8):
-        if i:
-            hi += width
-            hi_probe, = evaluate([hi])
-        probes.append(hi_probe)
-        if not localized(hi_probe):
-            break
-    else:
-        raise ValueError("no delocalized endpoint found in the search range")
+    lo = widen(lo, lo_probe, -width, True)
+    hi = widen(hi, hi_probe, width, False)
 
     while True:
         # the midpoints of the next `depth` levels below (lo, hi), one build
@@ -263,10 +283,10 @@ def critical_power_fit(points, hc_lo: float, hc_hi: float,
     """Fit F = C (hc' - h)^kappa with the critical point as a parameter.
 
     For every candidate hc' > max(h) on a grid the log-log line is solved
-    by weighted least squares (the _wls_line solve, done for the whole
-    grid at once) and the weighted residual recorded; returns
-    (hc_best, exponent, chi2) at the first grid minimizer, or
-    (hc_hi, 0.0, inf) when no candidate qualifies.  Used because a
+    by weighted least squares (one _wls_line call, a row per candidate)
+    and its chi^2 recorded; returns (hc_best, exponent, chi2) at the first
+    grid minimizer, or (hc_hi, 0.0, inf) when no candidate qualifies.
+    Used because a
     threshold-based critical-point search is biased low by construction
     (it needs the free energy to clear the noise), which would drag a
     fixed-hc log-log slope below its true value.
@@ -278,24 +298,10 @@ def critical_power_fit(points, hc_lo: float, hc_hi: float,
     y = np.log(f)
     grid = np.linspace(hc_lo, hc_hi, grid_size)
     grid = grid[grid > h.max()]
-    scale = np.ones_like(sigma)
-    if np.any(sigma > 0):
-        scale = np.maximum(sigma, sigma[sigma > 0].min())
-    w = 1.0 / scale**2
-    # one row per candidate; sums along the last axis as in _wls_line
-    x = np.log(grid[:, None] - h)
-    sw = w.sum()
-    sx = (w * x).sum(axis=-1)
-    sxx = (w * x * x).sum(axis=-1)
-    sy = (w * y).sum()
-    sxy = (w * x * y).sum(axis=-1)
-    det = sw * sxx - sx * sx
-    if np.any(det <= 0):
-        raise ValueError("degenerate fit design")
-    a = (sxx * sy - sx * sxy) / det
-    b = (sw * sxy - sx * sy) / det
+    x = np.log(grid[:, None] - h)  # one row, and one line, per candidate
+    a, b, _, _ = _wls_line(x, y, sigma)
     resid = y - a[:, None] - b[:, None] * x
-    chi2 = ((resid / scale) ** 2).sum(axis=-1)
+    chi2 = ((resid / _scale(sigma)) ** 2).sum(axis=-1)
     chi2[np.isnan(chi2)] = math.inf
     if not np.any(chi2 < math.inf):
         return float(hc_hi), 0.0, math.inf
@@ -331,25 +337,7 @@ class SmoothingReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "hc": self.hc,
-            "hc_err": self.hc_err,
-            "hc_fit": self.hc_fit,
-            "exponent": self.exponent,
-            "exponent_err": self.exponent_err,
-            "envelope_ok": self.envelope_ok,
-            "envelope_prefactor": self.envelope_prefactor,
-            "ratio_decreasing": self.ratio_decreasing,
-            "ratios": [list(r) for r in self.ratios],
-            "points": [list(p) for p in self.points],
-            "pure_order": self.pure_order,
-            "pure_slope": self.pure_slope,
-            "pure_ratio_target": self.pure_ratio_target,
-            "beta": self.beta,
-            "alpha": self.alpha,
-            "constants_route": self.constants_route,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 DEFAULT_SCAN_GAPS = (0.35, 0.248, 0.175, 0.124, 0.088, 0.062, 0.044,

@@ -122,7 +122,7 @@ _COMMON = {
     "law": (str, "gaussian", "disorder law"),
     "beta": (_finite, 0.0, "disorder strength"),
     "seed": (int, 0, "master seed (64-bit)"),
-    "replicas": (int, 8, "disorder replicas"),
+    "replicas": (_size, 8, "disorder replicas"),
     "out": (str, None, "output directory"),
 }
 
@@ -344,7 +344,9 @@ def _cmd_hc(merged: dict) -> int:
     kernel = parse_kernel_spec(merged["kernel"])
     law = disorder_law(merged["law"])
     window = None
-    if merged["h_lo"] is not None and merged["h_hi"] is not None:
+    if (merged["h_lo"] is None) != (merged["h_hi"] is None):
+        raise UsageError("--h-lo and --h-hi go together")
+    if merged["h_lo"] is not None:
         window = (merged["h_lo"], merged["h_hi"])
     fit = locate_hc(merged["kind"], merged["beta"], kernel, law, merged["N_list"],
                     merged["replicas"], merged["seed"], merged["tol"],

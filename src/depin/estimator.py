@@ -68,9 +68,6 @@ def _map_replicas(fn, args: tuple, replicas: int) -> list:
 # disorder cells (rows x N) sampled and recursed together in one worker: a
 # larger block is cut into runs of rows under this budget
 BLOCK_CELLS = 1 << 20
-# window cells (rows x w) of one speculative bisection build, see
-# analysis.locate_hc: below it a build's time is mostly per-step overhead
-SPECULATION_CELLS = 1 << 10
 
 
 def _fe_block(args) -> np.ndarray:

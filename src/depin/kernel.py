@@ -155,11 +155,12 @@ def srw_kernel(n_max: int) -> ReturnKernel:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    dens = np.empty(n_max)
-    k = 0.5
-    for m in range(1, n_max + 1):
-        dens[m - 1] = k
-        k *= (2 * m - 1) / (2 * m + 2)
+    # K(2m+2) = K(2m) (2m - 1)/(2m + 2), products taken in the order of m;
+    # built in place, so that no more than two tables are alive at once
+    dens = np.arange(-1.0, 2.0 * n_max - 2, 2.0)
+    np.divide(dens, np.arange(2.0, 2.0 * n_max + 1, 2.0), out=dens)
+    dens[0] = 0.5
+    np.cumprod(dens, out=dens)
     dens[-1] += 1.0 - dens.sum()
     return ReturnKernel(dens, 0.0, 2, 1.5, n_max, family="srw", folded_tail=True)
 

@@ -116,6 +116,33 @@ def test_locate_hc_bracket_failure(gaussian_law):
                      h_window=(5.0, 5.5))
 
 
+def test_locate_hc_rejects_no_replicas_and_bad_windows(gaussian_law):
+    for replicas in (0, -1):  # once an endless speculation-depth loop
+        with pytest.raises(ValueError, match="need at least one replica"):
+            dp.locate_hc("pinning", 1.0, GEO, gaussian_law, [64], replicas, 3, 1e-2)
+    for window in ((0.3, -0.5), (0.3, 0.3), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="h_lo < h_hi"):
+            dp.locate_hc("pinning", 0.0, GEO, gaussian_law, [64], 1, 3, 1e-2,
+                         h_window=window)
+
+
+def test_locate_hc_copolymer_lower_end_stops_at_zero(monkeypatch, gaussian_law):
+    # h = 0 is delocalized here: from 0.3 the lower end steps to 0, not to
+    # 0.3 - 0.7, and the search fails without building a field below 0
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    fields = []
+
+    def recorded(models, *args):
+        fields.extend(m.h for m in models)
+        return dp.estimate_free_energy(models, *args)
+
+    monkeypatch.setattr(analysis, "estimate_free_energy", recorded)
+    with pytest.raises(ValueError, match="no localized endpoint found"):
+        dp.locate_hc("copolymer", 1.0, dp.srw_kernel(128), gaussian_law, [64, 128], 8,
+                     2, 1e-2, h_window=(0.3, 1.0))
+    assert fields == [0.3, 1.0, 0.0]
+
+
 def test_select_fit_points():
     pts = [(0.1, 0.5, 0.01), (0.2, 0.001, 0.01), (0.29, 0.5, 0.01), (0.4, 0.5, 0.01)]
     out = dp.select_fit_points(pts, 0.3, hc_err=0.0)

@@ -141,6 +141,22 @@ def test_exit_codes(tmp_path, capsys):
                     "--replicas", "2", "--tol", "0.01"]) == 2
         assert capsys.readouterr().err == (
             f"depin {cmd}: usage error: no path of the kernel ends at N=6\n")
+    # no replicas, and a search window given by one end or upside down, are
+    # usage errors before any estimate (no replicas once made hc and smooth
+    # hang, and a lone or inverted window was dropped or probed in vain)
+    usage = [
+        ["hc", "--kernel", "geometric:p=0.5,n_max=16", "--beta", "1", "--N-list", "64",
+         "--replicas=-1", "--tol", "0.01"],
+        ["smooth", "--kernel", "power:alpha=3,s=1,n_max=64", "--beta", "1",
+         "--N-list", "64,128", "--replicas", "0"],
+        ["hc", *geo, "--N-list", "64", "--h-lo", "0.3"],
+        ["hc", *geo, "--N-list", "64", "--h-hi", "0.3"],
+        ["hc", *geo, "--N-list", "64", "--h-lo", "0.3", "--h-hi=-0.5"],
+    ]
+    for argv in usage:
+        capsys.readouterr()
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"depin {argv[0]}: usage error: ")
     # verify with nothing to check, or a size the copolymer check cannot
     # use, stops before any check runs
     for opts in (["--draws", "0"], ["--draws=-3"], ["--N", "0"], ["--N", "1"]):
@@ -149,6 +165,18 @@ def test_exit_codes(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("depin verify: usage error: ")
     capsys.readouterr()
+
+
+def test_copolymer_bracket_stops_at_zero(monkeypatch, capsys):
+    # h = 0 is delocalized here; the lower end widens no further than h = 0,
+    # where copolymer couplings end, and the search fails on its own terms
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    capsys.readouterr()
+    assert run(["hc", "--kind", "copolymer", "--kernel", "srw:n_max=128", "--beta", "1",
+                "--N-list", "64,128", "--replicas", "8", "--seed", "2",
+                "--tol", "0.01"]) == 1
+    assert capsys.readouterr().err == (
+        "depin hc: error: no localized endpoint found in the search range\n")
 
 
 def test_bad_worker_count_is_a_usage_error(monkeypatch, capsys):

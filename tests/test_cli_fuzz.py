@@ -4,12 +4,15 @@ Arguments are drawn from small but hostile values (non-finite and
 out-of-range numbers, malformed specs and lists, zero and negative counts),
 with chains of at most 64 sites and at most 2 replicas so that each call
 takes milliseconds.  No call may raise, and a successful call may not
-print NaN or an infinite standard error.
+print NaN or an infinite standard error, and none may take a minute: a
+hang fails with its argv instead of stalling the suite.
 """
 
 import io
+import signal
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from depin.cli import run
@@ -56,6 +59,8 @@ OPTIONS = {
                "--seed": st.sampled_from(["0", "5", "x"])},
 }
 
+TIME_LIMIT_S = 60
+
 
 @st.composite
 def argvs(draw):
@@ -77,11 +82,24 @@ def argvs(draw):
                "--N=64", "--replicas=2"])
 @example(argv=["fe", "--kernel=geometric:p=0.5,n_max=16", "--beta=1e300", "--h=0", "--N=64",
                "--replicas=2"])
+@example(argv=["hc", "--kernel=geometric:p=0.5,n_max=16", "--beta=1", "--N-list=64",
+               "--replicas=-1", "--tol=0.01"])  # no replicas once never returned
 def test_cli_never_crashes(monkeypatch, argv):
     monkeypatch.setenv("DEPIN_THREADS", "1")
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = run(argv)
+
+    def hung(signum, frame):
+        # not an OSError such as TimeoutError, which run() would report as exit 1
+        pytest.fail(f"{argv} ran for {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(TIME_LIMIT_S)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2), (argv, code)
     if code == 0:
         assert "nan" not in out.getvalue().lower(), (argv, out.getvalue())

@@ -18,6 +18,22 @@ def test_srw_matches_enumeration():
     assert kern.density[7] == pytest.approx(enum[16] + fold, abs=1e-15)
 
 
+def _srw_loop(n_max):
+    """The SRW atoms as a loop over m, one product per atom (the reference)."""
+    dens = np.empty(n_max)
+    k = 0.5
+    for m in range(1, n_max + 1):
+        dens[m - 1] = k
+        k *= (2 * m - 1) / (2 * m + 2)
+    dens[-1] += 1.0 - dens.sum()
+    return dens
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 16, 512, 4096, 10**6])
+def test_srw_matches_loop_bit_for_bit(n_max):
+    assert dp.srw_kernel(n_max).density.tobytes() == _srw_loop(n_max).tobytes()
+
+
 def test_srw_small_values():
     kern = dp.srw_kernel(3)
     assert kern.density[0] == 0.5

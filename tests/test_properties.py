@@ -75,8 +75,34 @@ def test_pinning_engine_vs_oracle_random(beta, h, seed, n):
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def _wls_line_scalar(x, y, sigma):
+    """One weighted line y = a + b x through 1-D data, with its own sums
+    (the reference for _wls_line); returns (a, b, var_a, var_b)."""
+    if np.any(sigma > 0):
+        floor = sigma[sigma > 0].min()
+        w = 1.0 / np.maximum(sigma, floor) ** 2
+    else:
+        w = np.ones_like(x)
+    sw = w.sum()
+    sx = (w * x).sum()
+    sxx = (w * x * x).sum()
+    sy = (w * y).sum()
+    sxy = (w * x * y).sum()
+    det = sw * sxx - sx * sx
+    if det <= 0:
+        raise ValueError("degenerate fit design")
+    a = (sxx * sy - sx * sxy) / det
+    b = (sw * sxy - sx * sy) / det
+    if np.any(sigma > 0):
+        var_a = sxx / det
+        var_b = sw / det
+    else:
+        var_a = var_b = 0.0
+    return a, b, var_a, var_b
+
+
 def _grid_fit_loop(points, hc_lo, hc_hi, grid_size):
-    """Reference for critical_power_fit: one _wls_line solve per candidate."""
+    """Reference for critical_power_fit: one scalar line solve per candidate."""
     h = np.array([p[0] for p in points])
     f = np.array([p[1] for p in points])
     err = np.array([p[2] for p in points])
@@ -88,7 +114,7 @@ def _grid_fit_loop(points, hc_lo, hc_hi, grid_size):
         if hc_try <= h_max:
             continue
         x = np.log(hc_try - h)
-        a, b, _, _ = _wls_line(x, y, sigma)
+        a, b, _, _ = _wls_line_scalar(x, y, sigma)
         resid = y - a - b * x
         if np.any(sigma > 0):
             floor = sigma[sigma > 0].min()
@@ -126,3 +152,22 @@ def _scans(draw):
 def test_critical_power_fit_matches_per_candidate_loop(points, lo, width, grid_size):
     args = (points, lo, lo + width, grid_size)
     assert _outcome(dp.critical_power_fit, *args) == _outcome(_grid_fit_loop, *args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 5), k=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       weighted=st.booleans())
+@example(rows=3, k=2, seed=0, weighted=False)
+def test_wls_line_rows_match_one_line_calls(rows, k, seed, weighted):
+    # a 2-D x is a stack of independent lines: each row of the result has
+    # the bytes of the 1-D call on that row and of the scalar reference
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, k))
+    y = rng.normal(size=k)
+    sigma = rng.uniform(0.0, 1.0, size=k) if weighted else np.zeros(k)
+    # zero variances of an unweighted fit may come back as one scalar
+    stacked = [np.broadcast_to(v, (rows,)) for v in _wls_line(x, y, sigma)]
+    for i in range(rows):
+        want = [float(v).hex() for v in _wls_line_scalar(x[i], y, sigma)]
+        assert [float(v).hex() for v in _wls_line(x[i], y, sigma)] == want
+        assert [float(v[i]).hex() for v in stacked] == want

@@ -4,10 +4,11 @@ locate_hc finds the field where the size-extrapolated free energy stops
 clearing a noise threshold, fit_exponent measures the power of (h_c - h) on
 a log-log scale, and smoothing_check assembles the full comparison:
 disordered exponent and envelope versus the exactly solvable homogeneous
-model on the same kernel.  Both the bisection and the smoothing scan
-estimate every size at a field and extrapolate through one helper, and
-every straight-line fit (the N = inf extrapolation, the log-log exponent,
-each candidate critical point of the power-law fit) is one _wls_line solve.
+model on the same kernel.  The bisection and the scan read replica r's one
+disorder chain at every size, field and probe, and take an error bar from
+the spread of per-replica extrapolations; every straight-line fit (the N =
+inf extrapolation, the log-log exponent, each candidate critical point of
+the power-law fit) is one _wls_line solve.
 """
 
 import math
@@ -15,9 +16,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .disorder import DisorderLaw, smoothing_constant, spawn_seed
+from .disorder import DisorderLaw, smoothing_constant
 from .engine import ModelSpec
-from .estimator import estimate_free_energy
+from .estimator import _spread, estimate_free_energy
 from .kernel import ReturnKernel
 from .pure_solver import hc_pure, pure_asymptotics, solve_free_energy_pure
 
@@ -54,8 +55,8 @@ def _scale(sigma: np.ndarray) -> np.ndarray:
 
 def _wls_line(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
     """Weighted least squares for y = a + b x, one line per leading index of
-    x (sums run along its last axis; y and sigma are shared by every line);
-    returns (a, b, var_a, var_b) with the leading shape of x.
+    x or of y (sums run along the last axis; sigma is shared by every
+    line); returns (a, b, var_a, var_b) with that leading shape.
 
     Weights are 1/_scale(sigma)^2, so plain least squares when no sigma is
     positive; parameter variances come from (X^T W X)^-1 with the given
@@ -77,33 +78,39 @@ def _wls_line(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
     return a, b, sxx / det, sw / det
 
 
-def extrapolate_free_energy(n_values, means, stderrs) -> tuple[float, float]:
+def extrapolate_free_energy(n_values, means, stderrs):
     """Infinite-size intercept of F_N = F_inf + a log(N)/N; returns
     (F_inf, sigma) with sigma the weighted-fit standard error of F_inf.
+    means may be a block with the sizes along its last axis: F_inf per row.
 
     A single size is its own limit: (mean, stderr).
     """
     n_values = np.asarray(n_values, dtype=float)
     y = np.asarray(means, dtype=float)
     if len(n_values) == 1:
-        return float(y[0]), float(stderrs[0])
-    x = np.log(n_values) / n_values
-    a, _, var_a, _ = _wls_line(x, y, np.asarray(stderrs, dtype=float))
-    return float(a), math.sqrt(var_a)
+        a, sigma = y[..., 0], float(stderrs[0])
+    else:
+        a, _, var_a, _ = _wls_line(np.log(n_values) / n_values, y,
+                                   np.asarray(stderrs, dtype=float))
+        sigma = math.sqrt(var_a)
+    return (float(a) if y.ndim == 1 else a), sigma
 
 
 def _extrapolate_at(kind: str, beta: float, h_values, kernel: ReturnKernel,
-                    law: DisorderLaw, n_list, replicas: int, seeds) -> list:
-    """Estimate F_N at each field of h_values on every size (seeds[i] for
-    n_list[i]) and extrapolate; returns one (F_inf, sigma, per-size
-    estimates) per field.  The fields are rows of one build, and so are the
-    sizes that share a seed, or all sizes when beta = 0."""
+                    law: DisorderLaw, n_list, replicas: int, seed: int) -> list:
+    """Estimate F_N at each field of h_values on every size, all from one
+    build, and extrapolate each replica; returns one (F_inf, sigma,
+    per-replica F_inf) per field, F_inf extrapolated from the size means
+    (the per-replica mean up to rounding: the fit is linear) and sigma the
+    standard error of the per-replica values."""
     models = [ModelSpec(kind, beta, h, kernel) for h in h_values]
     out = []
-    for ests in estimate_free_energy(models, law, n_list, replicas, seeds):
-        f_inf, sigma = extrapolate_free_energy(n_list, [e.mean for e in ests],
-                                               [e.stderr for e in ests])
-        out.append((f_inf, sigma, ests))
+    for ests in estimate_free_energy(models, law, n_list, replicas, seed):
+        # row 0 holds the size means, row 1 + r replica r's values
+        rows = np.vstack(([e.mean for e in ests],
+                          np.column_stack([e.replica_values for e in ests])))
+        f_inf, _ = extrapolate_free_energy(n_list, rows, [e.stderr for e in ests])
+        out.append((float(f_inf[0]), _spread(f_inf[1:]), f_inf[1:]))
     return out
 
 
@@ -130,16 +137,17 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     """Bisection for the critical field at fixed beta.
 
     At each probe h the free energy is estimated on every size in n_list
-    (disorder shared across probes, so estimates are comparable), the
+    (replica r reads its one chain at every probe and size), the
     infinite-size value is extrapolated with an a log(N)/N correction, and
     the phase indicator is "extrapolated F above threshold" with threshold
-    the larger of 3x the biggest-size standard error and a floor of
-    4/max(N) that keeps the beta = 0 case (zero standard error) off the
-    finite-size extrapolation residue.  A size that no chain of the
-    kernel's excursions reaches is a UsageError, raised before any estimate,
-    and so is an h_window without lo < hi.  Each bracket end moves out by
-    the window's width until its phase is right, in at most 8 probes; a
-    copolymer's lower end stops at h = 0.
+    the larger of 3 sigma, sigma the standard error of the per-replica
+    extrapolations, and a floor of 4/max(N) that keeps the beta = 0 or
+    one-replica case (zero sigma) off the finite-size extrapolation
+    residue.  A size that no chain of the kernel's excursions reaches is a
+    UsageError, raised before any estimate, and so is an h_window without
+    lo < hi.  Each bracket end moves out by the window's width until its
+    phase is right, in at most 8 probes; a copolymer's lower end stops at
+    h = 0.
 
     The search speculates when a build is narrow: the bracket ends are
     evaluated in one build, and then the next d levels of the bisection
@@ -160,14 +168,13 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
             raise UsageError(f"no path of the kernel ends at N={n}")
     floor = 4.0 / n_list[-1]
     probes = []
-    seeds = [spawn_seed(seed, i) for i in range(len(n_list))]
     depth = _speculation_depth(beta, kernel, n_list[-1], replicas)
 
     def evaluate(h_values) -> list:
         """A probe (h, F_inf, threshold) per field, from one build."""
-        return [(h, f_inf, max(3.0 * ests[-1].stderr, floor))
-                for h, (f_inf, _, ests) in zip(h_values, _extrapolate_at(
-                    kind, beta, h_values, kernel, law, n_list, replicas, seeds))]
+        return [(h, f_inf, max(3.0 * sigma, floor))
+                for h, (f_inf, sigma, _) in zip(h_values, _extrapolate_at(
+                    kind, beta, h_values, kernel, law, n_list, replicas, seed))]
 
     def localized(probe) -> bool:
         return probe[1] > probe[2]
@@ -352,17 +359,24 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
 
     Locates h_c(beta) by bisection, then scans the free energy on both
     sides of it; every scan point is estimated on all sizes in n_list and
-    extrapolated with the same a log(N)/N form the bisection uses, which
-    removes most of the finite-size droop near the critical point.  The
-    critical exponent comes from a power-law fit that re-fits the critical
-    point on the scan (critical_power_fit), with a leave-one-replica-out
-    jackknife for its uncertainty; the envelope and ratio diagnostics are
-    anchored at the conservative bisection h_c.  For pinning the
-    homogeneous model on the same kernel is solved for contrast; a
-    copolymer has no such contrast, and its scan leaves out fields below 0.
+    extrapolated, replica by replica, with the same a log(N)/N form the
+    bisection uses, which removes most of the finite-size droop near the
+    critical point.  Replica r reads its one chain at every probe, point
+    and size, and a point's error bar is the standard error over replicas
+    of its per-replica extrapolated F, so at least 2 replicas are needed (a
+    UsageError otherwise).  The critical exponent comes from a power-law
+    fit that re-fits the critical point on the scan (critical_power_fit),
+    with a leave-one-replica-out jackknife of the per-replica values for
+    its uncertainty; the envelope and ratio diagnostics are anchored at the
+    conservative bisection h_c.  For pinning the homogeneous model on the
+    same kernel is solved for contrast; a copolymer has no such contrast,
+    and its scan leaves out fields below 0.
     """
     if beta <= 0:
         raise ValueError("the envelope check needs beta > 0")
+    if replicas < 2:
+        raise UsageError("the envelope check needs at least 2 replicas: its error "
+                         "bars are their spread")
     if kernel.alpha is None:
         raise ValueError("kernel must declare a tail exponent")
     fit0 = locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol)
@@ -371,20 +385,12 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
 
     gaps = sorted(scan_gaps, reverse=True)
     h_values = [hc - g for g in gaps] + [hc + gaps[-1], hc + gaps[len(gaps) // 2]]
-    # per scan point: estimates on every size (one seed shared by the
-    # sizes), extrapolated to N = inf; each point keeps the seed of its
-    # place in the full list, and copolymer couplings exist only at h >= 0
-    points, ests = [], []
-    for i, h in enumerate(h_values):
-        if kind == "copolymer" and h < 0:
-            continue
-        (f_inf, sig, row), = _extrapolate_at(kind, beta, [h], kernel, law, n_list,
-                                             replicas,
-                                             [spawn_seed(seed, 1000 + i)] * len(n_list))
-        points.append((h, f_inf, sig))
-        ests.append(row)
-    h_values = [p[0] for p in points]
-    points = tuple(points)
+    # copolymer couplings exist only at h >= 0
+    if kind == "copolymer":
+        h_values = [h for h in h_values if h >= 0]
+    # every scan point extrapolated to N = inf, all from one build
+    scan = _extrapolate_at(kind, beta, h_values, kernel, law, n_list, replicas, seed)
+    points = tuple((h, f_inf, sig) for h, (f_inf, sig, _) in zip(h_values, scan))
 
     loc = [p for p in points if p[0] < hc]
     usable = select_fit_points(loc, hc, hc_err)
@@ -396,21 +402,18 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
         hc_fit, exponent, _ = critical_power_fit(
             usable, h_top + 0.02 * (hc - h_top), h_top + 0.3)
 
-    # jackknife over replicas: rebuild each point from leave-one-out means,
-    # re-extrapolate and re-fit (including the critical-point search)
-    jack = []
-    stderr_by_h = {p[0]: p[2] for p in points}
+    # jackknife over replicas: each used point's leave-one-out mean of the
+    # per-replica F_inf, re-fitted (including the critical-point search)
     used_h = [p[0] for p in usable]
     h_top = max(used_h)
+    used = [(h, per, sig) for h, (_, sig, per) in zip(h_values, scan) if h in used_h]
+    jack = []
     for r in range(replicas):
         pts_r = []
-        for h, row in zip(h_values, ests):
-            if h not in used_h:
-                continue
-            means = [float(np.delete(e.replica_values, r).mean()) for e in row]
-            f_inf, _ = extrapolate_free_energy(n_list, means, [e.stderr for e in row])
+        for h, per, sig in used:
+            f_inf = float(np.delete(per, r).mean())
             if f_inf > 0:
-                pts_r.append((h, f_inf, stderr_by_h[h]))
+                pts_r.append((h, f_inf, sig))
         if len(pts_r) >= 5:
             _, kappa_r, _ = critical_power_fit(pts_r, h_top + 0.02 * (hc - h_top),
                                                h_top + 0.3, grid_size=200)

@@ -1,8 +1,9 @@
 """Replica-averaged free-energy and constrained-curve estimation.
 
 Replicas are IID disorder realizations; replica r of a run with master seed
-S draws its charges from the child seed spawn_seed(S, r), so results do not
-depend on how replicas are scheduled.  The replicas are cut into contiguous
+S draws its charges from the child seed spawn_seed(S, r), one chain read at
+every field and size, so results do not depend on how replicas are
+scheduled.  The replicas are cut into contiguous
 blocks, one per worker process (their number capped by the DEPIN_THREADS
 environment variable); a block of replicas, pinning or copolymer, runs
 through the one renewal core together, in runs of at most BLOCK_CELLS
@@ -15,8 +16,8 @@ bit-reproducible for identical inputs regardless of the worker count.
 
 The disorder stream and the recursion are both prefix-consistent: log Z at
 a size N is the same number whether the chain is built to N or beyond.  So
-one build at the largest size serves every size that shares a seed, and
-with beta = 0 (inert disorder) every size at all.
+one build at the largest size serves every size, and with beta = 0 (inert
+disorder) every replica too.
 
 Error bars are plain standard errors over replicas; jackknife resampling is
 reserved for derived quantities (see the analysis module).
@@ -73,31 +74,28 @@ BLOCK_CELLS = 1 << 20
 def _fe_block(args) -> np.ndarray:
     """(1/N) log Z of replicas lo..hi-1 for every field and size, shape
     (fields, replicas, sizes).  Rows are (field, replica) pairs in replica
-    order, pair k being field k % F of replica k // F for F fields; the
-    sizes sharing a seed read one build at their largest N."""
-    fields, model, law, n_list, seeds, lo, hi = args
+    order, pair k being field k % F of replica k // F for F fields; every
+    size reads the one build at the largest N."""
+    fields, model, law, n_list, seed, lo, hi = args
     nf = len(fields)
-    s = model.kernel.period
+    sizes = np.array(n_list)
+    top = int(sizes.max())
     # looked up at call time, so that a wrapper bound to the name sees the call
     recursion = globals()[f"log_partition_{model.kind}"]
     out = np.empty((nf, hi - lo, len(n_list)))
-    for seed in dict.fromkeys(seeds):
-        cols = [i for i, sd in enumerate(seeds) if sd == seed]
-        top = max(n_list[i] for i in cols)
-        # whole replicas per run when they fit; otherwise a replica's fields
-        # are cut over runs, and each run samples the replicas it touches
-        step = max(1, BLOCK_CELLS // top)
-        if step >= nf:
-            step -= step % nf
-        for a in range(lo * nf, hi * nf, step):
-            k = np.arange(a, min(hi * nf, a + step))
-            reps = range(k[0] // nf, k[-1] // nf + 1)
-            sample = np.empty((len(reps), top))
-            for r in reps:
-                sample[r - reps[0]] = sample_disorder(law, top, spawn_seed(seed, r)).values
-            logz = recursion(model, sample[k // nf - reps[0]], top, fields[k % nf])
-            for i in cols:
-                out[k % nf, k // nf - lo, i] = logz[:, n_list[i] // s] / n_list[i]
+    # whole replicas per run when they fit; otherwise a replica's fields are
+    # cut over runs, and each run samples the replicas it touches
+    step = max(1, BLOCK_CELLS // top)
+    if step >= nf:
+        step -= step % nf
+    for a in range(lo * nf, hi * nf, step):
+        k = np.arange(a, min(hi * nf, a + step))
+        reps = range(k[0] // nf, k[-1] // nf + 1)
+        sample = np.empty((len(reps), top))
+        for r in reps:
+            sample[r - reps[0]] = sample_disorder(law, top, spawn_seed(seed, r)).values
+        logz = recursion(model, sample[k // nf - reps[0]], top, fields[k % nf])
+        out[k % nf, k // nf - lo] = logz[:, sizes // model.kernel.period] / sizes
     return out
 
 
@@ -169,18 +167,18 @@ def _spread(values: np.ndarray) -> float:
     return float((values / scale).std(ddof=1) * scale / math.sqrt(len(values)))
 
 
-def estimate_free_energy(model, law: DisorderLaw, n, replicas: int, seed):
+def estimate_free_energy(model, law: DisorderLaw, n, replicas: int, seed: int):
     """Average (1/N) log Z over independent disorder replicas.
 
     model is one ModelSpec, or a list of them that differ only in h, giving
     one result per model; n is one size, giving one estimate, or a list of
-    sizes, giving one estimate per size; seed is one seed for every size or
-    a list with one per size.  Each estimate of a list equals its own
-    one-model, one-size call bit for bit: the fields share each replica's
-    disorder and are rows of one build, and the sizes that share a seed
-    take their log Z from one build at their largest N.  With beta = 0 the
-    disorder is inert, so a single build serves all replicas and sizes,
-    and the standard error is exactly zero.
+    sizes, giving one estimate per size.  Replica r reads the one disorder
+    chain spawn_seed(seed, r) at every field and size, so a replica's sizes
+    are prefixes of one chain and its fields share its disorder.  Each
+    estimate of a list equals its own one-model, one-size call bit for bit:
+    the fields are rows of one build, and every size takes its log Z from
+    that build at the largest N.  With beta = 0 the disorder is inert, so a
+    single build serves all replicas and sizes.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
@@ -194,28 +192,22 @@ def estimate_free_energy(model, law: DisorderLaw, n, replicas: int, seed):
         raise ValueError("the models of one estimate may differ only in h")
     one = isinstance(n, (int, np.integer))
     n_list = [n] if one else list(n)
-    seeds = [seed] * len(n_list) if isinstance(seed, (int, np.integer)) else list(seed)
-    if len(seeds) != len(n_list):
-        raise ValueError("need one seed per size")
     s = first.kernel.period
     for size in n_list:
         if size < s or size % s != 0:
             raise ValueError(f"N={size} is not a positive multiple of the period {s}")
-    fields = np.array([m.h for m in models])
+    args = (np.array([m.h for m in models]), first, law, n_list, seed)
     if first.beta == 0.0:
-        rows = _fe_block((fields, first, law, n_list, [seeds[0]] * len(n_list), 0, 1))
-        matrix = np.repeat(rows, replicas, axis=1)
+        matrix = np.repeat(_fe_block(args + (0, 1)), replicas, axis=1)
     else:
-        matrix = np.concatenate(_map_replicas(
-            _fe_block, (fields, first, law, n_list, seeds), replicas), axis=1)
+        matrix = np.concatenate(_map_replicas(_fe_block, args, replicas), axis=1)
     results = []
     for m, per_field in zip(models, matrix):
         out = []
-        for i, (size, sd) in enumerate(zip(n_list, seeds)):
-            values = per_field[:, i].copy()
+        for size, values in zip(n_list, per_field.T.copy()):
             mean = float(values.mean())
             f_mean = mean + m.h / 2.0 if m.kind == "copolymer" else None
-            out.append(FreeEnergyEstimate(mean, _spread(values), size, replicas, sd, m,
+            out.append(FreeEnergyEstimate(mean, _spread(values), size, replicas, seed, m,
                                           f_mean=f_mean, replica_values=values))
         results.append(out[0] if one else out)
     return results[0] if one_model else results

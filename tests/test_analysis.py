@@ -84,6 +84,55 @@ def test_critical_power_fit_recovers_planted():
     assert expo == pytest.approx(kappa, abs=0.01)
 
 
+@pytest.mark.parametrize("kind", ["pinning", "copolymer"])
+@pytest.mark.parametrize("n_list", [[64, 128, 256], [128]])
+def test_per_replica_extrapolation_is_linear(monkeypatch, gaussian_law, kind, n_list):
+    # F_inf is the extrapolation of the size means, the mean of the
+    # per-replica extrapolations to rounding, and with one replica its bits;
+    # sigma is the standard error of the per-replica values
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    kern = dp.srw_kernel(64) if kind == "copolymer" else GEO
+    fields = [0.1, 0.6] if kind == "copolymer" else [-0.4, 0.2]
+    for replicas in (1, 6):
+        scan = analysis._extrapolate_at(kind, 1.0, fields, kern, gaussian_law, n_list,
+                                        replicas, 7)
+        for h, (f_inf, sigma, per) in zip(fields, scan):
+            ests = dp.estimate_free_energy(dp.ModelSpec(kind, 1.0, h, kern), gaussian_law,
+                                           n_list, replicas, 7)
+            stderrs = [e.stderr for e in ests]
+            want, _ = dp.extrapolate_free_energy(n_list, [e.mean for e in ests], stderrs)
+            assert float(f_inf).hex() == float(want).hex()
+            assert float(per.mean()) == pytest.approx(want, rel=1e-12, abs=1e-15)
+            for r in range(replicas):
+                alone, _ = dp.extrapolate_free_energy(
+                    n_list, [e.replica_values[r] for e in ests], stderrs)
+                assert float(per[r]).hex() == float(alone).hex()
+            if replicas == 1:
+                assert float(per[0]).hex() == float(want).hex() and sigma == 0.0
+            else:
+                assert sigma == per.std(ddof=1) / math.sqrt(replicas) > 0.0
+
+
+def test_smoothing_hc_inside_the_rigorous_bracket(monkeypatch, gaussian_law):
+    # h_c(0) <= h_c(beta) <= h_c(0) + log M(beta) (Jensen below, the annealed
+    # bound above); the bisection may sit below h_c(beta) by its tolerance,
+    # and the refitted critical point stays under the annealed bound
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    kern = dp.power_kernel(3.0, 1, 256)
+    report = dp.smoothing_check(1.0, kern, gaussian_law, n_list=[256, 512, 1024],
+                                replicas=16, seed=11, tol=1e-2,
+                                scan_gaps=(0.4, 0.3, 0.22, 0.16, 0.12, 0.09))
+    base, upper = dp.hc_pure(kern), dp.hc_pure(kern) + gaussian_law.log_mgf(1.0)
+    assert base - 1e-2 <= report.hc <= upper
+    assert report.hc_fit <= upper
+
+
+def test_smoothing_needs_two_replicas(gaussian_law):
+    with pytest.raises(analysis.UsageError, match="at least 2 replicas"):
+        dp.smoothing_check(1.0, dp.power_kernel(3.0, 1, 64), gaussian_law, n_list=[64],
+                           replicas=1, seed=3)
+
+
 def test_locate_hc_beta0_kernels(gaussian_law):
     n_list = [2048, 4096, 8192]
     fit = dp.locate_hc("pinning", 0.0, GEO, gaussian_law, n_list, 1, 3, 1e-3)
@@ -138,7 +187,7 @@ def test_locate_hc_copolymer_lower_end_stops_at_zero(monkeypatch, gaussian_law):
 
     monkeypatch.setattr(analysis, "estimate_free_energy", recorded)
     with pytest.raises(ValueError, match="no localized endpoint found"):
-        dp.locate_hc("copolymer", 1.0, dp.srw_kernel(128), gaussian_law, [64, 128], 8,
+        dp.locate_hc("copolymer", 0.5, dp.srw_kernel(128), gaussian_law, [64, 128], 8,
                      2, 1e-2, h_window=(0.3, 1.0))
     assert fields == [0.3, 1.0, 0.0]
 
@@ -160,6 +209,22 @@ def test_locate_hc_sizes_and_float_resolution(gaussian_law):
     assert 0.0 < fit.hc_err <= 0.5 * math.ulp(abs(fit.hc))
 
 
+def _intercept(n_list, y, sigma):
+    """F_inf of one weighted line F_N = F_inf + a log(N)/N through 1-D
+    data, with its own sums (the reference for the extrapolation)."""
+    if len(n_list) == 1:
+        return float(y[0])
+    n = np.array(n_list, dtype=float)
+    x = np.log(n) / n
+    if np.any(sigma > 0):
+        w = 1.0 / np.maximum(sigma, sigma[sigma > 0].min()) ** 2
+    else:
+        w = np.ones_like(x)
+    sw, sx, sxx = w.sum(), (w * x).sum(), (w * x * x).sum()
+    sy, sxy = (w * y).sum(), (w * x * y).sum()
+    return float((sxx * sy - sx * sxy) / (sw * sxx - sx * sx))
+
+
 def _sequential_locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol,
                           h_window=None):
     """locate_hc as a bisection of one probe per build (the reference):
@@ -167,14 +232,18 @@ def _sequential_locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol,
     n_list = sorted(n_list)
     floor = 4.0 / n_list[-1]
     probes = []
-    seeds = [dp.spawn_seed(seed, i) for i in range(len(n_list))]
 
     def localized(h):
+        # every size of a replica reads its one chain; the threshold is 3x
+        # the standard error of the per-replica extrapolations
         ests = dp.estimate_free_energy(dp.ModelSpec(kind, beta, h, kernel), law, n_list,
-                                       replicas, seeds)
-        f_inf, _ = dp.extrapolate_free_energy(n_list, [e.mean for e in ests],
-                                              [e.stderr for e in ests])
-        thr = max(3.0 * ests[-1].stderr, floor)
+                                       replicas, seed)
+        sigma = np.array([e.stderr for e in ests])
+        f_inf = _intercept(n_list, np.array([e.mean for e in ests]), sigma)
+        per = np.array([_intercept(n_list, np.array([e.replica_values[r] for e in ests]),
+                                   sigma) for r in range(replicas)])
+        spread = float(per.std(ddof=1)) / math.sqrt(replicas) if replicas > 1 else 0.0
+        thr = max(3.0 * spread, floor)
         probes.append((h, f_inf, thr))
         return f_inf > thr
 
@@ -215,7 +284,7 @@ _SPECULATION_CASES = [
     ("pinning", 0.0, GEO, [256, 512], 1, 1e-3, None, 4),
     ("pinning", 1.0, dp.geometric_kernel(0.5, n_max=8), [64, 128], 4, 1e-3, None, 5),
     ("pinning", 1.0, dp.geometric_kernel(0.5, n_max=256), [256, 512], 4, 1e-2, None, 1),
-    ("copolymer", 1.0, dp.srw_kernel(16), [32, 64], 3, 1e-2, None, 4),
+    ("copolymer", 1.0, dp.srw_kernel(16), [128, 256], 3, 1e-2, None, 4),
     ("pinning", 0.0, GEO, [64, 128], 1, 1e-300, None, 4),
     ("pinning", 0.0, GEO, [256], 1, 1e-3, (1.0, 1.5), 4),
     ("pinning", 0.0, GEO, [256], 1, 1e-3, (-3.0, -2.5), 4),

@@ -189,36 +189,19 @@ def _same_estimate(a, b):
        replicas=st.integers(1, 5),
        beta=st.sampled_from([0.0, 0.5, 1.5]),
        h=st.floats(0.0, 1.5),
-       shared=st.booleans(),
        seed=st.integers(0, 2**63))
-@example(kind="copolymer", sizes=[8, 4, 8], replicas=3, beta=0.0, h=0.0,
-         shared=False, seed=3)
-@example(kind="pinning", sizes=[40, 6], replicas=5, beta=1.5, h=0.0,
-         shared=True, seed=4)
-def test_multi_size_matches_per_size(monkeypatch, kind, sizes, replicas, beta, h,
-                                     shared, seed):
-    # distinct seeds per size are only shared work when the disorder is inert
+@example(kind="copolymer", sizes=[8, 4, 8], replicas=3, beta=0.0, h=0.0, seed=3)
+@example(kind="pinning", sizes=[40, 6], replicas=5, beta=1.5, h=0.0, seed=4)
+def test_multi_size_matches_per_size(monkeypatch, kind, sizes, replicas, beta, h, seed):
+    # every size reads the one build at the largest N
     monkeypatch.setenv("DEPIN_THREADS", "1")
     kern = dp.srw_kernel(12) if kind == "copolymer" else dp.geometric_kernel(0.5, n_max=16)
     n_list = [kern.period * k for k in sizes]
     model = dp.ModelSpec(kind, beta, h if kind == "copolymer" else -h, kern)
     law = dp.disorder_law("gaussian")
-    seeds = [seed] * len(n_list) if shared or beta > 0 else [
-        dp.spawn_seed(seed, i) for i in range(len(n_list))]
-    multi = dp.estimate_free_energy(model, law, n_list, replicas, seeds)
-    for est, n, sd in zip(multi, n_list, seeds):
-        _same_estimate(est, dp.estimate_free_energy(model, law, n, replicas, sd))
-
-
-def test_multi_size_distinct_seeds_build_per_seed(monkeypatch):
-    # with disorder, sizes on different seeds keep their own replicas
-    monkeypatch.setenv("DEPIN_THREADS", "1")
-    model = dp.ModelSpec("pinning", 1.0, -0.2, dp.geometric_kernel(0.5, n_max=16))
-    law = dp.disorder_law("gaussian")
-    multi = dp.estimate_free_energy(model, law, [32, 64, 32], 4, [5, 6, 7])
-    for est, n, sd in zip(multi, [32, 64, 32], [5, 6, 7]):
-        _same_estimate(est, dp.estimate_free_energy(model, law, n, 4, sd))
-    assert multi[0].mean != multi[2].mean
+    multi = dp.estimate_free_energy(model, law, n_list, replicas, seed)
+    for est, n in zip(multi, n_list):
+        _same_estimate(est, dp.estimate_free_energy(model, law, n, replicas, seed))
 
 
 @pytest.mark.parametrize("kind", ["pinning", "copolymer"])
@@ -248,17 +231,17 @@ def test_fields_match_one_field_calls(monkeypatch, kind, budget, beta):
     models = [dp.ModelSpec(kind, beta, h, kern) for h in fields]
     law = dp.disorder_law("gaussian")
     monkeypatch.setenv("DEPIN_THREADS", "1")
-    singles = [dp.estimate_free_energy(m, law, [32, 64], 5, [8, 9]) for m in models]
+    singles = [dp.estimate_free_energy(m, law, [32, 64], 5, 8) for m in models]
     if budget is not None:
         monkeypatch.setattr(estimator, "BLOCK_CELLS", budget)
     for threads in ("1", "2"):
         monkeypatch.setenv("DEPIN_THREADS", threads)
-        multi = dp.estimate_free_energy(models, law, [32, 64], 5, [8, 9])
+        multi = dp.estimate_free_energy(models, law, [32, 64], 5, 8)
         assert len(multi) == len(models)
         for got, want in zip(multi, singles):
             for a, b in zip(got, want):
                 _same_estimate(a, b)
-    one = dp.estimate_free_energy(models[:1], law, 64, 5, 9)
+    one = dp.estimate_free_energy(models[:1], law, 64, 5, 8)
     _same_estimate(one[0], singles[0][1])
 
 
@@ -280,10 +263,8 @@ def test_one_size_and_one_seed_forms():
     law = dp.disorder_law("gaussian")
     one = dp.estimate_free_energy(model, law, 32, 3, 5)
     assert isinstance(one, dp.FreeEnergyEstimate)
-    _same_estimate(one, dp.estimate_free_energy(model, law, [32], 3, [5])[0])
+    _same_estimate(one, dp.estimate_free_energy(model, law, [32], 3, 5)[0])
     _same_estimate(one, dp.estimate_free_energy(model, law, [64, 32], 3, 5)[1])
-    with pytest.raises(ValueError, match="one seed per size"):
-        dp.estimate_free_energy(model, law, [32, 64], 3, [5])
 
 
 def _fe_bytes(tmp_path, monkeypatch, kind, threads):

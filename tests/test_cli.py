@@ -149,6 +149,9 @@ def test_exit_codes(tmp_path, capsys):
          "--replicas=-1", "--tol", "0.01"],
         ["smooth", "--kernel", "power:alpha=3,s=1,n_max=64", "--beta", "1",
          "--N-list", "64,128", "--replicas", "0"],
+        # the error bars of smooth are the spread of at least 2 replicas
+        ["smooth", "--kernel", "power:alpha=3,s=1,n_max=64", "--beta", "1",
+         "--N-list", "64", "--replicas", "1"],
         ["hc", *geo, "--N-list", "64", "--h-lo", "0.3"],
         ["hc", *geo, "--N-list", "64", "--h-hi", "0.3"],
         ["hc", *geo, "--N-list", "64", "--h-lo", "0.3", "--h-hi=-0.5"],
@@ -156,7 +159,8 @@ def test_exit_codes(tmp_path, capsys):
     for argv in usage:
         capsys.readouterr()
         assert run(argv) == 2, argv
-        assert capsys.readouterr().err.startswith(f"depin {argv[0]}: usage error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"depin {argv[0]}: usage error: ") and err.count("\n") == 1
     # verify with nothing to check, or a size the copolymer check cannot
     # use, stops before any check runs
     for opts in (["--draws", "0"], ["--draws=-3"], ["--N", "0"], ["--N", "1"]):
@@ -172,7 +176,7 @@ def test_copolymer_bracket_stops_at_zero(monkeypatch, capsys):
     # where copolymer couplings end, and the search fails on its own terms
     monkeypatch.setenv("DEPIN_THREADS", "1")
     capsys.readouterr()
-    assert run(["hc", "--kind", "copolymer", "--kernel", "srw:n_max=128", "--beta", "1",
+    assert run(["hc", "--kind", "copolymer", "--kernel", "srw:n_max=128", "--beta", "0.5",
                 "--N-list", "64,128", "--replicas", "8", "--seed", "2",
                 "--tol", "0.01"]) == 1
     assert capsys.readouterr().err == (

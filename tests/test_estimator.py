@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import depin as dp
 from depin.estimator import worker_count
@@ -11,6 +12,35 @@ from depin.estimator import worker_count
 
 GEO = dp.geometric_kernel(0.5, n_max=64)
 LAW = dp.disorder_law("gaussian")
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["pinning", "copolymer"]),
+       sizes=st.lists(st.integers(1, 24), min_size=1, max_size=3, unique=True),
+       replicas=st.integers(1, 4),
+       beta=st.sampled_from([0.5, 1.0, 2.0]),
+       fields=st.lists(st.floats(0.0, 2.0), min_size=3, max_size=5, unique=True),
+       threads=st.sampled_from(["1", "2"]),
+       seed=st.integers(0, 2**63))
+def test_each_replica_monotone_convex_in_h(monkeypatch, kind, sizes, replicas, beta, fields,
+                                           threads, seed):
+    # with the disorder shared across fields, each replica's (1/N) log Z is
+    # non-increasing (its h-derivative is minus a density) and convex (the
+    # second derivative is a variance) in h, up to rounding
+    kern = dp.srw_kernel(12) if kind == "copolymer" else dp.geometric_kernel(0.5, n_max=16)
+    hs = sorted(fields) if kind == "copolymer" else sorted(f - 1.0 for f in fields)
+    models = [dp.ModelSpec(kind, beta, h, kern) for h in hs]
+    n_list = [kern.period * k for k in sizes]
+    monkeypatch.setenv("DEPIN_THREADS", threads)
+    by_h = dp.estimate_free_energy(models, LAW, n_list, replicas, seed)
+    for i in range(len(n_list)):
+        f = np.array([ests[i].replica_values for ests in by_h])  # (fields, replicas)
+        slack = 1e-12 * np.abs(f).max(axis=0)
+        assert np.all(f[1:] <= f[:-1] + slack)
+        for j in range(1, len(hs) - 1):
+            t = (hs[j] - hs[j - 1]) / (hs[j + 1] - hs[j - 1])
+            assert np.all(f[j] <= (1 - t) * f[j - 1] + t * f[j + 1] + slack)
 
 
 def test_beta0_no_spread(gaussian_law):

@@ -1,7 +1,7 @@
 """Disordered polymer depinning: exact recursions, estimation, analysis."""
 
 from .kernel import (ReturnKernel, srw_kernel, power_kernel, geometric_kernel,
-                     kernel_from_file, write_kernel_file)
+                     kernel_from_file)
 from .pure_solver import (PureSolution, PureAsymptotics, solve_free_energy_pure,
                           hc_pure, pure_asymptotics)
 from .disorder import (DisorderLaw, DisorderSample, disorder_law, sample_disorder,

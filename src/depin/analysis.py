@@ -6,9 +6,11 @@ a log-log scale, and smoothing_check assembles the full comparison:
 disordered exponent and envelope versus the exactly solvable homogeneous
 model on the same kernel.  The bisection and the scan read replica r's one
 disorder chain at every size, field and probe, and take an error bar from
-the spread of per-replica extrapolations; every straight-line fit (the N =
-inf extrapolation, the log-log exponent, each candidate critical point of
-the power-law fit) is one _wls_line solve.
+the spread of per-replica extrapolations.  The bisection reads a memo of
+probes keyed by field; the headline exponent and its jackknife refits take
+one fit route; every straight-line fit (the N = inf extrapolation, the
+log-log exponent, each candidate critical point of the power-law fit) is
+one _wls_line solve.
 """
 
 import math
@@ -149,12 +151,14 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     phase is right, in at most 8 probes; a copolymer's lower end stops at
     h = 0.
 
-    The search speculates when a build is narrow: the bracket ends are
-    evaluated in one build, and then the next d levels of the bisection
-    tree, 2^d - 1 midpoints, as (field, replica) rows of one build, with d
-    set by SPECULATION_CELLS.  Only the probes the one-at-a-time bisection
-    makes are kept, in its order, and every field is estimated bit for bit
-    as alone, so the result and the probes never depend on d.
+    Probes go into a memo keyed by field, and the search speculates when a
+    build is narrow: the bracket ends are evaluated in one build, and a
+    bisection probe at a field not yet known is built with the unknown
+    midpoints of the next d levels below its bracket, up to 2^d - 1 fields
+    as (field, replica) rows of one build, with d set by SPECULATION_CELLS.
+    The bisection then reads the memo one probe at a time, so no field is
+    built twice, and every field is estimated bit for bit as alone, so the
+    result and the probes never depend on d.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -167,17 +171,14 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
         if not kernel.reaches(n):
             raise UsageError(f"no path of the kernel ends at N={n}")
     floor = 4.0 / n_list[-1]
-    probes = []
+    probes, known = [], {}
     depth = _speculation_depth(beta, kernel, n_list[-1], replicas)
 
-    def evaluate(h_values) -> list:
-        """A probe (h, F_inf, threshold) per field, from one build."""
-        return [(h, f_inf, max(3.0 * sigma, floor))
-                for h, (f_inf, sigma, _) in zip(h_values, _extrapolate_at(
-                    kind, beta, h_values, kernel, law, n_list, replicas, seed))]
-
-    def localized(probe) -> bool:
-        return probe[1] > probe[2]
+    def evaluate(h_values) -> None:
+        """Put a probe (h, F_inf, threshold) per field in known, from one build."""
+        for h, (f_inf, sigma, _) in zip(h_values, _extrapolate_at(
+                kind, beta, h_values, kernel, law, n_list, replicas, seed)):
+            known[h] = (h, f_inf, max(3.0 * sigma, floor))
 
     def split(lo: float, hi: float):
         """The bisection's next midpoint of (lo, hi), or None where it stops."""
@@ -185,6 +186,21 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
         if not hi - lo > 2.0 * tol or mid in (lo, hi):  # adjacent floats
             return None
         return mid
+
+    def tree(lo: float, hi: float, levels: int) -> list:
+        """The bisection's midpoints in the next `levels` levels below (lo, hi)."""
+        mid = split(lo, hi)
+        if mid is None or levels == 0:
+            return []
+        return [mid, *tree(lo, mid, levels - 1), *tree(mid, hi, levels - 1)]
+
+    def localized(h: float, lo: float = 0.0, hi: float = 0.0) -> bool:
+        """Record the probe at h.  An h not yet known is built along with the
+        unknown midpoints of the next `depth` levels below (lo, hi)."""
+        if h not in known:
+            evaluate([x for x in dict.fromkeys([h, *tree(lo, hi, depth)]) if x not in known])
+        probes.append(known[h])
+        return known[h][1] > known[h][2]
 
     if h_window is None:
         if kind == "pinning":
@@ -198,53 +214,25 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
         raise UsageError("the search window needs h_lo < h_hi")
     width = hi - lo
 
-    def widen(end: float, probe, step: float, want: bool) -> float:
-        """Move a bracket end by step until its probe is localized (want) or
-        delocalized (not want), in at most 8 probes, all recorded; a
-        copolymer end stops at h = 0, below which no coupling exists."""
-        for i in range(8):
-            if i:
-                end += step
-                if kind == "copolymer" and end < 0.0:
-                    if probe[0] == 0.0:
-                        break
-                    end = 0.0
-                probe, = evaluate([end])
-            probes.append(probe)
-            if localized(probe) == want:
-                return end
-        side = "localized" if want else "delocalized"
-        raise ValueError(f"no {side} endpoint found in the search range")
-
-    # both first probes come from one build; the hi probe waits while lo widens
-    lo_probe, hi_probe = evaluate([lo, hi])
-    lo = widen(lo, lo_probe, -width, True)
-    hi = widen(hi, hi_probe, width, False)
-
-    while True:
-        # the midpoints of the next `depth` levels below (lo, hi), one build
-        level, mids = [(lo, hi)], []
-        for _ in range(depth):
-            below = []
-            for a, b in level:
-                mid = split(a, b)
-                if mid is not None:
-                    mids.append(mid)
-                    below += [(a, mid), (mid, b)]
-            level = below
-        if not mids:
+    evaluate([lo, hi])  # both first probes from one build
+    for i in range(8):  # no copolymer coupling exists below h = 0
+        if localized(lo):
             break
-        probe_at = dict(zip(mids, evaluate(mids)))
-        # walk the path the one-at-a-time bisection takes through them
-        for _ in range(depth):
-            mid = split(lo, hi)
-            if mid is None:
-                break
-            probes.append(probe_at[mid])
-            if localized(probe_at[mid]):
-                lo = mid
-            else:
-                hi = mid
+        if i == 7 or (kind == "copolymer" and lo == 0.0):
+            raise ValueError("no localized endpoint found in the search range")
+        lo = max(lo - width, 0.0) if kind == "copolymer" else lo - width
+    for i in range(8):
+        if not localized(hi):
+            break
+        if i == 7:
+            raise ValueError("no delocalized endpoint found in the search range")
+        hi += width
+
+    while (mid := split(lo, hi)) is not None:
+        if localized(mid, lo, hi):
+            lo = mid
+        else:
+            hi = mid
     return CriticalFit(hc=0.5 * (lo + hi), hc_err=0.5 * (hi - lo),
                        points=tuple(probes))
 
@@ -364,10 +352,12 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
     critical point.  Replica r reads its one chain at every probe, point
     and size, and a point's error bar is the standard error over replicas
     of its per-replica extrapolated F, so at least 2 replicas are needed (a
-    UsageError otherwise).  The critical exponent comes from a power-law
-    fit that re-fits the critical point on the scan (critical_power_fit),
-    with a leave-one-replica-out jackknife of the per-replica values for
-    its uncertainty; the envelope and ratio diagnostics are anchored at the
+    UsageError otherwise).  The fit route is chosen once, from the usable
+    scan points: with 5 or more, a power-law fit that re-fits the critical
+    point on the scan (critical_power_fit); with fewer, fit_exponent at the
+    bisection h_c.  The exponent's uncertainty is a leave-one-replica-out
+    jackknife on that same route, dropping a replica whose points are too
+    few for it; the envelope and ratio diagnostics are anchored at the
     conservative bisection h_c.  For pinning the homogeneous model on the
     same kernel is solved for contrast; a copolymer has no such contrast,
     and its scan leaves out fields below 0.
@@ -394,30 +384,34 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
 
     loc = [p for p in points if p[0] < hc]
     usable = select_fit_points(loc, hc, hc_err)
-    if len(usable) < 5:
-        fit = fit_exponent(loc, hc, hc_err)
-        hc_fit, exponent = hc, fit.exponent
-    else:
-        h_top = max(p[0] for p in usable)
-        hc_fit, exponent, _ = critical_power_fit(
-            usable, h_top + 0.02 * (hc - h_top), h_top + 0.3)
+    h_top = max((p[0] for p in usable), default=hc)
+
+    def fit(pts, grid_size: int):
+        """(critical point, exponent) of pts on the headline's route, or None
+        when pts are too few for it."""
+        if len(usable) >= 5:  # the critical point refitted on the scan
+            if len(pts) < 5:
+                return None
+            return critical_power_fit(pts, h_top + 0.02 * (hc - h_top), h_top + 0.3,
+                                      grid_size)[:2]
+        if len(select_fit_points(pts, hc, hc_err)) < 4:  # too few to refit it
+            return None
+        return hc, fit_exponent(pts, hc, hc_err).exponent
+
+    if (headline := fit(usable, 400)) is None:
+        raise ValueError("fewer than 4 usable points in the fit window")
+    hc_fit, exponent = headline
 
     # jackknife over replicas: each used point's leave-one-out mean of the
-    # per-replica F_inf, re-fitted (including the critical-point search)
+    # per-replica F_inf, re-fitted on the same route
     used_h = [p[0] for p in usable]
-    h_top = max(used_h)
     used = [(h, per, sig) for h, (_, sig, per) in zip(h_values, scan) if h in used_h]
     jack = []
     for r in range(replicas):
-        pts_r = []
-        for h, per, sig in used:
-            f_inf = float(np.delete(per, r).mean())
-            if f_inf > 0:
-                pts_r.append((h, f_inf, sig))
-        if len(pts_r) >= 5:
-            _, kappa_r, _ = critical_power_fit(pts_r, h_top + 0.02 * (hc - h_top),
-                                               h_top + 0.3, grid_size=200)
-            jack.append(kappa_r)
+        loo = [(h, float(np.delete(per, r).mean()), sig) for h, per, sig in used]
+        refit = fit([p for p in loo if p[1] > 0], 200)
+        if refit is not None:
+            jack.append(refit[1])
     if len(jack) >= 2:
         jk = np.array(jack)
         jack_err = math.sqrt((len(jk) - 1) / len(jk) * ((jk - jk.mean()) ** 2).sum())

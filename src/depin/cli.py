@@ -82,6 +82,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _flag(text: str) -> bool:
+    """A boolean from a config file: 1/0, true/false or yes/no, any case."""
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("not a boolean")
+    return text.lower() in ("1", "true", "yes")
+
+
 MAX_RANGE_POINTS = 100_000
 
 
@@ -130,7 +137,7 @@ _OPTIONS = {
     "pure": {
         "kernel": _COMMON["kernel"],
         "h": (_float_list, None, "field value(s), comma list or lo:hi:step"),
-        "asymptotics": (bool, False, "also print the transition classification"),
+        "asymptotics": (_flag, False, "also print the transition classification"),
         "out": _COMMON["out"],
     },
     "fe": {
@@ -189,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="key=value config file")
         for name, (conv, _default, help_text) in opts.items():
             flag = "--" + name.replace("_", "-")
-            if conv is bool:
+            if conv is _flag:
                 sp.add_argument(flag, action="store_const", const=True,
                                 default=None, help=help_text)
             else:
@@ -200,6 +207,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merge_options(cmd: str, args: argparse.Namespace) -> dict:
     table = _OPTIONS[cmd]
     file_cfg = read_config_file(args.config) if args.config else {}
+    for key in file_cfg:
+        if key not in table:
+            raise UsageError(f"{args.config}: {key!r} is not an option of {cmd}")
     merged = {}
     for name, (conv, default, _help) in table.items():
         raw = getattr(args, name)
@@ -207,8 +217,6 @@ def _merge_options(cmd: str, args: argparse.Namespace) -> dict:
             raw = file_cfg[name]
         if raw is None:
             merged[name] = default
-        elif conv is bool:
-            merged[name] = raw if isinstance(raw, bool) else raw.lower() in ("1", "true", "yes")
         else:
             try:
                 merged[name] = conv(raw) if isinstance(raw, str) else raw

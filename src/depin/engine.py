@@ -354,8 +354,9 @@ def constrained_window(table: LogPartitionTable, m: float, epsilon: float) -> fl
     if table.logz_j is None:
         raise ValueError("table carries no count-resolved matrix")
     n = table.n
-    lo = max(0, math.ceil((m - epsilon) * n - 1e-12))
-    hi = min(table.logz_j.shape[1] - 1, math.floor((m + epsilon) * n + 1e-12))
+    # a density lies in [0, 1]: clipping keeps an infinite product off ceil/floor
+    lo = max(0, math.ceil(max(m - epsilon, 0.0) * n - 1e-12))
+    hi = min(table.logz_j.shape[1] - 1, math.floor(min(m + epsilon, 1.0) * n + 1e-12))
     if hi < lo:
         return -math.inf
     return logsumexp_1d(table.logz_j[-1, lo:hi + 1])

@@ -266,12 +266,3 @@ def kernel_from_file(path) -> ReturnKernel:
     return ReturnKernel(dens, k_inf, s, None if math.isnan(alpha) else alpha, n_max,
                         family="file")
 
-
-def write_kernel_file(kernel: ReturnKernel, path) -> None:
-    """Emit the CSV schema understood by kernel_from_file (zero atoms omitted)."""
-    alpha = math.nan if kernel.alpha is None else kernel.alpha
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"s={kernel.period},k_inf={float(kernel.defect_mass)!r},alpha={float(alpha)!r}\n")
-        for i, k in enumerate(kernel.density):
-            if k > 0.0:
-                fh.write(f"{kernel.period * (i + 1)},{float(k)!r}\n")

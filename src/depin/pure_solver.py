@@ -92,8 +92,10 @@ def solve_free_energy_pure(kernel: ReturnKernel, h: float) -> PureSolution:
             deficit = -float(np.dot(kernel.density, em))
             moment = float(np.dot(steps, kernel.density * (em + 1.0)))
             return math.log1p(-deficit / mass) - gap, -moment / (mass - deficit)
-        # log-sum-exp, so that exp(h) may lie below the smallest double
-        x = kernel.log_density - b * steps
+        # log-sum-exp, so that exp(h) may lie below the smallest double; an
+        # overflow only makes a term -inf, which is exact
+        with np.errstate(over="ignore"):
+            x = kernel.log_density - b * steps
         top = x.max()
         e = np.exp(x - top)
         tilted = float(e.sum())

@@ -127,6 +127,18 @@ def test_smoothing_hc_inside_the_rigorous_bracket(monkeypatch, gaussian_law):
     assert report.hc_fit <= upper
 
 
+def test_smoothing_fixed_hc_route_has_a_jackknife_error(monkeypatch, gaussian_law):
+    # criterion 11's run: too few usable points to refit h_c, so the exponent
+    # is fitted at the bisection h_c, and so is every leave-one-replica-out
+    # refit (the error once read 0.0 on this route)
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    report = dp.smoothing_check(1.0, dp.power_kernel(3.0, 1, 256), gaussian_law,
+                                n_list=[256, 512], replicas=8, seed=11, tol=0.02,
+                                scan_gaps=(0.4, 0.3, 0.22, 0.16, 0.12, 0.09))
+    assert report.hc_fit == report.hc
+    assert math.isfinite(report.exponent_err) and report.exponent_err > 0.0
+
+
 def test_smoothing_needs_two_replicas(gaussian_law):
     with pytest.raises(analysis.UsageError, match="at least 2 replicas"):
         dp.smoothing_check(1.0, dp.power_kernel(3.0, 1, 64), gaussian_law, n_list=[64],
@@ -303,7 +315,7 @@ def test_speculation_equals_sequential_bisection(monkeypatch, gaussian_law, case
     builds = []
 
     def counted(models, *args):
-        builds.append(len(models))
+        builds.append([m.h for m in models])
         return dp.estimate_free_energy(models, *args)
 
     monkeypatch.setattr(analysis, "estimate_free_energy", counted)
@@ -311,6 +323,8 @@ def test_speculation_equals_sequential_bisection(monkeypatch, gaussian_law, case
                        h_window=window)
     assert (repr(fit.hc), repr(fit.hc_err)) == (repr(hc), repr(hc_err))
     assert [repr(p) for p in fit.points] == [repr(p) for p in probes]
+    fields = [h for build in builds for h in build]
+    assert len(set(fields)) == len(fields)  # no field is built twice
     if depth == 1:
         assert len(builds) == len(probes) - 1  # the bracket ends share a build
     else:

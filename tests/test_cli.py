@@ -101,6 +101,23 @@ def test_config_file_and_precedence(tmp_path, capsys):
     assert read_config_file(cfg) == {"kernel": "geometric:p=0.5", "h": "-1"}
 
 
+def test_config_file_rejects_unknown_keys_and_booleans(tmp_path, capsys):
+    # a misspelt key once ran with its default, and an unreadable boolean
+    # once turned the flag off, both with exit 0
+    cases = [("fe", "N = 64\nreplica = 3\n", "'replica'"),
+             ("pure", "asymptotics = ture\n", "--asymptotics")]
+    for cmd, lines, named in cases:
+        cfg = tmp_path / f"{cmd}.cfg"
+        cfg.write_text("kernel = geometric:p=0.5\nh = -1\n" + lines, encoding="utf-8")
+        assert run([cmd, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and err.count("\n") == 1
+    cfg = tmp_path / "no.cfg"
+    cfg.write_text("kernel = geometric:p=0.5\nh = -1\nasymptotics = No\n", encoding="utf-8")
+    assert run(["pure", "--config", str(cfg)]) == 0
+    assert "order=" not in capsys.readouterr().out
+
+
 def test_exit_codes(tmp_path, capsys):
     assert run(["pure", "--h", "-1"]) == 2                  # missing required
     assert run(["pure", "--kernel", "geometric:p=0.5",

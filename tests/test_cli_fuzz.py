@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from depin.cli import run
 
 NUMBERS = st.sampled_from(["0", "1", "-1", "0.5", "-0.5", "2", "1e-300", "1e300",
-                           "-1e300", "nan", "inf", "-inf", "oops", "", "3.7"])
+                           "1e308", "-1e300", "nan", "inf", "-inf", "oops", "", "3.7"])
 FIELDS = st.one_of(
     NUMBERS,
     st.floats(-3.0, 3.0).map(repr),
@@ -84,6 +84,8 @@ def argvs(draw):
                "--replicas=2"])
 @example(argv=["hc", "--kernel=geometric:p=0.5,n_max=16", "--beta=1", "--N-list=64",
                "--replicas=-1", "--tol=0.01"])  # no replicas once never returned
+@example(argv=["phi", "--kernel=geometric:p=0.5", "--m-grid=0.5", "--N=64",
+               "--epsilon=1e308"])  # once an OverflowError in the density window
 def test_cli_never_crashes(monkeypatch, argv):
     monkeypatch.setenv("DEPIN_THREADS", "1")
     out, err = io.StringIO(), io.StringIO()

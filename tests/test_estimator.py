@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import depin as dp
 from depin.estimator import worker_count
@@ -23,13 +23,17 @@ LAW = dp.disorder_law("gaussian")
        fields=st.lists(st.floats(0.0, 2.0), min_size=3, max_size=5, unique=True),
        threads=st.sampled_from(["1", "2"]),
        seed=st.integers(0, 2**63))
+# distinct fields that f - 1.0 maps to one float
+@example(kind="pinning", sizes=[4], replicas=2, beta=1.0,
+         fields=[0.0, 1.2184298464742672e-93, 1.0625474275265165e-159], threads="1", seed=0)
 def test_each_replica_monotone_convex_in_h(monkeypatch, kind, sizes, replicas, beta, fields,
                                            threads, seed):
     # with the disorder shared across fields, each replica's (1/N) log Z is
     # non-increasing (its h-derivative is minus a density) and convex (the
     # second derivative is a variance) in h, up to rounding
     kern = dp.srw_kernel(12) if kind == "copolymer" else dp.geometric_kernel(0.5, n_max=16)
-    hs = sorted(fields) if kind == "copolymer" else sorted(f - 1.0 for f in fields)
+    hs = sorted(set(fields) if kind == "copolymer" else {f - 1.0 for f in fields})
+    assume(len(hs) >= 3)
     models = [dp.ModelSpec(kind, beta, h, kern) for h in hs]
     n_list = [kern.period * k for k in sizes]
     monkeypatch.setenv("DEPIN_THREADS", threads)

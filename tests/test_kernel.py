@@ -149,12 +149,6 @@ def test_kernel_from_file_roundtrip(tmp_path):
     assert kern.density[0] == 0.5 and kern.density[1] == 0.5
     assert kern.alpha == 1.5
 
-    out = tmp_path / "rt.csv"
-    dp.write_kernel_file(kern, out)
-    back = dp.kernel_from_file(out)
-    assert np.array_equal(back.density, kern.density)
-    assert back.defect_mass == kern.defect_mass
-
 
 def test_kernel_from_file_wetting(tmp_path):
     path = tmp_path / "wet.csv"

@@ -30,6 +30,14 @@ def test_tiny_gap_resolved():
         assert sol.b == pytest.approx(math.log1p(0.5 * math.expm1(h)) - h, rel=1e-12)
 
 
+def test_far_field_overflow_is_silent():
+    # b * steps overflows there, which only makes terms -inf (exact); no
+    # RuntimeWarning may escape, and the suite turns any into an error
+    sol = dp.solve_free_energy_pure(dp.geometric_kernel(0.5), -1e308)
+    assert sol.localized
+    assert sol.b == pytest.approx(closed_form_geometric_b(0.5, -1e308), rel=1e-12)
+
+
 def test_single_atom_kernel():
     kern = dp.power_kernel(3.0, 1, 1)  # K(1) = 1
     sol = dp.solve_free_energy_pure(kern, -0.3)

@@ -146,10 +146,10 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     extrapolations, and a floor of 4/max(N) that keeps the beta = 0 or
     one-replica case (zero sigma) off the finite-size extrapolation
     residue.  A size that no chain of the kernel's excursions reaches is a
-    UsageError, raised before any estimate, and so is an h_window without
-    lo < hi.  Each bracket end moves out by the window's width until its
-    phase is right, in at most 8 probes; a copolymer's lower end stops at
-    h = 0.
+    UsageError, raised before any estimate, and so are a repeated size, an
+    h_window without lo < hi, and a copolymer h_window with lo < 0.  Each
+    bracket end moves out by the window's width until its phase is right,
+    in at most 8 probes; a copolymer's lower end stops at h = 0.
 
     Probes go into a memo keyed by field, and the search speculates when a
     build is narrow: the bracket ends are evaluated in one build, and a
@@ -170,6 +170,9 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     for n in n_list:
         if not kernel.reaches(n):
             raise UsageError(f"no path of the kernel ends at N={n}")
+    if len(set(n_list)) < len(n_list):
+        raise UsageError("each size may appear once: a repeated size is not "
+                         "an independent one")
     floor = 4.0 / n_list[-1]
     probes, known = [], {}
     depth = _speculation_depth(beta, kernel, n_list[-1], replicas)
@@ -212,6 +215,9 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
         lo, hi = h_window
     if not lo < hi:
         raise UsageError("the search window needs h_lo < h_hi")
+    if kind == "copolymer" and lo < 0.0:
+        raise UsageError("a copolymer search window needs h_lo >= 0: no "
+                         "copolymer coupling exists below h = 0")
     width = hi - lo
 
     evaluate([lo, hi])  # both first probes from one build
@@ -360,7 +366,9 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
     few for it; the envelope and ratio diagnostics are anchored at the
     conservative bisection h_c.  For pinning the homogeneous model on the
     same kernel is solved for contrast; a copolymer has no such contrast,
-    and its scan leaves out fields below 0.
+    and its scan leaves out fields below 0.  scan_gaps are distances below
+    h_c; a list that is empty, holds a gap <= 0 or repeats one is a
+    UsageError, raised before the bisection.
     """
     if beta <= 0:
         raise ValueError("the envelope check needs beta > 0")
@@ -369,6 +377,9 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
                          "bars are their spread")
     if kernel.alpha is None:
         raise ValueError("kernel must declare a tail exponent")
+    if not (scan_gaps and all(g > 0 for g in scan_gaps)
+            and len(set(scan_gaps)) == len(scan_gaps)):
+        raise UsageError("the scan gaps must be positive and distinct")
     fit0 = locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol)
     hc, hc_err = fit0.hc, fit0.hc_err
     n_list = sorted(n_list)

@@ -3,10 +3,12 @@
 Replicas are IID disorder realizations; replica r of a run with master seed
 S draws its charges from the child seed spawn_seed(S, r), one chain read at
 every field and size, so results do not depend on how replicas are
-scheduled.  The replicas are cut into contiguous
-blocks, one per worker process (their number capped by the DEPIN_THREADS
-environment variable); a block of replicas, pinning or copolymer, runs
-through the one renewal core together, in runs of at most BLOCK_CELLS
+scheduled.  The replicas are cut into contiguous blocks, one per worker
+(their number capped by the DEPIN_THREADS environment variable and by the
+replica count).  A process pool starts, and concurrent.futures is imported,
+only when an estimate has beta > 0 and more than one worker; otherwise the
+one block runs in this process.  A block of replicas, pinning or copolymer,
+runs through the one renewal core together, in runs of at most BLOCK_CELLS
 charges so that a worker's memory does not grow with the replica count.
 A row of the core is a (field, replica) pair: the fields of one estimate
 share each replica's disorder row, so a list of fields costs one build,
@@ -25,7 +27,6 @@ reserved for derived quantities (see the analysis module).
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,7 @@ def _map_replicas(fn, args: tuple, replicas: int) -> list:
     tasks = [args + (lo, hi) for lo, hi in zip(edges, edges[1:])]
     if workers == 1:
         return [fn(tasks[0])]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 

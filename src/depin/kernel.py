@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import zeta
 
 NORMALIZATION_TOL = 1e-12
 FILE_NORMALIZATION_TOL = 1e-9
@@ -131,7 +130,10 @@ class ReturnKernel:
         """sum n K(n) of the ideal law; may be inf.
 
         For families with a closed form (power, geometric, srw) this is the
-        untruncated value; for tabulated kernels the table is the law.
+        untruncated value; for tabulated kernels the table is the law.  A
+        power law with alpha > 2 has the finite value
+        s (1 - K(inf)) zeta(alpha - 1) / zeta(alpha), the one quantity that
+        needs scipy: it is imported there, so no other run loads it.
         """
         if self.family == "geometric":
             return 1.0 / (1.0 - self.family_params["p"])
@@ -141,6 +143,7 @@ class ReturnKernel:
             a = self.family_params["alpha"]
             if a <= 2.0:
                 return math.inf
+            from scipy.special import zeta
             c_ideal = (1.0 - self.defect_mass) / zeta(a)
             return float(self.period * c_ideal * zeta(a - 1.0))
         return self.mean_return_steps

@@ -145,6 +145,34 @@ def test_smoothing_needs_two_replicas(gaussian_law):
                            replicas=1, seed=3)
 
 
+def _no_build(*args):
+    raise AssertionError("an input no run can use reached a build")
+
+
+def test_locate_hc_rejects_repeated_sizes_and_copolymer_fields_below_0(
+        monkeypatch, gaussian_law):
+    # a repeated size would count as an independent one in the extrapolation
+    monkeypatch.setattr(analysis, "estimate_free_energy", _no_build)
+    for sizes in ([64, 32, 64], [64, 64]):
+        with pytest.raises(analysis.UsageError, match="each size may appear once"):
+            dp.locate_hc("pinning", 1.0, GEO, gaussian_law, sizes, 4, 3, 1e-2)
+    with pytest.raises(analysis.UsageError, match="h_lo >= 0"):
+        dp.locate_hc("copolymer", 0.5, dp.srw_kernel(64), gaussian_law, [64, 128], 4, 2,
+                     5e-2, h_window=(-1.0, 1.0))
+
+
+def test_smoothing_rejects_bad_scan_gaps_before_the_bisection(monkeypatch, gaussian_law):
+    # a gap <= 0 puts a "localized" point at or above h_c, a repeated one
+    # counts a field twice; neither reaches locate_hc
+    monkeypatch.setattr(analysis, "locate_hc", _no_build)
+    kern = dp.power_kernel(3.0, 1, 256)
+    for gaps in ((0.4, 0.3, 0.22, 0.16, 0.12, -0.09), (0.4, 0.3, 0.22, 0.16, 0.12, 0.0),
+                 (0.4, 0.4, 0.22, 0.16, 0.12, 0.09), (0.4, math.nan), ()):
+        with pytest.raises(analysis.UsageError, match="positive and distinct"):
+            dp.smoothing_check(1.0, kern, gaussian_law, n_list=[256, 512], replicas=8,
+                               seed=11, tol=0.02, scan_gaps=gaps)
+
+
 def test_locate_hc_beta0_kernels(gaussian_law):
     n_list = [2048, 4096, 8192]
     fit = dp.locate_hc("pinning", 0.0, GEO, gaussian_law, n_list, 1, 3, 1e-3)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,6 +175,21 @@ def test_exit_codes(tmp_path, capsys):
         ["hc", *geo, "--N-list", "64", "--h-lo", "0.3"],
         ["hc", *geo, "--N-list", "64", "--h-hi", "0.3"],
         ["hc", *geo, "--N-list", "64", "--h-lo", "0.3", "--h-hi=-0.5"],
+        # no copolymer coupling exists below h = 0: named before any build
+        ["hc", "--kind", "copolymer", "--kernel", "srw:n_max=64", "--beta", "0.5",
+         "--N-list", "64,128", "--replicas", "4", "--seed", "2", "--tol", "0.05",
+         "--h-lo=-1", "--h-hi=1"],
+        # a repeated size is not an independent one
+        ["hc", *geo, "--beta", "1", "--N-list", "64,32,64", "--replicas", "2"],
+        ["hc", *geo, "--beta", "1", "--N-list", "64,64", "--replicas", "2"],
+        ["smooth", "--kernel", "power:alpha=3,s=1,n_max=64", "--beta", "1",
+         "--N-list", "64,32,64", "--replicas", "2"],
+        # scan gaps lie strictly below h_c, each once
+        *(["smooth", "--kernel", "power:alpha=3,s=1,n_max=256", "--beta", "1",
+           "--N-list", "256,512", "--replicas", "8", "--seed", "11", "--tol", "0.02",
+           f"--scan-gaps={gaps}"]
+          for gaps in ("0.4,0.3,0.22,0.16,0.12,-0.09", "0.4,0.3,0.22,0.16,0.12,0",
+                       "0.4,0.4,0.22,0.16,0.12,0.09")),
     ]
     for argv in usage:
         capsys.readouterr()
@@ -265,3 +283,56 @@ def test_smooth_copolymer_scan_stays_at_nonnegative_fields(tmp_path, capsys):
     assert (payload["pure_order"], payload["pure_slope"],
             payload["pure_ratio_target"]) == (None, None, None)
     capsys.readouterr()
+
+
+_IMPORTS_SCRIPT = """\
+import contextlib, io, json, os, sys
+import depin.cli as cli
+
+def loaded():
+    return [m for m in ("scipy", "multiprocessing", "concurrent.futures.process")
+            if m in sys.modules]
+
+report = {"import": loaded()}
+runs = {
+    "fe": ("2", ["fe", "--kernel", "geometric:p=0.5", "--beta", "0", "--h=-0.5",
+                 "--N", "64", "--replicas", "4"]),
+    "phi": ("1", ["phi", "--kernel", "geometric:p=0.5", "--beta", "1",
+                  "--m-grid", "0.3,0.6", "--N", "64", "--replicas", "4"]),
+    "srw": ("1", ["pure", "--kernel", "srw:n_max=64", "--h=-0.5", "--asymptotics"]),
+    "geometric": ("1", ["pure", "--kernel", "geometric:p=0.5", "--h=-0.5",
+                        "--asymptotics"]),
+    "power2": ("1", ["pure", "--kernel", "power:alpha=2,s=1,n_max=100", "--h=-0.5",
+                     "--asymptotics"]),
+    "power": ("1", ["pure", "--kernel", "power:alpha=3,s=1,n_max=100", "--h=-0.5",
+                    "--asymptotics"]),
+}
+for name, (threads, argv) in runs.items():
+    os.environ["DEPIN_THREADS"] = threads
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    report[name] = [code, out.getvalue().splitlines()[-1], loaded()]
+print(json.dumps(report))
+"""
+
+
+def test_runs_import_scipy_and_the_pool_only_when_used(tmp_path):
+    # a fresh interpreter: importing the command line loads neither scipy
+    # nor a process pool; a beta = 0 estimate and a one-worker run start no
+    # pool, and only the ideal mean return time of a power law with
+    # alpha > 2 (zeta) loads scipy, with the line it prints unchanged;
+    # alpha = 2 has an infinite one and loads nothing
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", _IMPORTS_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(done.stdout)
+    assert report["import"] == []
+    for name in ("fe", "phi", "srw", "geometric", "power2"):
+        code, _line, loaded = report[name]
+        assert (code, loaded) == (0, []), name
+    assert report["srw"][1] == "order=second exponent=2.0 slope=- hc=-0.0"
+    assert report["geometric"][1] == "order=first exponent=1.0 slope=0.5 hc=-0.0"
+    assert report["power"] == [
+        0, "order=first exponent=1.0 slope=0.7307629694014385 hc=-0.0", ["scipy"]]

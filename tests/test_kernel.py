@@ -70,6 +70,27 @@ def test_power_kernel_partial_zeta():
     assert half.density[0] == pytest.approx(0.5 / partial, rel=1e-13)
 
 
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.5])
+@pytest.mark.parametrize("defect", [0.0, 0.5])
+@pytest.mark.parametrize("s", [1, 2])
+def test_ideal_mean_return_of_power_kernels(alpha, defect, s):
+    # s (1 - K(inf)) zeta(alpha - 1) / zeta(alpha), to the last bit
+    from scipy.special import zeta
+
+    kern = dp.power_kernel(alpha, s, 50, defect_mass=defect)
+    expected = float(s * (1.0 - defect) / zeta(alpha) * zeta(alpha - 1.0))
+    assert kern.ideal_mean_return() == expected
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_ideal_mean_return_is_infinite_up_to_alpha_2(alpha):
+    # whatever the finite table holds
+    for defect in (0.0, 0.5):
+        kern = dp.power_kernel(alpha, 2, 50, defect_mass=defect)
+        assert kern.ideal_mean_return() == math.inf
+        assert math.isfinite(kern.mean_return_steps)
+
+
 def test_power_kernel_ratio_exact():
     kern = dp.power_kernel(2.5, 3, 200)
     n = np.arange(1, 200)

@@ -306,9 +306,13 @@ def _cmd_pure(merged: dict) -> int:
 
 
 def _cmd_fe(merged: dict) -> int:
+    ns = merged["N"]
+    for name, values in (("size", ns), ("field", merged["h"])):
+        if len(set(values)) < len(values):
+            raise UsageError(f"each {name} may appear once: a repeated {name} "
+                             "repeats its row")
     kernel = parse_kernel_spec(merged["kernel"])
     law = disorder_law(merged["law"])
-    ns = merged["N"]
     # one build serves every field and size; rows stay N-outer, h-inner
     models = [ModelSpec(merged["kind"], merged["beta"], h, kernel) for h in merged["h"]]
     by_h = estimate_free_energy(models, law, ns, merged["replicas"], merged["seed"])

@@ -23,6 +23,12 @@ field h from an optional column (model.h for every row by default).
 Couplings under which log Z could leave the floating-point range are
 rejected.
 
+The copolymer split term log1p(e^x) - log 2 is exact, not approximated: it
+is evaluated only for |x| < SATURATION = 40 and is max(x, 0) - log 2
+elsewhere, which is the same double.  For x <= -40, log1p(e^x) <= e^-40 ~
+4.2e-18 is below half an ulp of log 2, and for x >= 40, log1p(e^-x) is below
+half an ulp of x, so both drop out in rounding.
+
 Tables are deterministic functions of (model, disorder sample, N); builds
 share no mutable state and can run concurrently.
 """
@@ -37,6 +43,12 @@ from .disorder import DisorderSample
 from .kernel import ReturnKernel
 
 LOG2 = math.log(2.0)
+# for |x| >= SATURATION, np.logaddexp(0, x) - LOG2 == max(x, 0) - LOG2 in
+# doubles: for x <= -40, log1p(e^x) <= e^-40 ~ 4.2e-18 is below half an ulp
+# of LOG2 (5.55e-17), so the difference rounds to -LOG2; for x >= 40,
+# log1p(e^-x) is below half an ulp of x (>= 3.55e-15), so x + log1p(e^-x)
+# rounds to x.  Some x in [-38, -37] break the identity: the margin is thin.
+SATURATION = 40.0
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -135,7 +147,14 @@ def _renewal(kind: str, model: ModelSpec, omega, n: int, h=None):
     row r carries the field h[r] (default model.h).  Pinning adds the
     charge beta w - h to each step and finishes a row as
     c + m + math.log(x); the copolymer adds a split term to each (step,
-    excursion) cell and finishes the block as m + np.log(x)."""
+    excursion) cell and finishes the block as m + np.log(x).
+
+    The split term is np.logaddexp(0, x) - LOG2, where x = c_grid - c_last
+    is minus the excursion's interior charge.  logaddexp runs only on the
+    cells with |x| < SATURATION; the others take max(x, 0) - LOG2, the same
+    double: for x <= -40, log1p(e^x) <= 4.2e-18 vanishes beside LOG2, and
+    for x >= 40, log1p(e^-x) vanishes beside x (each is below half an
+    ulp)."""
     if model.kind != kind:
         raise ValueError(f"{kind} recursion called with a non-{kind} model")
     one = isinstance(omega, DisorderSample)
@@ -160,6 +179,7 @@ def _renewal(kind: str, model: ModelSpec, omega, n: int, h=None):
         np.cumsum(model.beta * values[:, :n] + h[:, None], axis=1, out=prefix[:, 1:])
         c_grid, c_last = prefix[:, ::s], prefix[:, s - 1::s]
         split_buf = np.empty(rows * w_max)
+        near_buf = np.empty(rows * w_max, dtype=bool)
 
     logz = np.empty((rows, t_max + 1))
     logz[:, 0] = 0.0
@@ -170,12 +190,17 @@ def _renewal(kind: str, model: ModelSpec, omega, n: int, h=None):
         for t in range(1, t_max + 1):
             w = min(t, w_max)
             seg = buf[:rows * w].reshape(rows, w)
+            if not pinning:
+                # log1p(e^x) only where rounding leaves it open; seg holds |x|
+                split = split_buf[:rows * w].reshape(rows, w)
+                near = near_buf[:rows * w].reshape(rows, w)
+                np.subtract(c_grid[:, t - w:t], c_last[:, t - 1:t], out=split)
+                np.less(np.abs(split, out=seg), SATURATION, out=near)
+                np.logaddexp(0.0, split, out=split, where=near)
+                np.maximum(split, 0.0, out=split)
+                split -= LOG2
             np.add(logz[:, t - w:t], rk[w_max - w:], out=seg)
             if not pinning:
-                split = split_buf[:rows * w].reshape(rows, w)
-                np.subtract(c_grid[:, t - w:t], c_last[:, t - 1:t], out=split)
-                np.logaddexp(0.0, split, out=split)
-                split -= LOG2
                 seg += split
             m = seg.max(axis=1, keepdims=True)
             np.subtract(seg, m, out=seg)
@@ -232,7 +257,11 @@ def log_partition_copolymer(model: ModelSpec, omega, n: int, h=None):
     summands are the above/below choices of the excursion sign.  For k = s
     = 1 the interior is empty and the expression collapses to the undivided
     weight K(1), as there is no sign to choose.  Interior sums come from a
-    prefix-sum block, so each transition costs O(1).  omega is one
+    prefix-sum block, so each transition costs O(1).  The split term
+    log1p(e^x) - log 2, x minus the interior sum, is exact: log1p runs only
+    where |x| < 40, and elsewhere max(x, 0) - log 2 is the same double,
+    since for x <= -40 log1p(e^x) <= 4.2e-18 vanishes beside log 2 and for
+    x >= 40 log1p(e^-x) vanishes beside x.  omega is one
     DisorderSample or an (R, >= n) block of rows, and h an optional column
     of R fields (each >= 0), as for log_partition_pinning; row r of a block
     is bit for bit its own table.

@@ -95,6 +95,14 @@ _RECURSION = {"pinning": dp.log_partition_pinning,
          h=-10.0, zero_frac=0.3, first_zero=False, law="rademacher", seed=2)
 @example(kind="copolymer", rows=40, n_max=200, period=2, steps=220, extra=3, beta=5.0,
          h=10.0, zero_frac=0.3, first_zero=False, law="rademacher", seed=2)
+# copolymer splits: all exactly 0 (logaddexp's x == y branch); all
+# saturated beyond 4 interior sites; on both sides of the +-40 band
+@example(kind="copolymer", rows=5, n_max=150, period=1, steps=200, extra=0, beta=0.0,
+         h=0.0, zero_frac=0.0, first_zero=False, law="gaussian", seed=3)
+@example(kind="copolymer", rows=5, n_max=150, period=1, steps=200, extra=0, beta=0.0,
+         h=10.0, zero_frac=0.0, first_zero=False, law="gaussian", seed=3)
+@example(kind="copolymer", rows=8, n_max=180, period=2, steps=200, extra=1, beta=5.0,
+         h=0.2, zero_frac=0.3, first_zero=False, law="gaussian", seed=4)
 def test_batched_rows_match_single_rows(kind, rows, n_max, period, steps, extra, beta, h,
                                         zero_frac, first_zero, law, seed):
     kern = sparse_kernel(n_max, period, zero_frac, first_zero, seed)

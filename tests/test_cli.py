@@ -184,6 +184,9 @@ def test_exit_codes(tmp_path, capsys):
         ["hc", *geo, "--beta", "1", "--N-list", "64,64", "--replicas", "2"],
         ["smooth", "--kernel", "power:alpha=3,s=1,n_max=64", "--beta", "1",
          "--N-list", "64,32,64", "--replicas", "2"],
+        # fe prints one row per (size, field): a repeat would print it twice
+        ["fe", *geo, "--beta", "1", "--h=-0.5", "--N", "64,64", "--replicas", "4"],
+        ["fe", *geo, "--beta", "1", "--h=-0.5,-0.5", "--N", "64", "--replicas", "4"],
         # scan gaps lie strictly below h_c, each once
         *(["smooth", "--kernel", "power:alpha=3,s=1,n_max=256", "--beta", "1",
            "--N-list", "256,512", "--replicas", "8", "--seed", "11", "--tol", "0.02",

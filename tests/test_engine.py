@@ -6,6 +6,8 @@ import pytest
 
 import depin as dp
 from conftest import assert_log_close, random_instance
+from depin import engine
+from test_batched import _reference_copolymer_row
 
 
 GEO = dp.geometric_kernel(0.5, n_max=48)
@@ -118,6 +120,40 @@ def test_copolymer_charge_reflection():
     partner = dp.copolymer_reflection_partner(om, beta, n)
     rhs = beta * float(om.values[:n].sum()) + math.log(partner)
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_copolymer_split_saturation_is_exact():
+    sat, log2 = engine.SATURATION, math.log(2.0)
+
+    def saturates(x):
+        return np.logaddexp(0.0, x) - log2 == np.maximum(x, 0.0) - log2
+
+    # (a) from SATURATION on, log1p(e^x) - log 2 rounds to max(x, 0) - log 2
+    mag = np.linspace(sat, 800.0, 200_001)
+    edge = np.nextafter(sat, math.inf)
+    x = np.concatenate([mag, -mag, [edge, -edge, 1e300, -1e300]])
+    assert np.all(saturates(x))
+    # (b) the margin is real: some x in [-38, -37] break the identity, so a
+    # SATURATION below about 37.5 would change bytes
+    x = np.random.default_rng(3).uniform(-38.0, -37.0, 1000)
+    broken = x[~saturates(x)]
+    assert broken.size > 0 and np.abs(broken).max() < sat
+    # (c) a block whose splits fall below -40, inside the band and above
+    # +40 gives the bytes of the plain-logaddexp reference row by row
+    kern = dp.srw_kernel(64)
+    n, s = 256, kern.period
+    model = dp.ModelSpec("copolymer", 5.0, 0.3, kern)
+    values = np.stack([dp.sample_disorder(LAW, n, 70 + r).values for r in range(4)])
+    prefix = np.concatenate([np.zeros((4, 1)),
+                             np.cumsum(model.beta * values + model.h, axis=1)], axis=1)
+    splits = np.concatenate([prefix[:, u * s] - prefix[:, t * s - 1]
+                             for t in range(1, n // s + 1)
+                             for u in range(max(0, t - kern.n_max), t)])
+    assert splits.min() <= -sat and splits.max() >= sat
+    assert np.any(np.abs(splits) < sat)
+    block = dp.log_partition_copolymer(model, values, n)
+    for row, vals in zip(block, values):
+        assert row.tobytes() == _reference_copolymer_row(model, vals, n).tobytes()
 
 
 @pytest.mark.parametrize("i", range(8))

@@ -7,10 +7,11 @@ disordered exponent and envelope versus the exactly solvable homogeneous
 model on the same kernel.  The bisection and the scan read replica r's one
 disorder chain at every size, field and probe, and take an error bar from
 the spread of per-replica extrapolations.  The bisection reads a memo of
-probes keyed by field; the headline exponent and its jackknife refits take
-one fit route; every straight-line fit (the N = inf extrapolation, the
-log-log exponent, each candidate critical point of the power-law fit) is
-one _wls_line solve.
+probes keyed by field, whose first build holds both bracket ends and the
+first levels of the bisection tree below them; the headline exponent and
+its jackknife refits take one fit route; every straight-line fit (the
+N = inf extrapolation, the log-log exponent, each candidate critical point
+of the power-law fit) is one _wls_line solve.
 """
 
 import math
@@ -152,10 +153,12 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     in at most 8 probes; a copolymer's lower end stops at h = 0.
 
     Probes go into a memo keyed by field, and the search speculates when a
-    build is narrow: the bracket ends are evaluated in one build, and a
-    bisection probe at a field not yet known is built with the unknown
+    build is narrow: the first build holds both bracket ends and the
+    midpoints of the first d levels of the bisection between them, and a
+    later probe at a field not yet known is built with the unknown
     midpoints of the next d levels below its bracket, up to 2^d - 1 fields
     as (field, replica) rows of one build, with d set by SPECULATION_CELLS.
+    An end that has to move leaves the first build's midpoints unread.
     The bisection then reads the memo one probe at a time, so no field is
     built twice, and every field is estimated bit for bit as alone, so the
     result and the probes never depend on d.
@@ -220,7 +223,8 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
                          "copolymer coupling exists below h = 0")
     width = hi - lo
 
-    evaluate([lo, hi])  # both first probes from one build
+    # both first probes and the bisection's first `depth` levels from one build
+    evaluate([lo, hi, *tree(lo, hi, depth)])
     for i in range(8):  # no copolymer coupling exists below h = 0
         if localized(lo):
             break

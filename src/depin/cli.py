@@ -75,6 +75,15 @@ def _size_list(text: str):
     return sizes
 
 
+def _seed(text: str) -> int:
+    """A master seed: an integer in [0, 2^64), which spawn_seed reads
+    whole (a seed outside it would alias one inside)."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise ValueError("not in [0, 2**64)")
+    return value
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -128,7 +137,7 @@ _COMMON = {
     "kernel": (str, None, "kernel spec (see module docstring)"),
     "law": (str, "gaussian", "disorder law"),
     "beta": (_finite, 0.0, "disorder strength"),
-    "seed": (int, 0, "master seed (64-bit)"),
+    "seed": (_seed, 0, "master seed, in [0, 2^64)"),
     "replicas": (_size, 8, "disorder replicas"),
     "out": (str, None, "output directory"),
 }
@@ -171,7 +180,7 @@ _OPTIONS = {
     "verify": {
         "N": (int, 12, "maximum size for the oracle battery"),
         "draws": (_size, 20, "random draws per check"),
-        "seed": (int, 0, "master seed"),
+        "seed": _COMMON["seed"],
     },
 }
 

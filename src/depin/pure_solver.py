@@ -74,6 +74,10 @@ def solve_free_energy_pure(kernel: ReturnKernel, h: float) -> PureSolution:
     root.  A root below the smallest subnormal is returned as that
     subnormal, so b > 0 exactly when h < h_c.  residual is
     |left side - right side| at the returned b.  A non-finite h is rejected.
+    Its two work arrays, each the length of the table, are allocated once
+    per solve and reused across Newton steps, with the same operations in
+    the same order at every step, so b and residual do not depend on the
+    reuse.
     """
     if not math.isfinite(h):
         raise ValueError("h must be finite")
@@ -84,20 +88,24 @@ def solve_free_energy_pure(kernel: ReturnKernel, h: float) -> PureSolution:
     mass = 1.0 - kernel.defect_mass
     near = gap > -LOG2
     steps = kernel.steps
+    # work arrays shared by every Newton step; expm1 and exp read one and
+    # write the other, never in place
+    x, e = np.empty_like(steps), np.empty_like(steps)
 
     def excess(b: float) -> tuple[float, float]:
         # (left side - right side, its derivative in b)
         if near:
-            em = np.expm1(-b * steps)
-            deficit = -float(np.dot(kernel.density, em))
-            moment = float(np.dot(steps, kernel.density * (em + 1.0)))
+            np.expm1(np.multiply(steps, -b, out=x), out=e)
+            deficit = -float(np.dot(kernel.density, e))
+            np.multiply(np.add(e, 1.0, out=x), kernel.density, out=x)
+            moment = float(np.dot(steps, x))
             return math.log1p(-deficit / mass) - gap, -moment / (mass - deficit)
         # log-sum-exp, so that exp(h) may lie below the smallest double; an
         # overflow only makes a term -inf, which is exact
         with np.errstate(over="ignore"):
-            x = kernel.log_density - b * steps
+            np.subtract(kernel.log_density, np.multiply(steps, b, out=x), out=x)
         top = x.max()
-        e = np.exp(x - top)
+        np.exp(np.subtract(x, top, out=x), out=e)
         tilted = float(e.sum())
         return top + math.log(tilted) - h, -float(np.dot(steps, e)) / tilted
 

@@ -217,7 +217,8 @@ def test_locate_hc_rejects_no_replicas_and_bad_windows(gaussian_law):
 
 def test_locate_hc_copolymer_lower_end_stops_at_zero(monkeypatch, gaussian_law):
     # h = 0 is delocalized here: from 0.3 the lower end steps to 0, not to
-    # 0.3 - 0.7, and the search fails without building a field below 0
+    # 0.3 - 0.7, and the search fails without building a field below 0 (the
+    # first build holds the ends and the first midpoint, at depth 1)
     monkeypatch.setenv("DEPIN_THREADS", "1")
     fields = []
 
@@ -229,7 +230,7 @@ def test_locate_hc_copolymer_lower_end_stops_at_zero(monkeypatch, gaussian_law):
     with pytest.raises(ValueError, match="no localized endpoint found"):
         dp.locate_hc("copolymer", 0.5, dp.srw_kernel(128), gaussian_law, [64, 128], 8,
                      2, 1e-2, h_window=(0.3, 1.0))
-    assert fields == [0.3, 1.0, 0.0]
+    assert fields == [0.3, 1.0, 0.65, 0.0]
 
 
 def test_select_fit_points():
@@ -354,9 +355,42 @@ def test_speculation_equals_sequential_bisection(monkeypatch, gaussian_law, case
     fields = [h for build in builds for h in build]
     assert len(set(fields)) == len(fields)  # no field is built twice
     if depth == 1:
-        assert len(builds) == len(probes) - 1  # the bracket ends share a build
+        # the bracket ends share a build with the first midpoint, which an
+        # end that widens leaves unread
+        widened = probes[2][0] != builds[0][2]
+        assert len(builds) == len(probes) - (1 if widened else 2)
     else:
         assert len(builds) < len(probes) - 1
+
+
+def _tree(lo, hi, levels):
+    """The bisection midpoints of the next `levels` levels below (lo, hi),
+    in the order a depth-first walk meets them (mid, left, right)."""
+    if levels == 0:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_tree(lo, mid, levels - 1), *_tree(mid, hi, levels - 1)]
+
+
+@pytest.mark.parametrize("cells, depth", [(1, 1), (3 * 64, 2), (None, 4)])
+def test_first_build_is_the_ends_and_the_first_levels(monkeypatch, gaussian_law,
+                                                      cells, depth):
+    # lo, hi, then the bisection tree below them, `depth` levels deep
+    if cells is not None:
+        monkeypatch.setattr(analysis, "SPECULATION_CELLS", cells)
+    assert analysis._speculation_depth(0.0, GEO, 256, 1) == depth
+    builds = []
+
+    def counted(models, *args):
+        builds.append([m.h for m in models])
+        return dp.estimate_free_energy(models, *args)
+
+    monkeypatch.setattr(analysis, "estimate_free_energy", counted)
+    dp.locate_hc("pinning", 0.0, GEO, gaussian_law, [256], 1, 3, 1e-3,
+                 h_window=(-0.5, 0.5))
+    assert builds[0] == [-0.5, 0.5, *_tree(-0.5, 0.5, depth)]
+    if depth == 2:
+        assert builds[0] == [-0.5, 0.5, 0.0, -0.25, 0.25]
 
 
 def test_speculation_keeps_the_bracket_failure(gaussian_law):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from depin import analysis
 from depin.cli import (MAX_RANGE_POINTS, _float_list, parse_kernel_spec,
                        read_config_file, run)
 
@@ -88,6 +89,23 @@ def test_hc_subcommand(tmp_path, capsys):
     payload = json.loads((out / "hc.json").read_text())
     assert abs(payload["hc"]) < 5e-3
     assert payload["config"]["command"] == "hc"
+
+
+def test_hc_bytes_do_not_depend_on_speculation(tmp_path, monkeypatch):
+    # one field per build (depth 1), the default depth, and a deep one
+    # write the same hc.json
+    kernel = parse_kernel_spec("geometric:p=0.5,n_max=64")
+    written, depths = [], []
+    for cells in (1, analysis.SPECULATION_CELLS, 1 << 14):
+        monkeypatch.setattr(analysis, "SPECULATION_CELLS", cells)
+        depths.append(analysis._speculation_depth(0.0, kernel, 512, 1))
+        out = tmp_path / str(cells)
+        assert run(["hc", "--kernel", "geometric:p=0.5,n_max=64", "--beta", "0",
+                    "--N-list", "256,512", "--replicas", "1", "--seed", "3",
+                    "--tol", "1e-3", "--out", str(out)]) == 0
+        written.append((out / "hc.json").read_bytes())
+    assert depths == [1, 4, 8]
+    assert written[0] == written[1] == written[2]
 
 
 def test_config_file_and_precedence(tmp_path, capsys):
@@ -193,12 +211,25 @@ def test_exit_codes(tmp_path, capsys):
            f"--scan-gaps={gaps}"]
           for gaps in ("0.4,0.3,0.22,0.16,0.12,-0.09", "0.4,0.3,0.22,0.16,0.12,0",
                        "0.4,0.4,0.22,0.16,0.12,0.09")),
+        # a seed outside [0, 2^64) would alias one inside, under another echo
+        *([*argv, f"--seed={seed}"] for seed in (-1, 2**64, -(2**64))
+          for argv in (["fe", *geo, "--beta", "1", "--h=-0.5", "--N", "64",
+                        "--replicas", "2"],
+                       ["phi", *geo, "--N", "64", "--m-grid", "0.5"],
+                       ["hc", *geo, "--N-list", "64"],
+                       ["smooth", "--kernel", "power:alpha=3,s=1,n_max=64", "--beta", "1",
+                        "--N-list", "64,128", "--replicas", "2"],
+                       ["verify"])),
     ]
     for argv in usage:
         capsys.readouterr()
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(f"depin {argv[0]}: usage error: ") and err.count("\n") == 1
+    # the ends of the seed range are seeds
+    for seed in (0, 2**64 - 1):
+        assert run(["fe", *geo, "--beta", "1", "--h=-0.5", "--N", "16", "--replicas", "2",
+                    f"--seed={seed}"]) == 0
     # verify with nothing to check, or a size the copolymer check cannot
     # use, stops before any check runs
     for opts in (["--draws", "0"], ["--draws=-3"], ["--N", "0"], ["--N", "1"]):

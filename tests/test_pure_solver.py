@@ -38,6 +38,62 @@ def test_far_field_overflow_is_silent():
     assert sol.b == pytest.approx(closed_form_geometric_b(0.5, -1e308), rel=1e-12)
 
 
+def _solve_fresh(kernel, h):
+    """solve_free_energy_pure with fresh arrays at every Newton step (the
+    reference for its reused work arrays): returns (b, residual)."""
+    hc = dp.hc_pure(kernel)
+    if not h < hc:
+        return 0.0, 0.0
+    gap = h - hc
+    mass = 1.0 - kernel.defect_mass
+    near = gap > -math.log(2.0)
+    steps = kernel.steps
+
+    def excess(b):
+        if near:
+            em = np.expm1(-b * steps)
+            deficit = -float(np.dot(kernel.density, em))
+            moment = float(np.dot(steps, kernel.density * (em + 1.0)))
+            return math.log1p(-deficit / mass) - gap, -moment / (mass - deficit)
+        with np.errstate(over="ignore"):
+            x = kernel.log_density - b * steps
+        top = x.max()
+        e = np.exp(x - top)
+        tilted = float(e.sum())
+        return top + math.log(tilted) - h, -float(np.dot(steps, e)) / tilted
+
+    b = 0.0
+    value, slope = excess(b)
+    for _ in range(500):
+        step = -value / slope
+        b += step
+        value, slope = excess(b)
+        if value <= 0.0 or step <= 1e-15 * b:
+            break
+    if b == 0.0:
+        b = math.ulp(0.0)
+        value = excess(b)[0]
+    return b, abs(value)
+
+
+@pytest.mark.parametrize("kern", [
+    dp.srw_kernel(4096), dp.geometric_kernel(0.5),
+    dp.power_kernel(3.0, 2, 2000, defect_mass=0.3), dp.power_kernel(1.5, 1, 5000)])
+def test_work_arrays_keep_the_bits(kern):
+    # reused buffers give every b and residual of fresh ones, on both
+    # branches: either side of -log 2 by one ulp, and far below h_c
+    hc = dp.hc_pure(kern)
+    minus_log2 = -math.log(2.0)
+    gaps = [10.0 ** k for k in range(-300, 1, 20)] + [1e-17, 1e-8, 0.1, 0.5, 3.0, 30.0]
+    fields = [hc - g for g in gaps] + [
+        hc + math.nextafter(minus_log2, 0.0), hc + minus_log2,
+        hc + math.nextafter(minus_log2, -1.0), -800.0]
+    for h in fields:
+        sol = dp.solve_free_energy_pure(kern, h)
+        b, residual = _solve_fresh(kern, h)
+        assert (repr(sol.b), repr(sol.residual)) == (repr(b), repr(residual)), h
+
+
 def test_single_atom_kernel():
     kern = dp.power_kernel(3.0, 1, 1)  # K(1) = 1
     sol = dp.solve_free_energy_pure(kern, -0.3)

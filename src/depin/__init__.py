@@ -11,7 +11,7 @@ from .engine import (ModelSpec, LogPartitionTable, log_partition_pinning,
                      log_partition_free_endpoint, log_partition_copolymer,
                      log_partition_constrained, constrained_window, logsumexp_1d)
 from .oracle import (OracleResult, brute_force_pinning, brute_force_copolymer,
-                     brute_force_constrained, copolymer_reflection_partner)
+                     brute_force_constrained)
 from .estimator import (FreeEnergyEstimate, PhiCurve, estimate_free_energy,
                         estimate_phi, default_epsilon)
 from .analysis import (CriticalFit, SmoothingReport, locate_hc, fit_exponent,

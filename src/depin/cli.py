@@ -76,8 +76,9 @@ def _size_list(text: str):
 
 
 def _seed(text: str) -> int:
-    """A master seed: an integer in [0, 2^64), which spawn_seed reads
-    whole (a seed outside it would alias one inside)."""
+    """A master seed: an integer in [0, 2^64), the range spawn_seed
+    accepts; checked here so that a bad seed is a usage error before any
+    build."""
     value = int(text)
     if not 0 <= value < 2**64:
         raise ValueError("not in [0, 2**64)")
@@ -132,66 +133,8 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-# per-subcommand option tables: name -> (converter, default, help)
-_COMMON = {
-    "kernel": (str, None, "kernel spec (see module docstring)"),
-    "law": (str, "gaussian", "disorder law"),
-    "beta": (_finite, 0.0, "disorder strength"),
-    "seed": (_seed, 0, "master seed, in [0, 2^64)"),
-    "replicas": (_size, 8, "disorder replicas"),
-    "out": (str, None, "output directory"),
-}
-
-_OPTIONS = {
-    "pure": {
-        "kernel": _COMMON["kernel"],
-        "h": (_float_list, None, "field value(s), comma list or lo:hi:step"),
-        "asymptotics": (_flag, False, "also print the transition classification"),
-        "out": _COMMON["out"],
-    },
-    "fe": {
-        **_COMMON,
-        "kind": (str, "pinning", "model kind"),
-        "h": (_float_list, None, "field value(s)"),
-        "N": (_size_list, None, "system size(s)"),
-    },
-    "phi": {
-        **_COMMON,
-        "kind": (str, "pinning", "model kind"),
-        "m_grid": (_float_list, None, "density grid, comma list or lo:hi:step"),
-        "epsilon": (_finite, None, "window half-width (default max(1/sqrt(N), 2s/N))"),
-        "N": (_size, None, "system size"),
-    },
-    "hc": {
-        **_COMMON,
-        "kind": (str, "pinning", "model kind"),
-        "N_list": (_size_list, None, "extrapolation sizes"),
-        "tol": (_finite, 1e-3, "bisection tolerance on h"),
-        "h_lo": (_finite, None, "optional lower search bound"),
-        "h_hi": (_finite, None, "optional upper search bound"),
-    },
-    "smooth": {
-        **_COMMON,
-        "kind": (str, "pinning", "model kind"),
-        "N_list": (_size_list, None, "extrapolation sizes"),
-        "tol": (_finite, 2e-3, "bisection tolerance on h"),
-        "scan_gaps": (_float_list, None, "distances below h_c to scan"),
-    },
-    "verify": {
-        "N": (int, 12, "maximum size for the oracle battery"),
-        "draws": (_size, 20, "random draws per check"),
-        "seed": _COMMON["seed"],
-    },
-}
-
-_REQUIRED = {
-    "pure": ("kernel", "h"),
-    "fe": ("kernel", "h", "N"),
-    "phi": ("kernel", "m_grid", "N"),
-    "hc": ("kernel", "N_list"),
-    "smooth": ("kernel", "N_list"),
-    "verify": (),
-}
+# an option's default that marks it required
+_NO_DEFAULT = object()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="disordered polymer depinning: exact recursions and analysis")
     parser.add_argument("--version", action="version", version=f"depin {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for cmd, opts in _OPTIONS.items():
+    for cmd, (_handler, opts) in _COMMANDS.items():
         sp = subs.add_parser(cmd)
         sp.add_argument("--config", default=None, help="key=value config file")
         for name, (conv, _default, help_text) in opts.items():
@@ -214,7 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_options(cmd: str, args: argparse.Namespace) -> dict:
-    table = _OPTIONS[cmd]
+    """Flags over config-file entries over defaults, each converted; every
+    value is converted before the first missing required option is named."""
+    table = _COMMANDS[cmd][1]
     file_cfg = read_config_file(args.config) if args.config else {}
     for key in file_cfg:
         if key not in table:
@@ -232,8 +177,8 @@ def _merge_options(cmd: str, args: argparse.Namespace) -> dict:
             except ValueError as exc:
                 raise UsageError(
                     f"--{name.replace('_', '-')}: bad value {raw!r} ({exc})") from None
-    for name in _REQUIRED[cmd]:
-        if merged[name] is None:
+    for name, value in merged.items():
+        if value is _NO_DEFAULT:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
     return merged
 
@@ -243,14 +188,10 @@ def _config_echo(cmd: str, merged: dict) -> dict:
     part of a run's identity and are left out so outputs stay byte-identical
     wherever they are written."""
     echo = {"command": cmd, "version": __version__}
-    for key in sorted(merged):
-        if key == "out":
-            continue
+    for key in sorted(merged.keys() - {"out"}):
         val = merged[key]
-        if isinstance(val, list):
-            echo[key] = ",".join(repr(v) if isinstance(v, float) else str(v) for v in val)
-        else:
-            echo[key] = val
+        echo[key] = (",".join(repr(v) if isinstance(v, float) else str(v) for v in val)
+                     if isinstance(val, list) else val)
     return echo
 
 
@@ -260,41 +201,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns, rows, config: dict) -> None:
-    lines = [f"# depin {__version__}"]
-    for key, val in config.items():
-        lines.append(f"# {key}={val}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _csv(columns, rows, config: dict) -> str:
+    lines = [f"# depin {__version__}", *(f"# {key}={val}" for key, val in config.items()),
+             ",".join(columns), *(",".join(_fmt(v) for v in row) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8", newline="\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_plot(path: Path, csv_name: str, xlabel: str, ylabel: str,
-                using: str, style: str) -> None:
-    script = "\n".join([
-        "set datafile separator ','",
-        f"set xlabel '{xlabel}'",
-        f"set ylabel '{ylabel}'",
-        f"plot '{csv_name}' using {using} with {style} notitle",
-        ""])
-    path.write_text(script, encoding="utf-8", newline="\n")
+def _plot(csv_name: str, xlabel: str, ylabel: str, using: str, style: str) -> str:
+    return (f"set datafile separator ','\nset xlabel '{xlabel}'\nset ylabel '{ylabel}'\n"
+            f"plot '{csv_name}' using {using} with {style} notitle\n")
 
 
-def _outdir(merged: dict) -> Path | None:
-    if not merged.get("out"):
-        return None
-    path = Path(merged["out"])
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _save(merged: dict, files: dict) -> None:
+    """Write each {file name: text} into the --out directory, if one is given."""
+    if not merged["out"]:
+        return
+    out = Path(merged["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _cmd_pure(merged: dict) -> int:
+def _cmd_pure(merged: dict, cfg: dict) -> int:
     kernel = parse_kernel_spec(merged["kernel"])
     rows = []
     for h in merged["h"]:
@@ -306,15 +238,12 @@ def _cmd_pure(merged: dict) -> int:
         print(f"order={cls.order} exponent={_fmt(cls.exponent)} "
               f"slope={'-' if cls.slope is None else _fmt(cls.slope)} "
               f"hc={_fmt(cls.hc)}")
-    out = _outdir(merged)
-    if out:
-        cfg = _config_echo("pure", merged)
-        _write_csv(out / "pure.csv", ["h", "b", "localized", "residual"], rows, cfg)
-        _write_plot(out / "pure.gp", "pure.csv", "h", "b", "1:2", "linespoints")
+    _save(merged, {"pure.csv": _csv(["h", "b", "localized", "residual"], rows, cfg),
+                   "pure.gp": _plot("pure.csv", "h", "b", "1:2", "linespoints")})
     return 0
 
 
-def _cmd_fe(merged: dict) -> int:
+def _cmd_fe(merged: dict, cfg: dict) -> int:
     ns = merged["N"]
     for name, values in (("size", ns), ("field", merged["h"])):
         if len(set(values)) < len(values):
@@ -332,60 +261,47 @@ def _cmd_fe(merged: dict) -> int:
             rows.append((n, merged["beta"], h, est.mean, est.stderr,
                          merged["replicas"], merged["seed"]))
             print(f"N={n} h={_fmt(h)} F={_fmt(est.mean)} stderr={_fmt(est.stderr)}")
-    out = _outdir(merged)
-    if out:
-        cfg = _config_echo("fe", merged)
-        _write_csv(out / "fe.csv",
-                   ["N", "beta", "h", "mean", "stderr", "replicas", "seed"], rows, cfg)
-        _write_plot(out / "fe.gp", "fe.csv", "h", "F", "3:4:5", "yerrorlines")
+    _save(merged, {
+        "fe.csv": _csv(["N", "beta", "h", "mean", "stderr", "replicas", "seed"], rows, cfg),
+        "fe.gp": _plot("fe.csv", "h", "F", "3:4:5", "yerrorlines")})
     return 0
 
 
-def _cmd_phi(merged: dict) -> int:
+def _cmd_phi(merged: dict, cfg: dict) -> int:
     kernel = parse_kernel_spec(merged["kernel"])
     law = disorder_law(merged["law"])
-    n = merged["N"]
     model = ModelSpec(merged["kind"], merged["beta"], 0.0, kernel)
-    curve = estimate_phi(model, law, merged["m_grid"], merged["epsilon"], n,
+    curve = estimate_phi(model, law, merged["m_grid"], merged["epsilon"], merged["N"],
                          merged["replicas"], merged["seed"])
     rows = [(m, curve.epsilon, v, s, int(f)) for m, v, s, f in
             zip(curve.m_grid, curve.values, curve.stderr, curve.feasible)]
     for m, _eps, v, s, f in rows:
         print(f"m={_fmt(m)} phi={_fmt(v)} stderr={_fmt(s)} feasible={bool(f)}")
-    out = _outdir(merged)
-    if out:
-        cfg = _config_echo("phi", merged)
-        _write_csv(out / "phi.csv", ["m", "epsilon", "value", "stderr", "feasible"],
-                   rows, cfg)
-        _write_plot(out / "phi.gp", "phi.csv", "m", "phi", "1:3:4", "yerrorlines")
+    _save(merged, {
+        "phi.csv": _csv(["m", "epsilon", "value", "stderr", "feasible"], rows, cfg),
+        "phi.gp": _plot("phi.csv", "m", "phi", "1:3:4", "yerrorlines")})
     return 0
 
 
-def _cmd_hc(merged: dict) -> int:
+def _cmd_hc(merged: dict, cfg: dict) -> int:
     kernel = parse_kernel_spec(merged["kernel"])
     law = disorder_law(merged["law"])
-    window = None
     if (merged["h_lo"] is None) != (merged["h_hi"] is None):
         raise UsageError("--h-lo and --h-hi go together")
-    if merged["h_lo"] is not None:
-        window = (merged["h_lo"], merged["h_hi"])
+    window = None if merged["h_lo"] is None else (merged["h_lo"], merged["h_hi"])
     fit = locate_hc(merged["kind"], merged["beta"], kernel, law, merged["N_list"],
                     merged["replicas"], merged["seed"], merged["tol"],
                     h_window=window)
     print(f"hc={_fmt(fit.hc)} +- {_fmt(fit.hc_err)}")
-    out = _outdir(merged)
-    if out:
-        payload = {"hc": fit.hc, "hc_err": fit.hc_err,
-                   "probes": [list(p) for p in fit.points],
-                   "config": _config_echo("hc", merged)}
-        _write_json(out / "hc.json", payload)
+    _save(merged, {"hc.json": _json({"hc": fit.hc, "hc_err": fit.hc_err,
+                                     "probes": [list(p) for p in fit.points],
+                                     "config": cfg})})
     return 0
 
 
-def _cmd_smooth(merged: dict) -> int:
+def _cmd_smooth(merged: dict, cfg: dict) -> int:
     kernel = parse_kernel_spec(merged["kernel"])
     law = disorder_law(merged["law"])
-    cfg = _config_echo("smooth", merged)
     kwargs = {}
     if merged["scan_gaps"]:
         kwargs["scan_gaps"] = tuple(merged["scan_gaps"])
@@ -396,19 +312,17 @@ def _cmd_smooth(merged: dict) -> int:
     print(f"hc={_fmt(report.hc)} +- {_fmt(report.hc_err)}")
     print(f"exponent={_fmt(report.exponent)} +- {_fmt(report.exponent_err)}")
     print(f"envelope_ok={report.envelope_ok} ratio_decreasing={report.ratio_decreasing}")
-    out = _outdir(merged)
-    if out:
-        _write_json(out / "smooth.json", report.to_dict())
-        rows = [(merged["N_list"][-1], report.beta, h, f, s,
-                 merged["replicas"], merged["seed"]) for h, f, s in report.points]
-        _write_csv(out / "smooth_points.csv",
-                   ["N", "beta", "h", "mean", "stderr", "replicas", "seed"], rows, cfg)
-        _write_plot(out / "smooth.gp", "smooth_points.csv",
-                    "h", "F", "3:4:5", "yerrorlines")
+    rows = [(merged["N_list"][-1], report.beta, h, f, s,
+             merged["replicas"], merged["seed"]) for h, f, s in report.points]
+    _save(merged, {
+        "smooth.json": _json(report.to_dict()),
+        "smooth_points.csv": _csv(["N", "beta", "h", "mean", "stderr", "replicas",
+                                   "seed"], rows, cfg),
+        "smooth.gp": _plot("smooth_points.csv", "h", "F", "3:4:5", "yerrorlines")})
     return 0
 
 
-def _cmd_verify(merged: dict) -> int:
+def _cmd_verify(merged: dict, cfg: dict) -> int:
     if merged["N"] < 2:
         raise UsageError("--N must be at least 2: the copolymer check needs an even size")
     all_ok = True
@@ -424,13 +338,57 @@ def _cmd_verify(merged: dict) -> int:
     return 1
 
 
-_HANDLERS = {
-    "pure": _cmd_pure,
-    "fe": _cmd_fe,
-    "phi": _cmd_phi,
-    "hc": _cmd_hc,
-    "smooth": _cmd_smooth,
-    "verify": _cmd_verify,
+_COMMON = {
+    "kernel": (str, _NO_DEFAULT, "kernel spec (see module docstring)"),
+    "law": (str, "gaussian", "disorder law"),
+    "beta": (_finite, 0.0, "disorder strength"),
+    "seed": (_seed, 0, "master seed, in [0, 2^64)"),
+    "replicas": (_size, 8, "disorder replicas"),
+    "out": (str, None, "output directory"),
+}
+
+# subcommand -> (handler, options); an option is name -> (converter,
+# default, help), in the order of the help text and of the required check
+_COMMANDS = {
+    "pure": (_cmd_pure, {
+        "kernel": _COMMON["kernel"],
+        "h": (_float_list, _NO_DEFAULT, "field value(s), comma list or lo:hi:step"),
+        "asymptotics": (_flag, False, "also print the transition classification"),
+        "out": _COMMON["out"],
+    }),
+    "fe": (_cmd_fe, {
+        **_COMMON,
+        "kind": (str, "pinning", "model kind"),
+        "h": (_float_list, _NO_DEFAULT, "field value(s)"),
+        "N": (_size_list, _NO_DEFAULT, "system size(s)"),
+    }),
+    "phi": (_cmd_phi, {
+        **_COMMON,
+        "kind": (str, "pinning", "model kind"),
+        "m_grid": (_float_list, _NO_DEFAULT, "density grid, comma list or lo:hi:step"),
+        "epsilon": (_finite, None, "window half-width (default max(1/sqrt(N), 2s/N))"),
+        "N": (_size, _NO_DEFAULT, "system size"),
+    }),
+    "hc": (_cmd_hc, {
+        **_COMMON,
+        "kind": (str, "pinning", "model kind"),
+        "N_list": (_size_list, _NO_DEFAULT, "extrapolation sizes"),
+        "tol": (_finite, 1e-3, "bisection tolerance on h"),
+        "h_lo": (_finite, None, "optional lower search bound"),
+        "h_hi": (_finite, None, "optional upper search bound"),
+    }),
+    "smooth": (_cmd_smooth, {
+        **_COMMON,
+        "kind": (str, "pinning", "model kind"),
+        "N_list": (_size_list, _NO_DEFAULT, "extrapolation sizes"),
+        "tol": (_finite, 2e-3, "bisection tolerance on h"),
+        "scan_gaps": (_float_list, None, "distances below h_c to scan"),
+    }),
+    "verify": (_cmd_verify, {
+        "N": (int, 12, "maximum size for the oracle battery"),
+        "draws": (_size, 20, "random draws per check"),
+        "seed": _COMMON["seed"],
+    }),
 }
 
 
@@ -447,7 +405,7 @@ def run(argv) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         merged = _merge_options(args.command, args)
-        return _HANDLERS[args.command](merged)
+        return _COMMANDS[args.command][0](merged, _config_echo(args.command, merged))
     except UsageError as exc:
         print(f"depin {args.command}: usage error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,12 @@ SQRT3 = math.sqrt(3.0)
 
 
 def spawn_seed(master: int, index: int) -> int:
-    """index-th 64-bit child seed of a master seed (splitmix64 stream)."""
+    """index-th 64-bit child seed of a master seed (splitmix64 stream).
+
+    The master seed is read whole, so it must lie in [0, 2^64): one outside
+    would alias one inside (ValueError)."""
+    if not 0 <= master <= _MASK64:
+        raise ValueError(f"master seed {master} is not in [0, 2**64)")
     z = (master + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

@@ -25,9 +25,7 @@ rejected.
 
 The copolymer split term log1p(e^x) - log 2 is exact, not approximated: it
 is evaluated only for |x| < SATURATION = 40 and is max(x, 0) - log 2
-elsewhere, which is the same double.  For x <= -40, log1p(e^x) <= e^-40 ~
-4.2e-18 is below half an ulp of log 2, and for x >= 40, log1p(e^-x) is below
-half an ulp of x, so both drop out in rounding.
+elsewhere, which is the same double (the proof is at SATURATION).
 
 Tables are deterministic functions of (model, disorder sample, N); builds
 share no mutable state and can run concurrently.
@@ -152,9 +150,7 @@ def _renewal(kind: str, model: ModelSpec, omega, n: int, h=None):
     The split term is np.logaddexp(0, x) - LOG2, where x = c_grid - c_last
     is minus the excursion's interior charge.  logaddexp runs only on the
     cells with |x| < SATURATION; the others take max(x, 0) - LOG2, the same
-    double: for x <= -40, log1p(e^x) <= 4.2e-18 vanishes beside LOG2, and
-    for x >= 40, log1p(e^-x) vanishes beside x (each is below half an
-    ulp)."""
+    double (see SATURATION)."""
     if model.kind != kind:
         raise ValueError(f"{kind} recursion called with a non-{kind} model")
     one = isinstance(omega, DisorderSample)
@@ -259,9 +255,8 @@ def log_partition_copolymer(model: ModelSpec, omega, n: int, h=None):
     weight K(1), as there is no sign to choose.  Interior sums come from a
     prefix-sum block, so each transition costs O(1).  The split term
     log1p(e^x) - log 2, x minus the interior sum, is exact: log1p runs only
-    where |x| < 40, and elsewhere max(x, 0) - log 2 is the same double,
-    since for x <= -40 log1p(e^x) <= 4.2e-18 vanishes beside log 2 and for
-    x >= 40 log1p(e^-x) vanishes beside x.  omega is one
+    where |x| < SATURATION, and elsewhere max(x, 0) - log 2 is the same
+    double (see SATURATION).  omega is one
     DisorderSample or an (R, >= n) block of rows, and h an optional column
     of R fields (each >= 0), as for log_partition_pinning; row r of a block
     is bit for bit its own table.

@@ -55,17 +55,21 @@ def worker_count() -> int:
     return min(value, cores)
 
 
-def _map_replicas(fn, args: tuple, replicas: int) -> list:
-    """Run fn(args + (lo, hi)) on contiguous replica blocks lo..hi-1, one
-    block per worker and in parallel when allowed; results keep block order."""
+def _map_replicas(fn, args: tuple, replicas: int, beta: float) -> np.ndarray:
+    """The rows of replicas 0..replicas-1, stacked in replica order, from
+    fn(args + (lo, hi)) on contiguous replica blocks lo..hi-1, one block
+    per worker and in parallel when allowed.  With beta = 0 the disorder is
+    inert, and the one build of replica 0 serves every replica."""
+    if beta == 0.0:
+        return np.repeat(fn(args + (0, 1)), replicas, axis=0)
     workers = max(1, min(worker_count(), replicas))
     edges = [replicas * i // workers for i in range(workers + 1)]
     tasks = [args + (lo, hi) for lo, hi in zip(edges, edges[1:])]
     if workers == 1:
-        return [fn(tasks[0])]
+        return fn(tasks[0])
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return np.concatenate(list(pool.map(fn, tasks)))
 
 
 # disorder cells (rows x N) sampled and recursed together in one worker: a
@@ -75,7 +79,7 @@ BLOCK_CELLS = 1 << 20
 
 def _fe_block(args) -> np.ndarray:
     """(1/N) log Z of replicas lo..hi-1 for every field and size, shape
-    (fields, replicas, sizes).  Rows are (field, replica) pairs in replica
+    (replicas, fields, sizes).  Rows are (field, replica) pairs in replica
     order, pair k being field k % F of replica k // F for F fields; every
     size reads the one build at the largest N."""
     fields, model, law, n_list, seed, lo, hi = args
@@ -84,7 +88,7 @@ def _fe_block(args) -> np.ndarray:
     top = int(sizes.max())
     # looked up at call time, so that a wrapper bound to the name sees the call
     recursion = globals()[f"log_partition_{model.kind}"]
-    out = np.empty((nf, hi - lo, len(n_list)))
+    out = np.empty((hi - lo, nf, len(n_list)))
     # whole replicas per run when they fit; otherwise a replica's fields are
     # cut over runs, and each run samples the replicas it touches
     step = max(1, BLOCK_CELLS // top)
@@ -97,20 +101,20 @@ def _fe_block(args) -> np.ndarray:
         for r in reps:
             sample[r - reps[0]] = sample_disorder(law, top, spawn_seed(seed, r)).values
         logz = recursion(model, sample[k // nf - reps[0]], top, fields[k % nf])
-        out[k % nf, k // nf - lo] = logz[:, sizes // model.kernel.period] / sizes
+        out[k // nf - lo, k % nf] = logz[:, sizes // model.kernel.period] / sizes
     return out
 
 
-def _phi_row(model: ModelSpec, law: DisorderLaw, n: int, m_grid, epsilon: float,
-             seed: int) -> list:
-    table = log_partition_constrained(model, sample_disorder(law, n, seed), n)
-    return [constrained_window(table, m, epsilon) / n for m in m_grid]
-
-
 def _phi_block(args) -> np.ndarray:
+    """(1/N) log of the window masses of replicas lo..hi-1 at every density,
+    shape (replicas, densities)."""
     model, law, n, m_grid, epsilon, seed, lo, hi = args
-    return np.array([_phi_row(model, law, n, m_grid, epsilon, spawn_seed(seed, r))
-                     for r in range(lo, hi)])
+    rows = []
+    for r in range(lo, hi):
+        table = log_partition_constrained(
+            model, sample_disorder(law, n, spawn_seed(seed, r)), n)
+        rows.append([constrained_window(table, m, epsilon) / n for m in m_grid])
+    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -198,15 +202,13 @@ def estimate_free_energy(model, law: DisorderLaw, n, replicas: int, seed: int):
     for size in n_list:
         if size < s or size % s != 0:
             raise ValueError(f"N={size} is not a positive multiple of the period {s}")
-    args = (np.array([m.h for m in models]), first, law, n_list, seed)
-    if first.beta == 0.0:
-        matrix = np.repeat(_fe_block(args + (0, 1)), replicas, axis=1)
-    else:
-        matrix = np.concatenate(_map_replicas(_fe_block, args, replicas), axis=1)
+    matrix = _map_replicas(_fe_block, (np.array([m.h for m in models]), first, law,
+                                       n_list, seed), replicas, first.beta)
     results = []
-    for m, per_field in zip(models, matrix):
+    # one contiguous row of replica values per (field, size)
+    for m, per_field in zip(models, matrix.transpose(1, 2, 0).copy()):
         out = []
-        for size, values in zip(n_list, per_field.T.copy()):
+        for size, values in zip(n_list, per_field):
             mean = float(values.mean())
             f_mean = mean + m.h / 2.0 if m.kind == "copolymer" else None
             out.append(FreeEnergyEstimate(mean, _spread(values), size, replicas, seed, m,
@@ -235,12 +237,8 @@ def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | No
     if epsilon <= 0.0 or n * epsilon < 1.0:
         raise ValueError("window half-width must be positive with N * epsilon >= 1")
     grid = tuple(float(m) for m in m_grid)
-    if model.beta == 0.0:
-        row = _phi_block((model, law, n, grid, epsilon, seed, 0, 1))[0]
-        matrix = np.tile(row, (replicas, 1))
-    else:
-        matrix = np.vstack(_map_replicas(_phi_block, (model, law, n, grid, epsilon, seed),
-                                         replicas))
+    matrix = _map_replicas(_phi_block, (model, law, n, grid, epsilon, seed), replicas,
+                           model.beta)
     feasible = np.isfinite(matrix[0])
     values = np.where(feasible, matrix.mean(axis=0), -math.inf)
     stderr = np.array([_spread(matrix[:, i]) if feasible[i] else 0.0

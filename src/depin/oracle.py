@@ -94,29 +94,6 @@ def brute_force_copolymer(kernel_srw: ReturnKernel, omega: DisorderSample,
     return OracleResult(z_delta, count)
 
 
-def copolymer_reflection_partner(omega: DisorderSample, beta: float, n: int) -> float:
-    """Bridge sum with below-site charges AND a contact-site surcharge.
-
-    At h = 0, flipping the sign of every charge multiplies the partition
-    function by exp(beta sum_j w_j) and replaces it with this contact-
-    penalized variant; the identity is used to test the charge-reflection
-    symmetry of the copolymer recursion.
-    """
-    if n > COPOLYMER_GUARD:
-        raise ValueError(f"N={n} exceeds the brute-force guard {COPOLYMER_GUARD}")
-    w = omega.values[:n]
-    weights = []
-    for steps in itertools.product((1, -1), repeat=n):
-        s_path = np.cumsum(steps)
-        if s_path[-1] != 0:
-            continue
-        below = s_path < 0
-        contact = s_path == 0
-        expo = -beta * float(w[below].sum()) - beta * float(w[contact].sum())
-        weights.append(math.exp(expo) * 0.5**n)
-    return math.fsum(weights)
-
-
 def brute_force_constrained(kernel: ReturnKernel, omega: DisorderSample,
                             beta: float, n: int, kind: str = "pinning") -> dict[int, float]:
     """Composition sum grouped by rewarded-site count j (coupling h absent).

@@ -93,13 +93,12 @@ def solve_free_energy_pure(kernel: ReturnKernel, h: float) -> PureSolution:
     x, e = np.empty_like(steps), np.empty_like(steps)
 
     def excess(b: float) -> tuple[float, float]:
-        # (left side - right side, its derivative in b)
+        # (left side - right side, the denominator of its derivative in b);
+        # e keeps the terms that slope reads
         if near:
             np.expm1(np.multiply(steps, -b, out=x), out=e)
             deficit = -float(np.dot(kernel.density, e))
-            np.multiply(np.add(e, 1.0, out=x), kernel.density, out=x)
-            moment = float(np.dot(steps, x))
-            return math.log1p(-deficit / mass) - gap, -moment / (mass - deficit)
+            return math.log1p(-deficit / mass) - gap, mass - deficit
         # log-sum-exp, so that exp(h) may lie below the smallest double; an
         # overflow only makes a term -inf, which is exact
         with np.errstate(over="ignore"):
@@ -107,14 +106,22 @@ def solve_free_energy_pure(kernel: ReturnKernel, h: float) -> PureSolution:
         top = x.max()
         np.exp(np.subtract(x, top, out=x), out=e)
         tilted = float(e.sum())
-        return top + math.log(tilted) - h, -float(np.dot(steps, e)) / tilted
+        return top + math.log(tilted) - h, tilted
+
+    def slope(denominator: float) -> float:
+        # derivative in b of the left side at the last excess point; only a
+        # step that follows needs it, so the last excess call skips it
+        if near:
+            np.multiply(np.add(e, 1.0, out=x), kernel.density, out=x)
+            return -float(np.dot(steps, x)) / denominator
+        return -float(np.dot(steps, e)) / denominator
 
     b = 0.0
-    value, slope = excess(b)
+    value, denominator = excess(b)
     for _ in range(MAX_NEWTON_STEPS):
-        step = -value / slope
+        step = -value / slope(denominator)
         b += step
-        value, slope = excess(b)
+        value, denominator = excess(b)
         if value <= 0.0 or step <= NEWTON_RTOL * b:
             break
     else:  # pragma: no cover - monotone Newton converges for valid kernels

@@ -240,6 +240,51 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+_GEO = ["--kernel", "geometric:p=0.5,n_max=32"]
+_WRITERS = {
+    "pure": (["pure", *_GEO, "--h=-1,-0.5"], {"pure.csv", "pure.gp"}),
+    "fe": (["fe", *_GEO, "--beta", "1", "--h=-0.5", "--N", "64", "--replicas", "2"],
+           {"fe.csv", "fe.gp"}),
+    "phi": (["phi", *_GEO, "--beta", "1", "--m-grid", "0.5", "--N", "32",
+             "--replicas", "2"], {"phi.csv", "phi.gp"}),
+    "hc": (["hc", *_GEO, "--N-list", "64,128", "--replicas", "1", "--tol", "0.05"],
+           {"hc.json"}),
+    "smooth": (["smooth", "--kernel", "power:alpha=3,s=1,n_max=128", "--beta", "1",
+                "--N-list", "128,256", "--replicas", "4", "--seed", "11", "--tol", "0.02",
+                "--scan-gaps", "0.4,0.3,0.22,0.16,0.12,0.09"],
+               {"smooth.json", "smooth_points.csv", "smooth.gp"}),
+}
+
+
+def test_out_writes_each_commands_files_and_nothing_without_it(tmp_path, monkeypatch,
+                                                                capsys):
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    monkeypatch.chdir(tmp_path)
+    for cmd, (argv, names) in _WRITERS.items():
+        out = tmp_path / "out" / cmd
+        assert run([*argv, "--out", str(out)]) == 0, cmd
+        assert {p.name for p in out.iterdir()} == names
+        # the same run without --out leaves the working directory as it was
+        assert run(argv) == 0, cmd
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    capsys.readouterr()
+
+
+def test_missing_options_are_named_in_table_order(capsys):
+    # every value is converted first; then the first missing required
+    # option of the command's table is named
+    cases = [(["fe", "--beta", "1"], "missing required option --kernel"),
+             (["fe", *_GEO], "missing required option --h"),
+             (["phi", *_GEO], "missing required option --m-grid"),
+             (["hc", "--tol", "0.1"], "missing required option --kernel"),
+             (["fe", "--N", "x"], "--N: bad value 'x' (invalid literal for int() with "
+                                  "base 10: 'x')")]
+    for argv, message in cases:
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"depin {argv[0]}: usage error: {message}\n"
+
+
 def test_copolymer_bracket_stops_at_zero(monkeypatch, capsys):
     # h = 0 is delocalized here; the lower end widens no further than h = 0,
     # where copolymer couplings end, and the search fails on its own terms

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -109,6 +110,24 @@ def test_copolymer_s1_one_step_convention():
     assert table.final_logz == pytest.approx(math.log(kern.density[0]), abs=1e-14)
 
 
+def _reflection_partner(omega, beta: float, n: int) -> float:
+    """Bridge sum with below-site charges AND a contact-site surcharge: at
+    h = 0, flipping the sign of every charge multiplies the copolymer
+    partition function by exp(beta sum_j w_j) and replaces it with this
+    contact-penalized variant."""
+    w = omega.values[:n]
+    weights = []
+    for steps in itertools.product((1, -1), repeat=n):
+        s_path = np.cumsum(steps)
+        if s_path[-1] != 0:
+            continue
+        below = s_path < 0
+        contact = s_path == 0
+        expo = -beta * float(w[below].sum()) - beta * float(w[contact].sum())
+        weights.append(math.exp(expo) * 0.5**n)
+    return math.fsum(weights)
+
+
 def test_copolymer_charge_reflection():
     # flipping all charges multiplies Z by exp(beta sum w) once the contact
     # sites are recharged; the partner sum is enumerated independently
@@ -117,7 +136,7 @@ def test_copolymer_charge_reflection():
     flipped = dp.DisorderSample(-om.values, om.seed, om.law)
     model = dp.ModelSpec("copolymer", beta, 0.0, SRW)
     lhs = dp.log_partition_copolymer(model, flipped, n).final_logz
-    partner = dp.copolymer_reflection_partner(om, beta, n)
+    partner = _reflection_partner(om, beta, n)
     rhs = beta * float(om.values[:n].sum()) + math.log(partner)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 

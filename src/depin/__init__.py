@@ -7,7 +7,7 @@ from .pure_solver import (PureSolution, PureAsymptotics, solve_free_energy_pure,
 from .disorder import (DisorderLaw, DisorderSample, disorder_law, sample_disorder,
                        spawn_seed, shift_entropy, tilt_entropy,
                        smoothing_constant, SmoothingConstants, normal_quantile)
-from .engine import (ModelSpec, LogPartitionTable, log_partition_pinning,
+from .engine import (ModelSpec, log_partition_pinning,
                      log_partition_free_endpoint, log_partition_copolymer,
                      log_partition_constrained, constrained_window, logsumexp_1d)
 from .oracle import (OracleResult, brute_force_pinning, brute_force_copolymer,

@@ -9,7 +9,8 @@ worker count (capped by the DEPIN_THREADS environment variable, which must
 be an integer >= 1 when set).
 
 Kernel specs: ``geometric:p=0.5[,n_max=64]``, ``srw:n_max=512``,
-``power:alpha=3,s=1,n_max=4096[,defect=0.5]``, ``file:PATH``.
+``power:alpha=3,s=1,n_max=4096[,defect=0.5]``, ``file:PATH``; a parameter
+that its family does not take is an error.
 Law specs: ``gaussian``, ``uniform``, ``rademacher``.
 
 Comma lists that begin with a minus sign need the ``--flag=value`` form
@@ -34,6 +35,11 @@ from .oracle import verify_battery
 from .pure_solver import pure_asymptotics, solve_free_energy_pure
 
 
+# the parameters each kernel family takes
+_KERNEL_KEYS = {"geometric": ("p", "n_max"), "srw": ("n_max",),
+                "power": ("alpha", "s", "n_max", "defect")}
+
+
 def parse_kernel_spec(text: str):
     name, _, rest = text.partition(":")
     if name == "file":
@@ -44,9 +50,19 @@ def parse_kernel_spec(text: str):
     if rest:
         for item in rest.split(","):
             key, sep, val = item.partition("=")
+            key = key.strip()
             if not sep:
                 raise ValueError(f"malformed kernel parameter {item!r}")
-            params[key.strip()] = val.strip()
+            if key in params:
+                raise ValueError(f"kernel spec {text!r} repeats parameter {key!r}")
+            params[key] = val.strip()
+    if name not in _KERNEL_KEYS:
+        raise ValueError(f"unknown kernel family {name!r}")
+    keys = _KERNEL_KEYS[name]
+    for key in params:
+        if key not in keys:
+            raise ValueError(f"kernel spec {text!r}: unknown parameter {key!r} "
+                             f"(a {name} kernel takes {', '.join(keys)})")
     try:
         if name == "geometric":
             n_max = int(params["n_max"]) if "n_max" in params else None
@@ -58,7 +74,6 @@ def parse_kernel_spec(text: str):
                                 int(params["n_max"]), float(params.get("defect", 0.0)))
     except KeyError as exc:
         raise ValueError(f"kernel spec {text!r} misses parameter {exc}") from None
-    raise ValueError(f"unknown kernel family {name!r}")
 
 
 def _size(text: str) -> int:
@@ -243,12 +258,17 @@ def _cmd_pure(merged: dict, cfg: dict) -> int:
     return 0
 
 
+def _once(name: str, values) -> None:
+    """A usage error when a value repeats: it would repeat its output row."""
+    if len(set(values)) < len(values):
+        raise UsageError(f"each {name} may appear once: a repeated {name} "
+                         "repeats its row")
+
+
 def _cmd_fe(merged: dict, cfg: dict) -> int:
     ns = merged["N"]
-    for name, values in (("size", ns), ("field", merged["h"])):
-        if len(set(values)) < len(values):
-            raise UsageError(f"each {name} may appear once: a repeated {name} "
-                             "repeats its row")
+    _once("size", ns)
+    _once("field", merged["h"])
     kernel = parse_kernel_spec(merged["kernel"])
     law = disorder_law(merged["law"])
     # one build serves every field and size; rows stay N-outer, h-inner
@@ -268,6 +288,7 @@ def _cmd_fe(merged: dict, cfg: dict) -> int:
 
 
 def _cmd_phi(merged: dict, cfg: dict) -> int:
+    _once("density", merged["m_grid"])
     kernel = parse_kernel_spec(merged["kernel"])
     law = disorder_law(merged["law"])
     model = ModelSpec(merged["kind"], merged["beta"], 0.0, kernel)

@@ -10,11 +10,11 @@ evaluated entirely in the log domain with a running-maximum log-sum-exp,
 since Z spans thousands of orders of magnitude at large N.  Variants: a
 free-endpoint value (last excursion unfinished), the copolymer form (each
 completed excursion is above or below the interface; the sites strictly
-below carry weight exp(-(beta w + h)) each), and contact-count-resolved
-tables that fix the number of rewarded sites instead of weighting it by h.
-A count-resolved build keeps only the last w = min(N/s, n_max) rows of its
-(N/s + 1)-row recursion, so its memory is O(w * J) for J counts, and
-returns the final row.
+below carry weight exp(-(beta w + h)) each), and a contact-count-resolved
+recursion that fixes the number of rewarded sites instead of weighting it
+by h.  A count-resolved build keeps only the last w = min(N/s, n_max) rows
+of its (N/s + 1)-row recursion, each once, in a ring, so its memory is
+O(w * J) for J counts, and returns only the final row.
 
 The pinned-endpoint and copolymer recursions share one renewal core, which
 also steps a block of rows at once, bit for bit a set of single builds.  A
@@ -27,8 +27,8 @@ The copolymer split term log1p(e^x) - log 2 is exact, not approximated: it
 is evaluated only for |x| < SATURATION = 40 and is max(x, 0) - log 2
 elsewhere, which is the same double (the proof is at SATURATION).
 
-Tables are deterministic functions of (model, disorder sample, N); builds
-share no mutable state and can run concurrently.
+Every result is a deterministic function of (model, disorder sample, N);
+builds share no mutable state and can run concurrently.
 """
 
 import math
@@ -66,28 +66,6 @@ class ModelSpec:
             raise ValueError("beta must be nonnegative")
         if self.kind == "copolymer" and self.h < 0:
             raise ValueError("copolymer couplings are restricted to h >= 0")
-
-
-@dataclass(frozen=True)
-class LogPartitionTable:
-    """log Z at positions 0, s, 2s, ..., N (log Z_0 = 0 by convention).
-
-    logz_j, when present, is the read-only (1, J) final row of a
-    count-resolved build: position N resolved by the exact count j of
-    rewarded sites (contacts for pinning, J = N/s + 1; below-interface
-    sites for the copolymer, J = N + 1).  Entries are finite or -inf (-inf
-    marks counts no path can realize).  The rows of shorter positions are
-    not kept; a build at a shorter N gives them bit for bit.
-    """
-
-    logz: np.ndarray
-    period: int
-    n: int
-    logz_j: np.ndarray | None = None
-
-    @property
-    def final_logz(self) -> float:
-        return float(self.logz[-1])
 
 
 def logsumexp_1d(values: np.ndarray) -> float:
@@ -140,9 +118,9 @@ def _field_column(model: ModelSpec, h, rows: int) -> np.ndarray:
 
 
 def _renewal(kind: str, model: ModelSpec, omega, n: int, h=None):
-    """log Z_m, m = 0, s, ..., n: of one DisorderSample as its table, or of
-    each row of an (R, >= n) block as an array, stepping all rows at once;
-    row r carries the field h[r] (default model.h).  Pinning adds the
+    """log Z_m, m = 0, s, ..., n: of one DisorderSample as a 1-D array, or
+    of each row of an (R, >= n) block as a 2-D array, stepping all rows at
+    once; row r carries the field h[r] (default model.h).  Pinning adds the
     charge beta w - h to each step and finishes a row as
     c + m + math.log(x); the copolymer adds a split term to each (step,
     excursion) cell and finishes the block as m + np.log(x).
@@ -209,21 +187,22 @@ def _renewal(kind: str, model: ModelSpec, omega, n: int, h=None):
             else:
                 np.add(m[:, 0], np.log(x, out=x), out=logz[:, t])
                 logz[m[:, 0] == -math.inf, t] = -math.inf
-    return LogPartitionTable(logz[0], s, n) if one else logz
+    return logz[0] if one else logz
 
 
 def log_partition_pinning(model: ModelSpec, omega, n: int, h=None):
     """Pinned-endpoint log Z_m for m = 0, s, ..., n.
 
-    omega is one DisorderSample, giving its LogPartitionTable, or a block of
-    disorder rows w_1.. as a 2-D array of shape (R, >= n), giving the
-    (R, n/s + 1) array of their log Z.  h, when given, is a column of R
-    fields, one per row, in place of model.h; so the rows of a block can be
-    (field, replica) pairs.  Every step runs the window log-sum-exp on all
-    rows at once, with each row's arithmetic exactly that of a lone row, so
-    row r of a block equals the table of values[r] at the field h[r] bit for
-    bit.  The recursion reads no charge beyond position m, so the entries up
-    to m of a longer build are those of a build at N = m.
+    omega is one DisorderSample, giving the (n/s + 1,) array of its log Z
+    (log Z_0 = 0, log Z_n last), or a block of disorder rows w_1.. as a 2-D
+    array of shape (R, >= n), giving the (R, n/s + 1) array of their log Z.
+    h, when given, is a column of R fields, one per row, in place of
+    model.h; so the rows of a block can be (field, replica) pairs.  Every
+    step runs the window log-sum-exp on all rows at once, with each row's
+    arithmetic exactly that of a lone row, so row r of a block equals the
+    build of values[r] at the field h[r] bit for bit.  The recursion reads
+    no charge beyond position m, so the entries up to m of a longer build
+    are those of a build at N = m.
     """
     return _renewal("pinning", model, omega, n, h)
 
@@ -235,13 +214,13 @@ def log_partition_free_endpoint(model: ModelSpec, omega: DisorderSample, n: int)
     pinned table; the survival probability is the kernel tail plus the
     defect mass, so the m = n term contributes Z_n itself.
     """
-    table = log_partition_pinning(model, omega, n)
+    logz = log_partition_pinning(model, omega, n)
     kern = model.kernel
     t_max = n // kern.period
     surv = np.array([kern.tail_mass((t_max - t) * kern.period) + kern.defect_mass
                      for t in range(t_max + 1)])
     with np.errstate(divide="ignore"):
-        terms = table.logz + np.log(surv)
+        terms = logz + np.log(surv)
     return logsumexp_1d(terms)
 
 
@@ -259,41 +238,32 @@ def log_partition_copolymer(model: ModelSpec, omega, n: int, h=None):
     double (see SATURATION).  omega is one
     DisorderSample or an (R, >= n) block of rows, and h an optional column
     of R fields (each >= 0), as for log_partition_pinning; row r of a block
-    is bit for bit its own table.
+    is bit for bit its own build.
     """
     return _renewal("copolymer", model, omega, n, h)
 
 
-def _ring(w_max: int, t_max: int, width: int) -> np.ndarray:
-    """Rows of width entries, all -inf, for the last w_max rows of a
-    recursion over t = 0..t_max.  Row u lives at u mod w_max and again at
-    u mod w_max + w_max, so any w_max consecutive rows are one slice, in
-    order; when the window never wraps (w_max = t_max) one copy is enough."""
-    return np.full((2 * w_max if t_max > w_max else w_max, width), -math.inf)
-
-
-def _store(ring: np.ndarray, w_max: int, u: int, row: np.ndarray) -> None:
-    """Write row u (its first len(row) entries) to both of its ring slots."""
-    ring[u % w_max, :len(row)] = row
-    if len(ring) > w_max:
-        ring[u % w_max + w_max, :len(row)] = row
-
-
 def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
-                              n: int) -> LogPartitionTable:
-    """Count-resolved table: logz_j[-1, j] fixes the rewarded-site count j.
+                              n: int) -> np.ndarray:
+    """Count-resolved final row: entry j is log Z_N restricted to exactly j
+    rewarded sites.
 
-    The coupling h is deliberately absent from the recursion (it is
-    reinstated by the conjugate weight exp(-h j), see the logz field and
-    the Legendre analysis); only the disorder rewards beta * w enter.  For
-    pinning j counts contacts; for the copolymer j counts below-interface
-    sites, so an excursion of length k assigned below adds k - 1.
+    The coupling h is deliberately absent from the recursion (the weight
+    exp(-h j) reinstates it, see the Legendre analysis); only the disorder
+    rewards beta * w enter, and model.h is read only by the range check.
+    For pinning j counts contacts (J = N/s + 1 counts); for the copolymer j
+    counts below-interface sites (J = N + 1), so an excursion of length k
+    assigned below adds k - 1.  Entries are finite or -inf (-inf marks
+    counts no path can realize).  The row is read-only; the row of a
+    shorter position is the final row of a build at that N, bit for bit.
 
     Row t (position t s) depends only on the w = min(N/s, n_max) rows
-    before it, so only those are kept, in a ring (_ring), and the window
-    step works in buffers allocated once per build: memory is O(w * J) for
-    J = N/s + 1 counts (pinning) or N + 1 (copolymer).  logz[t] is taken
-    from each row as it completes; logz_j keeps the final row only.
+    before it, so only those are kept: row u in slot u mod w of a (w, J)
+    ring, whose window reads in time order as at most two slices, before
+    and after the wrap.  Besides the ring a build holds the pinning window
+    of w * (N/s) cells and O(J) vectors, all allocated once per build, and
+    numpy's iteration buffers of one ufunc call at a time (np.getbufsize()
+    entries per operand).
     """
     t_max = _check_inputs(model, len(omega.values), n)
     kern = model.kernel
@@ -303,11 +273,8 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
     _check_range(model, omega.values[:n], n, abs(model.h))
 
     width = t_max + 1 if model.kind == "pinning" else n + 1
-    ring = _ring(w_max, t_max, width)
-    _store(ring, w_max, 0, np.zeros(1))
-    charge = model.h * np.arange(width, dtype=float)
-    logz = np.empty(t_max + 1)
-    logz[0] = logsumexp_1d(ring[0] - charge)
+    ring = np.full((w_max, width), -math.inf)
+    ring[0, 0] = 0.0
     if model.kind == "pinning":
         rk = log_k[:w_max][::-1].copy()
         rewards = model.beta * omega.values[s - 1:n:s]
@@ -322,7 +289,13 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
                 w = min(t, w_max)
                 lo = (t - w) % w_max
                 block = cells[:w * t].reshape(w, t)
-                np.add(ring[lo:lo + w, :t], rk[w_max - w:, None], out=block)
+                # rows t - w.. in slots lo..w_max - 1, then from slot 0;
+                # copying first and adding in place is faster than
+                # np.add from the strided ring into the block
+                head = min(w, w_max - lo)
+                block[:head] = ring[lo:lo + head, :t]
+                block[head:] = ring[:w - head, :t]
+                block += rk[w_max - w:, None]
                 m, z, dead = col_max[:t], col_sum[:t], empty[:t]
                 np.max(block, axis=0, out=m)
                 np.equal(m, -math.inf, out=dead)
@@ -335,21 +308,17 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
                 row = ring[t % w_max, :t + 1]
                 row[0] = -math.inf
                 np.add(rewards[t - 1], z, out=row[1:])
-                _store(ring, w_max, t, row)
-                logz[t] = logsumexp_1d(ring[t % w_max] - charge)
     else:
         rewards_prefix = np.concatenate([[0.0], np.cumsum(model.beta * omega.values[:n])])
         acc = np.empty(width)
         term = np.empty(width)
         for t in range(1, t_max + 1):
             w = min(t, w_max)
-            lo = (t - w) % w_max
-            window = ring[lo:lo + w]
             acc.fill(-math.inf)
             end_prefix = rewards_prefix[t * s - 1]
             for j_exc in range(w):
                 u = t - 1 - j_exc
-                base = window[w - 1 - j_exc]
+                base = ring[u % w_max]
                 if s == 1 and j_exc == 0:
                     np.add(base, log_k[0], out=term)
                     np.logaddexp(acc, term, out=acc)
@@ -362,25 +331,22 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
                 np.add(base[:width - shift],
                        half - (end_prefix - rewards_prefix[u * s]), out=below)
                 np.logaddexp(acc[shift:], below, out=acc[shift:])
-            _store(ring, w_max, t, acc)
-            logz[t] = logsumexp_1d(acc - charge)
+            ring[t % w_max] = acc
 
-    final = ring[t_max % w_max][None, :].copy()
+    final = ring[t_max % w_max].copy()
     final.flags.writeable = False
-    return LogPartitionTable(logz, s, n, logz_j=final)
+    return final
 
 
-def constrained_window(table: LogPartitionTable, m: float, epsilon: float) -> float:
-    """log of the final-row mass with rewarded-site density within m +- epsilon.
+def constrained_window(row: np.ndarray, n: int, m: float, epsilon: float) -> float:
+    """log of the mass of a count-resolved final row (of a build at N = n)
+    with rewarded-site density within m +- epsilon.
 
     Returns -inf when no admissible count falls in the window.
     """
-    if table.logz_j is None:
-        raise ValueError("table carries no count-resolved matrix")
-    n = table.n
     # a density lies in [0, 1]: clipping keeps an infinite product off ceil/floor
     lo = max(0, math.ceil(max(m - epsilon, 0.0) * n - 1e-12))
-    hi = min(table.logz_j.shape[1] - 1, math.floor(min(m + epsilon, 1.0) * n + 1e-12))
+    hi = min(len(row) - 1, math.floor(min(m + epsilon, 1.0) * n + 1e-12))
     if hi < lo:
         return -math.inf
-    return logsumexp_1d(table.logz_j[-1, lo:hi + 1])
+    return logsumexp_1d(row[lo:hi + 1])

@@ -111,9 +111,9 @@ def _phi_block(args) -> np.ndarray:
     model, law, n, m_grid, epsilon, seed, lo, hi = args
     rows = []
     for r in range(lo, hi):
-        table = log_partition_constrained(
+        row = log_partition_constrained(
             model, sample_disorder(law, n, spawn_seed(seed, r)), n)
-        rows.append([constrained_window(table, m, epsilon) / n for m in m_grid])
+        rows.append([constrained_window(row, n, m, epsilon) / n for m in m_grid])
     return np.array(rows)
 
 

@@ -213,9 +213,9 @@ def kernel_from_file(path) -> ReturnKernel:
 
     Header line ``s=<int>,k_inf=<float>,alpha=<float>`` then lines
     ``n,K(n)`` with n ascending multiples of s (omitted atoms are zero;
-    ``alpha=nan`` means undeclared).  Total mass must match 1 - k_inf to
-    within 1e-9 or the file is rejected; the accepted table is rescaled to
-    machine-exact normalization.
+    ``alpha=nan`` means undeclared; every K(n) finite and nonnegative).
+    Total mass must match 1 - k_inf to within 1e-9 or the file is rejected;
+    the accepted table is rescaled to machine-exact normalization.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -249,6 +249,8 @@ def kernel_from_file(path) -> ReturnKernel:
             raise ValueError(f"{path}: atom at n={n} is not a positive multiple of s={s}")
         if n <= last_n:
             raise ValueError(f"{path}: atoms must be strictly ascending (n={n})")
+        if not math.isfinite(k):
+            raise ValueError(f"{path}: non-finite entry K({n})={k} on line {ln!r}")
         if k < 0:
             raise ValueError(f"{path}: negative entry K({n})={k}")
         atoms.append((n, k))
@@ -263,7 +265,7 @@ def kernel_from_file(path) -> ReturnKernel:
     total = dens.sum()
     if abs(total + k_inf - 1.0) > FILE_NORMALIZATION_TOL:
         raise ValueError(
-            f"{path}: mass {total + k_inf!r} violates normalization beyond 1e-9")
+            f"{path}: mass {float(total + k_inf)!r} violates normalization beyond 1e-9")
     if total > 0:
         dens *= (1.0 - k_inf) / total
     return ReturnKernel(dens, k_inf, s, None if math.isnan(alpha) else alpha, n_max,

@@ -103,23 +103,23 @@ def test_criterion_05_oracle_equivalence():
     for i in range(50):
         om, beta, h = random_instance(3000 + i, 16)
         got = dp.log_partition_pinning(dp.ModelSpec("pinning", beta, h, geo),
-                                       om, 16).final_logz
+                                       om, 16)[-1]
         want = math.log(dp.brute_force_pinning(geo, om, beta, h, 16).value)
         ok &= abs(got - want) <= rel * max(1.0, abs(want))
 
     for i in range(50):
         om, beta, _ = random_instance(4000 + i, 16)
-        table = dp.log_partition_constrained(dp.ModelSpec("pinning", beta, 0.0, geo),
-                                             om, 16)
+        row = dp.log_partition_constrained(dp.ModelSpec("pinning", beta, 0.0, geo),
+                                           om, 16)
         want = dp.brute_force_constrained(geo, om, beta, 16)
         for j, val in want.items():
             lw = math.log(val)
-            ok &= abs(float(table.logz_j[-1][j]) - lw) <= rel * max(1.0, abs(lw))
+            ok &= abs(float(row[j]) - lw) <= rel * max(1.0, abs(lw))
 
     for i in range(50):
         om, beta, h = random_instance(5000 + i, 14)
         got = dp.log_partition_copolymer(dp.ModelSpec("copolymer", beta, abs(h), srw),
-                                         om, 14).final_logz
+                                         om, 14)[-1]
         want = math.log(dp.brute_force_copolymer(srw, om, beta, abs(h), 14).value)
         ok &= abs(got - want) <= rel * max(1.0, abs(want))
 
@@ -136,7 +136,7 @@ def test_criterion_06_sandwich_and_lower_bound():
         for i in range(count):
             om, beta, h = random_instance(10_000 + n + i, n)
             model = dp.ModelSpec("pinning", beta, h, kern)
-            logz = dp.log_partition_pinning(model, om, n).final_logz
+            logz = dp.log_partition_pinning(model, om, n)[-1]
             logzf = dp.log_partition_free_endpoint(model, om, n)
             ok &= logzf >= logz - 1e-12
             ok &= logzf <= logz + abs(beta * om.values[n - 1] - h) - math.log(kmin) + 1e-12
@@ -153,10 +153,10 @@ def test_criterion_07_legendre_bracketing():
         for i in range(4):
             om, beta, h = random_instance(20_000 + n + i, n)
             model = dp.ModelSpec("pinning", beta, h, kern)
-            table = dp.log_partition_constrained(model, om, n)
-            counts = np.arange(table.logz_j.shape[1], dtype=float)
-            sup = float(np.max(table.logz_j[-1] - h * counts))
-            logz = dp.log_partition_pinning(model, om, n).final_logz
+            row = dp.log_partition_constrained(model, om, n)
+            counts = np.arange(len(row), dtype=float)
+            sup = float(np.max(row - h * counts))
+            logz = dp.log_partition_pinning(model, om, n)[-1]
             ok &= sup <= logz + 1e-11
             ok &= logz <= sup + math.log(n / kern.period + 1) + 1e-11
     _report(7, "count-resolved supremum brackets log Z within log(N/s + 1)",

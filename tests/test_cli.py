@@ -169,6 +169,17 @@ def test_exit_codes(tmp_path, capsys):
     # an infinite tail exponent is a bad kernel, not a one-atom law
     assert run(["pure", "--kernel", "power:alpha=inf,s=1,n_max=100", "--h=-0.5",
                 "--asymptotics"]) == 1
+    # a key the family does not take, or a repeated key, is named, never
+    # dropped (nmax=10 once gave the default horizon's b, and p=0.5,p=0.9
+    # the b of p=0.9)
+    for spec, key, keys in (("geometric:p=0.5,nmax=10", "'nmax'", "p, n_max"),
+                            ("srw:n_max=8,s=4", "'s'", "n_max"),
+                            ("geometric:p=0.5,p=0.9", "'p'", "repeats")):
+        capsys.readouterr()
+        assert run(["pure", "--kernel", spec, "--h=-0.01"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("depin pure: error: ") and err.count("\n") == 1
+        assert key in err and keys in err
     # a size that no path reaches (atoms at 4 and 8 only) is named before
     # any estimate runs
     k48 = tmp_path / "k48.csv"
@@ -205,6 +216,9 @@ def test_exit_codes(tmp_path, capsys):
         # fe prints one row per (size, field): a repeat would print it twice
         ["fe", *geo, "--beta", "1", "--h=-0.5", "--N", "64,64", "--replicas", "4"],
         ["fe", *geo, "--beta", "1", "--h=-0.5,-0.5", "--N", "64", "--replicas", "4"],
+        # and phi prints one row per density
+        ["phi", "--kernel", "geometric:p=0.5,n_max=8", "--m-grid", "0.5,0.5", "--N", "16",
+         "--replicas", "2", "--beta", "1"],
         # scan gaps lie strictly below h_c, each once
         *(["smooth", "--kernel", "power:alpha=3,s=1,n_max=256", "--beta", "1",
            "--N-list", "256,512", "--replicas", "8", "--seed", "11", "--tol", "0.02",

@@ -52,24 +52,24 @@ def test_input_validation(gaussian_law):
 def test_single_excursion_position():
     om = dp.sample_disorder(LAW, 2, 9)
     model = dp.ModelSpec("pinning", 1.3, 0.7, SRW)
-    table = dp.log_partition_pinning(model, om, 2)
+    logz = dp.log_partition_pinning(model, om, 2)
     expected = 1.3 * om.values[1] - 0.7 + math.log(0.5)
-    assert table.final_logz == pytest.approx(expected, abs=1e-14)
-    assert table.logz[0] == 0.0
+    assert logz[-1] == pytest.approx(expected, abs=1e-14)
+    assert logz[0] == 0.0
 
 
 def test_geometric_beta0_n2():
     om = dp.sample_disorder(LAW, 2, 1)
     model = dp.ModelSpec("pinning", 0.0, 0.0, GEO)
-    table = dp.log_partition_pinning(model, om, 2)
-    assert math.exp(table.final_logz) == pytest.approx(0.5, rel=1e-14)
+    logz = dp.log_partition_pinning(model, om, 2)
+    assert math.exp(logz[-1]) == pytest.approx(0.5, rel=1e-14)
 
 
 @pytest.mark.parametrize("i", range(12))
 def test_pinning_matches_oracle(i):
     om, beta, h = random_instance(100 + i, 16)
     model = dp.ModelSpec("pinning", beta, h, GEO)
-    got = dp.log_partition_pinning(model, om, 16).final_logz
+    got = dp.log_partition_pinning(model, om, 16)[-1]
     want = dp.brute_force_pinning(GEO, om, beta, h, 16)
     assert_log_close(got, want.value)
 
@@ -78,7 +78,7 @@ def test_pinning_matches_oracle(i):
 def test_pinning_matches_oracle_period2(i):
     om, beta, h = random_instance(300 + i, 16)
     model = dp.ModelSpec("pinning", beta, h, SRW)
-    got = dp.log_partition_pinning(model, om, 16).final_logz
+    got = dp.log_partition_pinning(model, om, 16)[-1]
     want = dp.brute_force_pinning(SRW, om, beta, h, 16)
     assert_log_close(got, want.value)
 
@@ -87,7 +87,7 @@ def test_pinning_matches_oracle_period2(i):
 def test_copolymer_matches_oracle(i):
     om, beta, h = random_instance(200 + i, 14)
     model = dp.ModelSpec("copolymer", beta, abs(h), SRW)
-    got = dp.log_partition_copolymer(model, om, 14).final_logz
+    got = dp.log_partition_copolymer(model, om, 14)[-1]
     want = dp.brute_force_copolymer(SRW, om, beta, abs(h), 14)
     assert_log_close(got, want.value)
 
@@ -96,8 +96,8 @@ def test_copolymer_beta_h_zero_equals_pinning():
     om = dp.sample_disorder(LAW, 12, 4)
     mc = dp.ModelSpec("copolymer", 0.0, 0.0, SRW)
     mp = dp.ModelSpec("pinning", 0.0, 0.0, SRW)
-    zc = dp.log_partition_copolymer(mc, om, 12).final_logz
-    zp = dp.log_partition_pinning(mp, om, 12).final_logz
+    zc = dp.log_partition_copolymer(mc, om, 12)[-1]
+    zp = dp.log_partition_pinning(mp, om, 12)[-1]
     assert zc == pytest.approx(zp, abs=1e-13)
 
 
@@ -106,8 +106,8 @@ def test_copolymer_s1_one_step_convention():
     kern = GEO
     om = dp.sample_disorder(LAW, 1, 5)
     model = dp.ModelSpec("copolymer", 1.7, 0.9, kern)
-    table = dp.log_partition_copolymer(model, om, 1)
-    assert table.final_logz == pytest.approx(math.log(kern.density[0]), abs=1e-14)
+    logz = dp.log_partition_copolymer(model, om, 1)
+    assert logz[-1] == pytest.approx(math.log(kern.density[0]), abs=1e-14)
 
 
 def _reflection_partner(omega, beta: float, n: int) -> float:
@@ -135,7 +135,7 @@ def test_copolymer_charge_reflection():
     om = dp.sample_disorder(LAW, n, 21)
     flipped = dp.DisorderSample(-om.values, om.seed, om.law)
     model = dp.ModelSpec("copolymer", beta, 0.0, SRW)
-    lhs = dp.log_partition_copolymer(model, flipped, n).final_logz
+    lhs = dp.log_partition_copolymer(model, flipped, n)[-1]
     partner = _reflection_partner(om, beta, n)
     rhs = beta * float(om.values[:n].sum()) + math.log(partner)
     assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -179,9 +179,8 @@ def test_copolymer_split_saturation_is_exact():
 def test_constrained_pinning_matches_oracle(i):
     om, beta, _h = random_instance(400 + i, 16)
     model = dp.ModelSpec("pinning", beta, 0.4, GEO)
-    table = dp.log_partition_constrained(model, om, 16)
+    got_j = dp.log_partition_constrained(model, om, 16)
     want = dp.brute_force_constrained(GEO, om, beta, 16)
-    got_j = table.logz_j[-1]
     for j in range(len(got_j)):
         if j in want:
             assert_log_close(float(got_j[j]), want[j])
@@ -195,9 +194,8 @@ def test_constrained_copolymer_matches_oracle(i, kern, kind_n):
     om, beta, _h = random_instance(500 + i, kind_n)
     n = kind_n - kind_n % kern.period
     model = dp.ModelSpec("copolymer", beta, 0.2, kern)
-    table = dp.log_partition_constrained(model, om, n)
+    got_j = dp.log_partition_constrained(model, om, n)
     want = dp.brute_force_constrained(kern, om, beta, n, kind="copolymer")
-    got_j = table.logz_j[-1]
     for j in range(len(got_j)):
         if j in want:
             assert_log_close(float(got_j[j]), want[j])
@@ -208,17 +206,16 @@ def test_constrained_copolymer_matches_oracle(i, kern, kind_n):
 def test_constrained_first_row_and_infeasible():
     om = dp.sample_disorder(LAW, 8, 3)
     model = dp.ModelSpec("pinning", 1.1, 0.0, SRW)
-    table = dp.log_partition_constrained(model, om, 8)
+    row = dp.log_partition_constrained(model, om, 8)
     # one contact at position 8 means a single excursion of length 8
-    assert table.logz_j[-1][1] == pytest.approx(
+    assert row[1] == pytest.approx(
         1.1 * om.values[7] + math.log(SRW.density[3]), abs=1e-13)
-    # the table keeps its final row only; shorter positions are the final
+    # a build returns its final row only; shorter positions are the final
     # rows of shorter builds: no path of length 4 has 3 contacts (the row
     # stops at j = 4/s), and every pinned path has at least one
     short = dp.log_partition_constrained(model, om, 4)
-    assert table.logz_j.shape == (1, 5) and short.logz_j.shape == (1, 3)
-    assert short.logz_j[-1][0] == -math.inf
-    assert table.logz[0] == short.logz[0] == 0.0
+    assert row.shape == (5,) and short.shape == (3,)
+    assert short[0] == -math.inf
 
 
 @pytest.mark.parametrize("kind,h", [("pinning", -0.8), ("pinning", 0.6),
@@ -228,43 +225,67 @@ def test_constrained_reconstruction_identity(kind, h):
     n = 64 if kind == "pinning" else 32
     om = dp.sample_disorder(LAW, n, 77)
     model = dp.ModelSpec(kind, 1.2, h, kern)
-    table = dp.log_partition_constrained(model, om, n)
-    counts = np.arange(table.logz_j.shape[1], dtype=float)
-    lhs = dp.logsumexp_1d(table.logz_j[-1] - h * counts)
+    row = dp.log_partition_constrained(model, om, n)
+    counts = np.arange(len(row), dtype=float)
+    lhs = dp.logsumexp_1d(row - h * counts)
     if kind == "pinning":
-        direct = dp.log_partition_pinning(model, om, n).final_logz
+        direct = dp.log_partition_pinning(model, om, n)[-1]
     else:
-        direct = dp.log_partition_copolymer(model, om, n).final_logz
+        direct = dp.log_partition_copolymer(model, om, n)[-1]
     assert lhs == pytest.approx(direct, abs=1e-12)
-    assert table.final_logz == pytest.approx(direct, abs=1e-12)
 
 
 def test_constrained_memory_is_w_rows():
-    # a build keeps w = 8 rows of 2049 counts, twice, where the whole
+    # a build keeps w = 8 rows of 2049 counts, where the whole
     # (N/s + 1)^2 table would take 33.6 MB
     om = dp.sample_disorder(LAW, 2048, 0)
     model = dp.ModelSpec("pinning", 1.0, 0.0, dp.geometric_kernel(0.5, n_max=8))
     tracemalloc.start()
     try:
-        table = dp.log_partition_constrained(model, om, 2048)
+        row = dp.log_partition_constrained(model, om, 2048)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.logz_j.shape == (1, 2049)
+    assert row.shape == (2049,)
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("kind,kern,n", [
+    ("pinning", dp.geometric_kernel(0.5, n_max=64), 2048),
+    ("copolymer", dp.srw_kernel(64), 512)])
+def test_constrained_peak_is_ring_window_and_vectors(kind, kern, n):
+    # the buffers of log_partition_constrained's docstring: the w x J ring
+    # (each row once), the pinning window of w x N/s cells, O(J) vectors
+    # (here at most 8), and numpy's iteration buffers of a ufunc call (one
+    # of np.getbufsize() entries per operand, at most 3)
+    t_max = n // kern.period
+    w = min(t_max, kern.n_max)
+    counts = t_max + 1 if kind == "pinning" else n + 1
+    window = w * t_max if kind == "pinning" else 0
+    bound = 8 * (w * counts + window + 8 * counts + 3 * np.getbufsize())
+    om = dp.sample_disorder(LAW, n, 0)
+    model = dp.ModelSpec(kind, 1.0, 0.0, kern)
+    tracemalloc.start()
+    try:
+        row = dp.log_partition_constrained(model, om, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row.shape == (counts,)
+    assert peak <= bound
 
 
 def test_constrained_window_extraction():
     om = dp.sample_disorder(LAW, 16, 6)
     model = dp.ModelSpec("pinning", 0.9, 0.0, GEO)
-    table = dp.log_partition_constrained(model, om, 16)
+    row = dp.log_partition_constrained(model, om, 16)
     # the [0,1] window collects everything
-    full = dp.constrained_window(table, 0.5, 0.5)
-    assert full == pytest.approx(dp.logsumexp_1d(table.logz_j[-1]), abs=1e-13)
+    full = dp.constrained_window(row, 16, 0.5, 0.5)
+    assert full == pytest.approx(dp.logsumexp_1d(row), abs=1e-13)
     # a window straddling a single count picks out exactly that count
-    one = dp.constrained_window(table, 5.0 / 16.0, 0.02)
-    assert one == pytest.approx(float(table.logz_j[-1][5]), abs=1e-13)
-    assert dp.constrained_window(table, 0.997, 0.001) == -math.inf
+    one = dp.constrained_window(row, 16, 5.0 / 16.0, 0.02)
+    assert one == pytest.approx(float(row[5]), abs=1e-13)
+    assert dp.constrained_window(row, 16, 0.997, 0.001) == -math.inf
 
 
 def test_single_excursion_lower_bound():
@@ -272,7 +293,7 @@ def test_single_excursion_lower_bound():
     for i in range(25):
         om, beta, h = random_instance(600 + i, 64)
         model = dp.ModelSpec("pinning", beta, h, GEO)
-        logz = dp.log_partition_pinning(model, om, 48).final_logz
+        logz = dp.log_partition_pinning(model, om, 48)[-1]
         bound = beta * om.values[47] - h + float(GEO.log_density[47])
         assert logz >= bound - 1e-12
 
@@ -280,7 +301,7 @@ def test_single_excursion_lower_bound():
 def test_monotone_convex_in_h():
     om = dp.sample_disorder(LAW, 64, 8)
     hs = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    vals = [dp.log_partition_pinning(dp.ModelSpec("pinning", 1.1, h, GEO), om, 64).final_logz
+    vals = [dp.log_partition_pinning(dp.ModelSpec("pinning", 1.1, h, GEO), om, 64)[-1]
             for h in hs]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     for i in (1, 2, 3):
@@ -291,7 +312,7 @@ def test_free_endpoint_sandwich():
     for i in range(30):
         om, beta, h = random_instance(700 + i, 64)
         model = dp.ModelSpec("pinning", beta, h, GEO)
-        logz = dp.log_partition_pinning(model, om, 64).final_logz
+        logz = dp.log_partition_pinning(model, om, 64)[-1]
         logzf = dp.log_partition_free_endpoint(model, om, 64)
         assert logzf >= logz - 1e-12
         kmin = GEO.density[:64].min()
@@ -312,10 +333,10 @@ def test_legendre_bracketing():
     for i in range(10):
         om, beta, h = random_instance(800 + i, 512)
         model = dp.ModelSpec("pinning", beta, h, GEO)
-        table = dp.log_partition_constrained(model, om, 512)
-        counts = np.arange(table.logz_j.shape[1], dtype=float)
-        sup = float(np.max(table.logz_j[-1] - h * counts))
-        logz = dp.log_partition_pinning(model, om, 512).final_logz
+        row = dp.log_partition_constrained(model, om, 512)
+        counts = np.arange(len(row), dtype=float)
+        sup = float(np.max(row - h * counts))
+        logz = dp.log_partition_pinning(model, om, 512)[-1]
         assert sup <= logz + 1e-12
         assert logz <= sup + math.log(512 / GEO.period + 1) + 1e-12
 
@@ -333,8 +354,8 @@ def test_concatenation_superadditivity():
     part2 = dp.log_partition_constrained(model, om2, n2)
     for j1 in range(1, n1 + 1):
         for j2 in range(1, n2 + 1):
-            lhs = full.logz_j[-1][j1 + j2]
-            rhs = part1.logz_j[-1][j1] + part2.logz_j[-1][j2]
+            lhs = full[j1 + j2]
+            rhs = part1[j1] + part2[j2]
             if math.isfinite(rhs):
                 assert lhs >= rhs - 1e-11
 
@@ -342,11 +363,11 @@ def test_concatenation_superadditivity():
 def test_table_entries_finite_or_neginf():
     om = dp.sample_disorder(LAW, 32, 2)
     model = dp.ModelSpec("pinning", 1.0, 0.3, SRW)
-    table = dp.log_partition_constrained(model, om, 32)
-    assert not np.any(np.isnan(table.logz_j))
-    assert not np.any(np.isposinf(table.logz_j))
+    row = dp.log_partition_constrained(model, om, 32)
+    assert not np.any(np.isnan(row))
+    assert not np.any(np.isposinf(row))
     # j beyond n/s is unreachable
-    assert np.all(np.isneginf(table.logz_j[-1][17:]))
+    assert np.all(np.isneginf(row[17:]))
 
 
 def test_couplings_beyond_float_range_rejected():
@@ -361,17 +382,17 @@ def test_couplings_beyond_float_range_rejected():
     with pytest.raises(ValueError, match="floating-point range"):
         dp.log_partition_copolymer(dp.ModelSpec("copolymer", 1e307, 1.0, SRW), om, 64)
     # large but representable: finite and exact to rounding
-    table = dp.log_partition_pinning(dp.ModelSpec("pinning", 0.0, -1e300, geo), om, 64)
-    assert table.final_logz == pytest.approx(64e300, rel=1e-12)
+    logz = dp.log_partition_pinning(dp.ModelSpec("pinning", 0.0, -1e300, geo), om, 64)
+    assert logz[-1] == pytest.approx(64e300, rel=1e-12)
     # just inside the pinning bound, 64 * (2.8e306 + 1000) < 1.797e308: log Z
     # is near the largest float and finite; 2.9e306 is just outside it
-    table = dp.log_partition_pinning(dp.ModelSpec("pinning", 0.0, -2.8e306, geo), om, 64)
-    assert math.isfinite(table.final_logz)
-    assert table.final_logz == pytest.approx(64 * 2.8e306, rel=1e-12)
+    logz = dp.log_partition_pinning(dp.ModelSpec("pinning", 0.0, -2.8e306, geo), om, 64)
+    assert math.isfinite(logz[-1])
+    assert logz[-1] == pytest.approx(64 * 2.8e306, rel=1e-12)
     with pytest.raises(ValueError, match="floating-point range"):
         dp.log_partition_pinning(dp.ModelSpec("pinning", 0.0, -2.9e306, geo), om, 64)
     # the copolymer forms subtract prefix sums, so their bound is half as wide
     est = dp.log_partition_copolymer(dp.ModelSpec("copolymer", 0.0, 1.4e306, SRW), om, 64)
-    assert math.isfinite(est.final_logz)
+    assert math.isfinite(est[-1])
     with pytest.raises(ValueError, match="floating-point range"):
         dp.log_partition_copolymer(dp.ModelSpec("copolymer", 0.0, 1.5e306, SRW), om, 64)

@@ -188,11 +188,25 @@ def test_kernel_from_file_wetting(tmp_path):
     "s=1,k_inf=0.0,alpha=2\n2,0.5\n1,0.5\n",          # not ascending
     "s=1,k_inf=0.0\n1,1.0\n",                         # missing alpha
     "garbage\n",
+    "s=1,k_inf=0.0,alpha=2\n1,1e400\n",              # infinite entry
+    "s=1,k_inf=0.0,alpha=2\n1,nan\n2,1.0\n",         # NaN entry
 ])
 def test_kernel_from_file_rejects(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_text(body, encoding="utf-8")
     with pytest.raises(ValueError):
+        dp.kernel_from_file(path)
+
+
+def test_kernel_from_file_messages(tmp_path):
+    # a non-finite entry is named at its line, not as an infinite mass, and
+    # the mass is printed as a plain float
+    path = tmp_path / "bad.csv"
+    path.write_text("s=1,k_inf=0.0,alpha=2\n1,1e400\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"non-finite entry K\(1\)=inf on line '1,1e400'"):
+        dp.kernel_from_file(path)
+    path.write_text("s=1,k_inf=0.1,alpha=2\n1,0.5\n2,0.3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r": mass 0\.9 violates normalization beyond 1e-9$"):
         dp.kernel_from_file(path)
 
 

@@ -15,7 +15,7 @@ of the power-law fit) is one _wls_line solve.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -339,7 +339,6 @@ class SmoothingReport:
     pure_slope: float | None
     pure_ratio_target: float | None
     constants_route: str
-    config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -351,8 +350,7 @@ DEFAULT_SCAN_GAPS = (0.35, 0.248, 0.175, 0.124, 0.088, 0.062, 0.044,
 
 def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
                     n_list, replicas: int, seed: int, tol: float = 2e-3,
-                    scan_gaps=DEFAULT_SCAN_GAPS, kind: str = "pinning",
-                    config: dict | None = None) -> SmoothingReport:
+                    scan_gaps=DEFAULT_SCAN_GAPS, kind: str = "pinning") -> SmoothingReport:
     """Probe the quadratic smoothing envelope at desk scale.
 
     Locates h_c(beta) by bisection, then scans the free energy on both
@@ -455,5 +453,4 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
         envelope_ok=envelope_ok, envelope_prefactor=consts.envelope(1.0),
         ratio_decreasing=ratio_decreasing, ratios=ratios, points=points,
         pure_order=pure_order, pure_slope=pure_slope,
-        pure_ratio_target=pure_target, constants_route=consts.route,
-        config=dict(config or {}))
+        pure_ratio_target=pure_target, constants_route=consts.route)

@@ -10,7 +10,7 @@ be an integer >= 1 when set).
 
 Kernel specs: ``geometric:p=0.5[,n_max=64]``, ``srw:n_max=512``,
 ``power:alpha=3,s=1,n_max=4096[,defect=0.5]``, ``file:PATH``; a parameter
-that its family does not take is an error.
+that its family does not take, or one given twice, is an error.
 Law specs: ``gaussian``, ``uniform``, ``rademacher``.
 
 Comma lists that begin with a minus sign need the ``--flag=value`` form
@@ -30,50 +30,9 @@ from .analysis import UsageError, locate_hc, smoothing_check
 from .disorder import disorder_law
 from .engine import ModelSpec
 from .estimator import estimate_free_energy, estimate_phi, worker_count
-from .kernel import geometric_kernel, kernel_from_file, power_kernel, srw_kernel
+from .kernel import REQUIRED, geometric_kernel, parse_kernel_spec, read_pairs
 from .oracle import verify_battery
 from .pure_solver import pure_asymptotics, solve_free_energy_pure
-
-
-# the parameters each kernel family takes
-_KERNEL_KEYS = {"geometric": ("p", "n_max"), "srw": ("n_max",),
-                "power": ("alpha", "s", "n_max", "defect")}
-
-
-def parse_kernel_spec(text: str):
-    name, _, rest = text.partition(":")
-    if name == "file":
-        if not rest:
-            raise ValueError("file kernel needs a path: file:PATH")
-        return kernel_from_file(rest)
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, sep, val = item.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ValueError(f"malformed kernel parameter {item!r}")
-            if key in params:
-                raise ValueError(f"kernel spec {text!r} repeats parameter {key!r}")
-            params[key] = val.strip()
-    if name not in _KERNEL_KEYS:
-        raise ValueError(f"unknown kernel family {name!r}")
-    keys = _KERNEL_KEYS[name]
-    for key in params:
-        if key not in keys:
-            raise ValueError(f"kernel spec {text!r}: unknown parameter {key!r} "
-                             f"(a {name} kernel takes {', '.join(keys)})")
-    try:
-        if name == "geometric":
-            n_max = int(params["n_max"]) if "n_max" in params else None
-            return geometric_kernel(float(params["p"]), n_max=n_max)
-        if name == "srw":
-            return srw_kernel(int(params["n_max"]))
-        if name == "power":
-            return power_kernel(float(params["alpha"]), int(params.get("s", 1)),
-                                int(params["n_max"]), float(params.get("defect", 0.0)))
-    except KeyError as exc:
-        raise ValueError(f"kernel spec {text!r} misses parameter {exc}") from None
 
 
 def _size(text: str) -> int:
@@ -135,21 +94,12 @@ def _float_list(text: str):
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment, blank lines ignored."""
-    out = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}: malformed config line {raw!r}")
-        out[key.strip().replace("-", "_")] = val.strip()
-    return out
-
-
-# an option's default that marks it required
-_NO_DEFAULT = object()
+    """Flat key=value file: '#' starts a comment, blank lines are ignored and
+    '-' in a key reads as '_' (so N-list and N_list repeat one key)."""
+    lines = (raw.split("#", 1)[0].strip()
+             for raw in Path(path).read_text(encoding="utf-8").splitlines())
+    return read_pairs([key.replace("-", "_") + sep + val for key, sep, val in
+                       (line.partition("=") for line in lines if line)], path)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -193,7 +143,7 @@ def _merge_options(cmd: str, args: argparse.Namespace) -> dict:
                 raise UsageError(
                     f"--{name.replace('_', '-')}: bad value {raw!r} ({exc})") from None
     for name, value in merged.items():
-        if value is _NO_DEFAULT:
+        if value is REQUIRED:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
     return merged
 
@@ -328,15 +278,14 @@ def _cmd_smooth(merged: dict, cfg: dict) -> int:
         kwargs["scan_gaps"] = tuple(merged["scan_gaps"])
     report = smoothing_check(merged["beta"], kernel, law, n_list=merged["N_list"],
                              replicas=merged["replicas"], seed=merged["seed"],
-                             tol=merged["tol"], kind=merged["kind"],
-                             config=cfg, **kwargs)
+                             tol=merged["tol"], kind=merged["kind"], **kwargs)
     print(f"hc={_fmt(report.hc)} +- {_fmt(report.hc_err)}")
     print(f"exponent={_fmt(report.exponent)} +- {_fmt(report.exponent_err)}")
     print(f"envelope_ok={report.envelope_ok} ratio_decreasing={report.ratio_decreasing}")
     rows = [(merged["N_list"][-1], report.beta, h, f, s,
              merged["replicas"], merged["seed"]) for h, f, s in report.points]
     _save(merged, {
-        "smooth.json": _json(report.to_dict()),
+        "smooth.json": _json({**report.to_dict(), "config": cfg}),
         "smooth_points.csv": _csv(["N", "beta", "h", "mean", "stderr", "replicas",
                                    "seed"], rows, cfg),
         "smooth.gp": _plot("smooth_points.csv", "h", "F", "3:4:5", "yerrorlines")})
@@ -360,7 +309,7 @@ def _cmd_verify(merged: dict, cfg: dict) -> int:
 
 
 _COMMON = {
-    "kernel": (str, _NO_DEFAULT, "kernel spec (see module docstring)"),
+    "kernel": (str, REQUIRED, "kernel spec (see module docstring)"),
     "law": (str, "gaussian", "disorder law"),
     "beta": (_finite, 0.0, "disorder strength"),
     "seed": (_seed, 0, "master seed, in [0, 2^64)"),
@@ -373,27 +322,27 @@ _COMMON = {
 _COMMANDS = {
     "pure": (_cmd_pure, {
         "kernel": _COMMON["kernel"],
-        "h": (_float_list, _NO_DEFAULT, "field value(s), comma list or lo:hi:step"),
+        "h": (_float_list, REQUIRED, "field value(s), comma list or lo:hi:step"),
         "asymptotics": (_flag, False, "also print the transition classification"),
         "out": _COMMON["out"],
     }),
     "fe": (_cmd_fe, {
         **_COMMON,
         "kind": (str, "pinning", "model kind"),
-        "h": (_float_list, _NO_DEFAULT, "field value(s)"),
-        "N": (_size_list, _NO_DEFAULT, "system size(s)"),
+        "h": (_float_list, REQUIRED, "field value(s)"),
+        "N": (_size_list, REQUIRED, "system size(s)"),
     }),
     "phi": (_cmd_phi, {
         **_COMMON,
         "kind": (str, "pinning", "model kind"),
-        "m_grid": (_float_list, _NO_DEFAULT, "density grid, comma list or lo:hi:step"),
+        "m_grid": (_float_list, REQUIRED, "density grid, comma list or lo:hi:step"),
         "epsilon": (_finite, None, "window half-width (default max(1/sqrt(N), 2s/N))"),
-        "N": (_size, _NO_DEFAULT, "system size"),
+        "N": (_size, REQUIRED, "system size"),
     }),
     "hc": (_cmd_hc, {
         **_COMMON,
         "kind": (str, "pinning", "model kind"),
-        "N_list": (_size_list, _NO_DEFAULT, "extrapolation sizes"),
+        "N_list": (_size_list, REQUIRED, "extrapolation sizes"),
         "tol": (_finite, 1e-3, "bisection tolerance on h"),
         "h_lo": (_finite, None, "optional lower search bound"),
         "h_hi": (_finite, None, "optional upper search bound"),
@@ -401,7 +350,7 @@ _COMMANDS = {
     "smooth": (_cmd_smooth, {
         **_COMMON,
         "kind": (str, "pinning", "model kind"),
-        "N_list": (_size_list, _NO_DEFAULT, "extrapolation sizes"),
+        "N_list": (_size_list, REQUIRED, "extrapolation sizes"),
         "tol": (_finite, 2e-3, "bisection tolerance on h"),
         "scan_gaps": (_float_list, None, "distances below h_c to scan"),
     }),

@@ -56,8 +56,8 @@ class ReturnKernel:
         total = float(dens.sum()) + self.defect_mass
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"kernel mass {total!r} differs from 1 beyond tolerance")
-        if self.alpha is not None and self.alpha < 1.0:
-            raise ValueError("declared tail exponent must be >= 1")
+        if self.alpha is not None and not (math.isfinite(self.alpha) and self.alpha >= 1.0):
+            raise ValueError("declared tail exponent must be finite and >= 1")
         dens.flags.writeable = False
         object.__setattr__(self, "density", dens)
 
@@ -208,11 +208,51 @@ def geometric_kernel(p: float, n_max: int | None = None) -> ReturnKernel:
                         family="geometric", family_params={"p": float(p)})
 
 
+REQUIRED = object()  # the default of a parameter that must be given
+
+
+def read_pairs(items, where: str) -> dict:
+    """{key: value} of ``key=value`` items, stripped; an item without '=' or
+    a key given twice is a ValueError that names it and `where`."""
+    pairs = {}
+    for item in items:
+        key, sep, val = (part.strip() for part in item.partition("="))
+        if not sep:
+            raise ValueError(f"{where}: malformed item {item!r}, not key=value")
+        if key in pairs:
+            raise ValueError(f"{where} repeats {key!r}")
+        pairs[key] = val
+    return pairs
+
+
+def read_params(items, params: dict, where: str) -> dict:
+    """{name: converted value or default} of ``key=value`` items, for params
+    name -> (converter, default); an unknown name, a missing REQUIRED one or
+    a value its converter rejects is a ValueError naming it and `where`."""
+    pairs = read_pairs(items, where)
+    if unknown := [key for key in pairs if key not in params]:
+        raise ValueError(f"{where}: unknown parameter {unknown[0]!r} "
+                         f"(it takes {', '.join(params)})")
+    out = {}
+    for name, (conv, default) in params.items():
+        if name not in pairs and default is REQUIRED:
+            raise ValueError(f"{where} misses parameter {name!r}")
+        try:
+            out[name] = conv(pairs[name]) if name in pairs else default
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad value {pairs[name]!r} for {name!r} "
+                             f"({exc})") from None
+    return out
+
+
+_HEADER = {"s": (int, REQUIRED), "k_inf": (float, REQUIRED), "alpha": (float, REQUIRED)}
+
+
 def kernel_from_file(path) -> ReturnKernel:
     """Load a kernel from the CSV schema.
 
-    Header line ``s=<int>,k_inf=<float>,alpha=<float>`` then lines
-    ``n,K(n)`` with n ascending multiples of s (omitted atoms are zero;
+    Header line ``s=<int>,k_inf=<float>,alpha=<float>`` (read_params) then
+    lines ``n,K(n)`` with n ascending multiples of s (omitted atoms are zero;
     ``alpha=nan`` means undeclared; every K(n) finite and nonnegative).
     Total mass must match 1 - k_inf to within 1e-9 or the file is rejected;
     the accepted table is rescaled to machine-exact normalization.
@@ -221,18 +261,7 @@ def kernel_from_file(path) -> ReturnKernel:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValueError(f"{path}: empty kernel file")
-    header = {}
-    for item in lines[0].split(","):
-        key, _, val = item.partition("=")
-        if not _:
-            raise ValueError(f"{path}: malformed header item {item!r}")
-        header[key.strip()] = val.strip()
-    try:
-        s = int(header["s"])
-        k_inf = float(header["k_inf"])
-        alpha = float(header["alpha"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: bad header {lines[0]!r}: {exc}") from None
+    s, k_inf, alpha = read_params(lines[0].split(","), _HEADER, f"{path} header").values()
     if s < 1:
         raise ValueError(f"{path}: period must be positive")
     if not 0.0 <= k_inf < 1.0:
@@ -241,10 +270,11 @@ def kernel_from_file(path) -> ReturnKernel:
     atoms = []
     last_n = 0
     for ln in lines[1:]:
-        n_txt, _, k_txt = ln.partition(",")
-        if not _:
-            raise ValueError(f"{path}: malformed data line {ln!r}")
-        n, k = int(n_txt), float(k_txt)
+        try:
+            n_txt, k_txt = ln.split(",")
+            n, k = int(n_txt), float(k_txt)
+        except ValueError:
+            raise ValueError(f"{path}: malformed data line {ln!r}") from None
         if n % s != 0 or n <= 0:
             raise ValueError(f"{path}: atom at n={n} is not a positive multiple of s={s}")
         if n <= last_n:
@@ -271,3 +301,26 @@ def kernel_from_file(path) -> ReturnKernel:
     return ReturnKernel(dens, k_inf, s, None if math.isnan(alpha) else alpha, n_max,
                         family="file")
 
+
+# family -> (constructor, its parameters in argument order); the constructor
+# is looked up when called, so that bench/tracing.py's rebinding of it counts
+_FAMILIES = {
+    "geometric": ("geometric_kernel", {"p": (float, REQUIRED), "n_max": (int, None)}),
+    "srw": ("srw_kernel", {"n_max": (int, REQUIRED)}),
+    "power": ("power_kernel", {"alpha": (float, REQUIRED), "s": (int, 1),
+                               "n_max": (int, REQUIRED), "defect": (float, 0.0)}),
+}
+
+
+def parse_kernel_spec(text: str) -> ReturnKernel:
+    """The kernel of ``family:key=value,...`` (see _FAMILIES) or ``file:PATH``."""
+    name, _, rest = text.partition(":")
+    if name == "file":
+        if not rest:
+            raise ValueError("file kernel needs a path: file:PATH")
+        return kernel_from_file(rest)
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown kernel family {name!r}")
+    make, params = _FAMILIES[name]
+    values = read_params(rest.split(",") if rest else [], params, f"kernel spec {text!r}")
+    return globals()[make](*values.values())

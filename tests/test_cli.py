@@ -180,6 +180,39 @@ def test_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("depin pure: error: ") and err.count("\n") == 1
         assert key in err and keys in err
+    # every key=value input names the key it rejects, in one line with exit
+    # 1: a value its converter rejects, a missing key, an empty item, a key
+    # repeated in a config file (in either spelling) or in a kernel-file
+    # header, and a header key no kernel takes (srw:n_max=1e3 once printed
+    # a bare int() message, a repeated header or config key kept its last
+    # value and foo=3 was dropped)
+    files = {"beta.cfg": "kernel = geometric:p=0.5\nh = -1\nbeta = 1\nbeta = 0\nN = 64\n",
+             "nlist.cfg": "kernel = geometric:p=0.5\nN-list = 64\nN_list = 128\n",
+             "s.csv": "s=1,k_inf=0,alpha=nan,s=2\n1,1.0\n",
+             "foo.csv": "s=1,k_inf=0,alpha=nan,foo=3\n1,1.0\n",
+             "alpha.csv": "s=1,k_inf=0\n1,1.0\n",
+             "inf.csv": "s=1,k_inf=0,alpha=inf\n1,1.0\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    pure = ["pure", "--h=-0.5", "--kernel"]
+    for argv, named in (
+            ([*pure, "geometric:p=0.5,n_max="], "'n_max'"),
+            ([*pure, "srw:n_max=1e3"], "'n_max'"),
+            ([*pure, "power:alpha=x,s=1,n_max=10"], "'alpha'"),
+            ([*pure, "geometric:n_max=4"], "'p'"),
+            ([*pure, "geometric:p=0.5,"], "''"),
+            (["fe", "--config", str(tmp_path / "beta.cfg")], "'beta'"),
+            (["hc", "--config", str(tmp_path / "nlist.cfg")], "'N_list'"),
+            ([*pure, f"file:{tmp_path / 's.csv'}"], "repeats 's'"),
+            ([*pure, f"file:{tmp_path / 'foo.csv'}"], "'foo'"),
+            ([*pure, f"file:{tmp_path / 'alpha.csv'}"], "'alpha'"),
+            # an infinite declared tail exponent is not a tail exponent
+            ([*pure, f"file:{tmp_path / 'inf.csv'}", "--asymptotics"], "tail exponent")):
+        capsys.readouterr()
+        assert run(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"depin {argv[0]}: error: "), argv
+        assert err.count("\n") == 1 and named in err, err
     # a size that no path reaches (atoms at 4 and 8 only) is named before
     # any estimate runs
     k48 = tmp_path / "k48.csv"

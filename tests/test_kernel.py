@@ -1,9 +1,12 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import depin as dp
+from depin.kernel import parse_kernel_spec
 from conftest import sparse_kernel, srw_first_return_enum
 
 
@@ -208,6 +211,68 @@ def test_kernel_from_file_messages(tmp_path):
     path.write_text("s=1,k_inf=0.1,alpha=2\n1,0.5\n2,0.3\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r": mass 0\.9 violates normalization beyond 1e-9$"):
         dp.kernel_from_file(path)
+    # a data line that does not convert is named with its file
+    for line in ("1.5,1.0", "1,abc", "1,1.0,7"):
+        path.write_text(f"s=1,k_inf=0.0,alpha=2\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"bad\.csv: malformed data line '{line}'$"):
+            dp.kernel_from_file(path)
+    # the header is read like a kernel spec: a repeated, unknown or missing
+    # key is named
+    for header, message in (("s=1,k_inf=0,alpha=nan,s=2", "header repeats 's'"),
+                            ("s=1,k_inf=0,alpha=nan,foo=3", "unknown parameter 'foo'"),
+                            ("s=1,k_inf=0", "header misses parameter 'alpha'"),
+                            ("s=1.5,k_inf=0,alpha=2", "bad value '1.5' for 's'")):
+        path.write_text(f"{header}\n1,1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            dp.kernel_from_file(path)
+
+
+def test_declared_tail_exponent_is_finite():
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dp.ReturnKernel(np.array([0.5, 0.5]), 0.0, 1, alpha, 2)
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# each kernel spec of the benchmark, with the constructor call it names
+_BENCH_KERNELS = {
+    "power:alpha=3,s=1,n_max=2048": lambda: dp.power_kernel(3.0, 1, 2048),
+    "geometric:p=0.5,n_max=64": lambda: dp.geometric_kernel(0.5, n_max=64),
+    "power:alpha=3,s=1,n_max=64,defect=0.5": lambda: dp.power_kernel(3.0, 1, 64, 0.5),
+    "srw:n_max=1000000": lambda: dp.srw_kernel(1_000_000),
+    "srw:n_max=512": lambda: dp.srw_kernel(512),
+}
+
+
+def test_parse_kernel_spec_builds_what_the_constructor_builds():
+    specs = {spec for load in _load_workloads().WORKLOADS.values() for spec in load.kernels}
+    assert specs == set(_BENCH_KERNELS)
+    for spec, build in _BENCH_KERNELS.items():
+        got, want = parse_kernel_spec(spec), build()
+        assert got.density.tobytes() == want.density.tobytes(), spec
+        assert (got.period, got.alpha, got.defect_mass) == (
+            want.period, want.alpha, want.defect_mass), spec
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("geometric:p=0.5,n_max=", "bad value '' for 'n_max'"),
+    ("srw:n_max=1e3", "bad value '1e3' for 'n_max'"),
+    ("power:alpha=x,s=1,n_max=10", "bad value 'x' for 'alpha'"),
+    ("geometric:n_max=4", "misses parameter 'p'"),
+    ("geometric:p=0.5,", "malformed item ''"),
+    ("geometric:p=0.5,nmax=10", r"unknown parameter 'nmax' \(it takes p, n_max\)"),
+    ("power:alpha=3,n_max=8,alpha=3", "repeats 'alpha'"),
+])
+def test_parse_kernel_spec_names_the_key(spec, message):
+    with pytest.raises(ValueError, match=message):
+        parse_kernel_spec(spec)
 
 
 @pytest.mark.parametrize("key", range(40))

@@ -66,6 +66,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0.0:
+        raise ValueError("not a positive number")
+    return value
+
+
 def _flag(text: str) -> bool:
     """A boolean from a config file: 1/0, true/false or yes/no, any case."""
     if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
@@ -191,7 +198,15 @@ def _save(merged: dict, files: dict) -> None:
         (out / name).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _once(name: str, values) -> None:
+    """A usage error when a value repeats: it would repeat its output row."""
+    if len(set(values)) < len(values):
+        raise UsageError(f"each {name} may appear once: a repeated {name} "
+                         "repeats its row")
+
+
 def _cmd_pure(merged: dict, cfg: dict) -> int:
+    _once("field", merged["h"])
     kernel = parse_kernel_spec(merged["kernel"])
     rows = []
     for h in merged["h"]:
@@ -206,13 +221,6 @@ def _cmd_pure(merged: dict, cfg: dict) -> int:
     _save(merged, {"pure.csv": _csv(["h", "b", "localized", "residual"], rows, cfg),
                    "pure.gp": _plot("pure.csv", "h", "b", "1:2", "linespoints")})
     return 0
-
-
-def _once(name: str, values) -> None:
-    """A usage error when a value repeats: it would repeat its output row."""
-    if len(set(values)) < len(values):
-        raise UsageError(f"each {name} may appear once: a repeated {name} "
-                         "repeats its row")
 
 
 def _cmd_fe(merged: dict, cfg: dict) -> int:
@@ -343,7 +351,7 @@ _COMMANDS = {
         **_COMMON,
         "kind": (str, "pinning", "model kind"),
         "N_list": (_size_list, REQUIRED, "extrapolation sizes"),
-        "tol": (_finite, 1e-3, "bisection tolerance on h"),
+        "tol": (_positive, 1e-3, "bisection tolerance on h"),
         "h_lo": (_finite, None, "optional lower search bound"),
         "h_hi": (_finite, None, "optional upper search bound"),
     }),
@@ -351,7 +359,7 @@ _COMMANDS = {
         **_COMMON,
         "kind": (str, "pinning", "model kind"),
         "N_list": (_size_list, REQUIRED, "extrapolation sizes"),
-        "tol": (_finite, 2e-3, "bisection tolerance on h"),
+        "tol": (_positive, 2e-3, "bisection tolerance on h"),
         "scan_gaps": (_float_list, None, "distances below h_c to scan"),
     }),
     "verify": (_cmd_verify, {

@@ -298,8 +298,11 @@ def kernel_from_file(path) -> ReturnKernel:
             f"{path}: mass {float(total + k_inf)!r} violates normalization beyond 1e-9")
     if total > 0:
         dens *= (1.0 - k_inf) / total
-    return ReturnKernel(dens, k_inf, s, None if math.isnan(alpha) else alpha, n_max,
-                        family="file")
+    try:
+        return ReturnKernel(dens, k_inf, s, None if math.isnan(alpha) else alpha, n_max,
+                            family="file")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # family -> (constructor, its parameters in argument order); the constructor

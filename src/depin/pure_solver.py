@@ -74,10 +74,13 @@ def solve_free_energy_pure(kernel: ReturnKernel, h: float) -> PureSolution:
     root.  A root below the smallest subnormal is returned as that
     subnormal, so b > 0 exactly when h < h_c.  residual is
     |left side - right side| at the returned b.  A non-finite h is rejected.
-    Its two work arrays, each the length of the table, are allocated once
-    per solve and reused across Newton steps, with the same operations in
-    the same order at every step, so b and residual do not depend on the
-    reuse.
+    One work array the length of the table is allocated per solve and
+    reused across Newton steps: each step computes its terms in place in
+    it, with the same operations in the same order at every step, so b and
+    residual do not depend on the reuse.  Three tables (density, steps and
+    this buffer) are the floor: the derivative reads steps while the buffer
+    holds the terms, and a chunked solve would change the summation order
+    of the dot products, and so the bits.
     """
     if not math.isfinite(h):
         raise ValueError("h must be finite")
@@ -88,33 +91,31 @@ def solve_free_energy_pure(kernel: ReturnKernel, h: float) -> PureSolution:
     mass = 1.0 - kernel.defect_mass
     near = gap > -LOG2
     steps = kernel.steps
-    # work arrays shared by every Newton step; expm1 and exp read one and
-    # write the other, never in place
-    x, e = np.empty_like(steps), np.empty_like(steps)
+    # the one work array of every Newton step; each ufunc writes in place
+    x = np.empty_like(steps)
 
     def excess(b: float) -> tuple[float, float]:
         # (left side - right side, the denominator of its derivative in b);
-        # e keeps the terms that slope reads
+        # x keeps the terms that slope reads
         if near:
-            np.expm1(np.multiply(steps, -b, out=x), out=e)
-            deficit = -float(np.dot(kernel.density, e))
+            np.expm1(np.multiply(steps, -b, out=x), out=x)
+            deficit = -float(np.dot(kernel.density, x))
             return math.log1p(-deficit / mass) - gap, mass - deficit
         # log-sum-exp, so that exp(h) may lie below the smallest double; an
         # overflow only makes a term -inf, which is exact
         with np.errstate(over="ignore"):
             np.subtract(kernel.log_density, np.multiply(steps, b, out=x), out=x)
         top = x.max()
-        np.exp(np.subtract(x, top, out=x), out=e)
-        tilted = float(e.sum())
+        np.exp(np.subtract(x, top, out=x), out=x)
+        tilted = float(x.sum())
         return top + math.log(tilted) - h, tilted
 
     def slope(denominator: float) -> float:
         # derivative in b of the left side at the last excess point; only a
         # step that follows needs it, so the last excess call skips it
         if near:
-            np.multiply(np.add(e, 1.0, out=x), kernel.density, out=x)
-            return -float(np.dot(steps, x)) / denominator
-        return -float(np.dot(steps, e)) / denominator
+            np.multiply(np.add(x, 1.0, out=x), kernel.density, out=x)
+        return -float(np.dot(steps, x)) / denominator
 
     b = 0.0
     value, denominator = excess(b)

@@ -161,6 +161,17 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["hc", *geo, "--N-list", "64", "--h-lo=-inf", "--h-hi", "0"]) == 2
     assert run(["phi", *geo, "--N", "64", "--epsilon", "nan", "--m-grid", "0.5"]) == 2
     assert run(["smooth", *geo, "--N-list", "64", "--tol", "inf"]) == 2
+    # so is a tolerance that is not positive (it once exited 1 from the
+    # library's own check)
+    for argv in (["hc", *geo, "--N-list", "64", "--tol", "0"],
+                 ["smooth", *geo, "--N-list", "64", "--tol=-1"]):
+        capsys.readouterr()
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"depin {argv[0]}: usage error: --tol: "), err
+    # a repeated field would repeat its row, in pure as in fe (pure once
+    # printed and wrote it twice)
+    assert run(["pure", *geo, "--h=-0.1,-0.1"]) == 2
     # ranges: zero, non-finite or wrong-signed steps, and ranges whose
     # length overflows, are usage errors
     for grid in ("0.1:0.9:0", "0.1:0.9:nan", "0.1:0.9:inf", "0.1:0.9:-0.1",
@@ -191,7 +202,8 @@ def test_exit_codes(tmp_path, capsys):
              "s.csv": "s=1,k_inf=0,alpha=nan,s=2\n1,1.0\n",
              "foo.csv": "s=1,k_inf=0,alpha=nan,foo=3\n1,1.0\n",
              "alpha.csv": "s=1,k_inf=0\n1,1.0\n",
-             "inf.csv": "s=1,k_inf=0,alpha=inf\n1,1.0\n"}
+             "inf.csv": "s=1,k_inf=0,alpha=inf\n1,1.0\n",
+             "half.csv": "s=1,k_inf=0,alpha=0.5\n1,1.0\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     pure = ["pure", "--h=-0.5", "--kernel"]
@@ -207,7 +219,10 @@ def test_exit_codes(tmp_path, capsys):
             ([*pure, f"file:{tmp_path / 'foo.csv'}"], "'foo'"),
             ([*pure, f"file:{tmp_path / 'alpha.csv'}"], "'alpha'"),
             # an infinite declared tail exponent is not a tail exponent
-            ([*pure, f"file:{tmp_path / 'inf.csv'}", "--asymptotics"], "tail exponent")):
+            ([*pure, f"file:{tmp_path / 'inf.csv'}", "--asymptotics"], "tail exponent"),
+            # a constructor error names the file, as the header's do
+            ([*pure, f"file:{tmp_path / 'half.csv'}"],
+             f"{tmp_path / 'half.csv'}: declared tail exponent")):
         capsys.readouterr()
         assert run(argv) == 1, argv
         out, err = capsys.readouterr()

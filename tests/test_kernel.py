@@ -217,11 +217,14 @@ def test_kernel_from_file_messages(tmp_path):
         with pytest.raises(ValueError, match=rf"bad\.csv: malformed data line '{line}'$"):
             dp.kernel_from_file(path)
     # the header is read like a kernel spec: a repeated, unknown or missing
-    # key is named
+    # key is named, and a declared tail exponent the constructor rejects
+    # names the file
     for header, message in (("s=1,k_inf=0,alpha=nan,s=2", "header repeats 's'"),
                             ("s=1,k_inf=0,alpha=nan,foo=3", "unknown parameter 'foo'"),
                             ("s=1,k_inf=0", "header misses parameter 'alpha'"),
-                            ("s=1.5,k_inf=0,alpha=2", "bad value '1.5' for 's'")):
+                            ("s=1.5,k_inf=0,alpha=2", "bad value '1.5' for 's'"),
+                            ("s=1,k_inf=0,alpha=inf", r"bad\.csv: declared tail exponent"),
+                            ("s=1,k_inf=0,alpha=0.5", r"bad\.csv: declared tail exponent")):
         path.write_text(f"{header}\n1,1.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             dp.kernel_from_file(path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,24 @@ def test_work_arrays_keep_the_bits(kern):
         sol = dp.solve_free_energy_pure(kern, h)
         b, residual = _solve_fresh(kern, h)
         assert (repr(sol.b), repr(sol.residual)) == (repr(b), repr(residual)), h
+
+
+@pytest.mark.parametrize("kern", [
+    dp.srw_kernel(10**5), dp.power_kernel(3.0, 2, 10**5, defect_mass=0.3)])
+def test_solver_peak_is_one_work_array(kern):
+    # with the kernel's cached tables built, a solve allocates one work
+    # array of n_max doubles, on both branches, plus small Python objects
+    kern.steps, kern.log_density
+    hc = dp.hc_pure(kern)
+    for h in (hc - 1e-3, hc - 3.0):
+        tracemalloc.start()
+        try:
+            sol = dp.solve_free_energy_pure(kern, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.localized
+        assert peak <= 8 * kern.n_max + 65536, h
 
 
 def test_single_atom_kernel():

@@ -30,7 +30,7 @@ from .analysis import UsageError, locate_hc, smoothing_check
 from .disorder import disorder_law
 from .engine import ModelSpec
 from .estimator import estimate_free_energy, estimate_phi, worker_count
-from .kernel import REQUIRED, geometric_kernel, parse_kernel_spec, read_pairs
+from .kernel import REQUIRED, geometric_kernel, parse_kernel_spec, read_lines, read_pairs
 from .oracle import verify_battery
 from .pure_solver import pure_asymptotics, solve_free_energy_pure
 
@@ -84,16 +84,17 @@ MAX_RANGE_POINTS = 100_000
 
 
 def _float_list(text: str):
-    """Comma list or lo:hi:step range (inclusive of hi up to rounding) of at
-    most MAX_RANGE_POINTS points."""
+    """Comma list, or lo:hi:step range of the points lo + i*step up to hi (a
+    1e-9 step past it counts as hi), at most MAX_RANGE_POINTS of them."""
     if ":" in text:
         lo, hi, step = (_finite(x) for x in text.split(":"))
         span = (hi - lo) / step if step else -1.0
-        if not (math.isfinite(span) and round(span) >= 0):
+        if not (math.isfinite(span) and span > -1e-9):
             raise ValueError("empty or unbounded range")
-        if round(span) >= MAX_RANGE_POINTS:
+        count = math.floor(span + 1e-9) + 1
+        if count > MAX_RANGE_POINTS:
             raise ValueError(f"range of more than {MAX_RANGE_POINTS} points")
-        return [lo + i * step for i in range(int(round(span)) + 1)]
+        return [lo + i * step for i in range(count)]
     values = [_finite(x) for x in text.split(",") if x]
     if not values:
         raise ValueError("empty list")
@@ -101,12 +102,10 @@ def _float_list(text: str):
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key=value file: '#' starts a comment, blank lines are ignored and
-    '-' in a key reads as '_' (so N-list and N_list repeat one key)."""
-    lines = (raw.split("#", 1)[0].strip()
-             for raw in Path(path).read_text(encoding="utf-8").splitlines())
+    """Flat key=value file of read_lines lines; '-' in a key reads as '_' (so
+    N-list and N_list repeat one key)."""
     return read_pairs([key.replace("-", "_") + sep + val for key, sep, val in
-                       (line.partition("=") for line in lines if line)], path)
+                       (line.partition("=") for line in read_lines(path))], path)
 
 
 def _build_parser() -> argparse.ArgumentParser:

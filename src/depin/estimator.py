@@ -239,9 +239,8 @@ def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | No
     grid = tuple(float(m) for m in m_grid)
     matrix = _map_replicas(_phi_block, (model, law, n, grid, epsilon, seed), replicas,
                            model.beta)
-    feasible = np.isfinite(matrix[0])
-    values = np.where(feasible, matrix.mean(axis=0), -math.inf)
-    stderr = np.array([_spread(matrix[:, i]) if feasible[i] else 0.0
-                       for i in range(len(m_grid))])
-    return PhiCurve(m_grid, epsilon, values, stderr, feasible, n, replicas, seed,
-                    replica_values=matrix)
+    # an infeasible density is -inf in every replica: its mean is -inf and
+    # _spread gives it 0
+    stderr = np.array([_spread(column) for column in matrix.T])
+    return PhiCurve(m_grid, epsilon, matrix.mean(axis=0), stderr, np.isfinite(matrix[0]),
+                    n, replicas, seed, replica_values=matrix)

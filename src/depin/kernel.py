@@ -127,25 +127,24 @@ class ReturnKernel:
         return float(np.dot(self.steps, self.density))
 
     def ideal_mean_return(self) -> float:
-        """sum n K(n) of the ideal law; may be inf.
+        """Sigma = sum n K(n) of the ideal law, decided here for every kernel.
 
-        For families with a closed form (power, geometric, srw) this is the
-        untruncated value; for tabulated kernels the table is the law.  A
-        power law with alpha > 2 has the finite value
-        s (1 - K(inf)) zeta(alpha - 1) / zeta(alpha), the one quantity that
-        needs scipy: it is imported there, so no other run loads it.
+        Geometric: 1/(1 - p).  Otherwise the declared tail exponent decides:
+        none is a ValueError, alpha <= 2 is inf (however finite the table),
+        and alpha > 2 is s (1 - K(inf)) zeta(alpha - 1) / zeta(alpha) for a
+        power law, the one value that needs scipy (imported here, so no other
+        run loads it), and the table mean for any other kernel.
         """
         if self.family == "geometric":
             return 1.0 / (1.0 - self.family_params["p"])
-        if self.family == "srw":
+        if self.alpha is None:
+            raise ValueError("cannot classify: kernel has no declared tail exponent")
+        if self.alpha <= 2.0:
             return math.inf
         if self.family == "power":
-            a = self.family_params["alpha"]
-            if a <= 2.0:
-                return math.inf
             from scipy.special import zeta
-            c_ideal = (1.0 - self.defect_mass) / zeta(a)
-            return float(self.period * c_ideal * zeta(a - 1.0))
+            c_ideal = (1.0 - self.defect_mass) / zeta(self.alpha)
+            return float(self.period * c_ideal * zeta(self.alpha - 1.0))
         return self.mean_return_steps
 
 
@@ -183,8 +182,7 @@ def power_kernel(alpha: float, s: int, n_max: int, defect_mass: float = 0.0) -> 
         raise ValueError("n_max and s must be positive")
     raw = np.arange(1, n_max + 1, dtype=float) ** (-float(alpha))
     dens = raw * ((1.0 - defect_mass) / raw.sum())
-    return ReturnKernel(dens, float(defect_mass), s, float(alpha), n_max,
-                        family="power", family_params={"alpha": float(alpha)})
+    return ReturnKernel(dens, float(defect_mass), s, float(alpha), n_max, family="power")
 
 
 def geometric_kernel(p: float, n_max: int | None = None) -> ReturnKernel:
@@ -225,6 +223,13 @@ def read_pairs(items, where: str) -> dict:
     return pairs
 
 
+def read_lines(path) -> list:
+    """The stripped non-blank lines of a UTF-8 text file (a byte-order mark
+    is dropped), '#' starting a comment anywhere on a line."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return [ln for ln in (raw.split("#", 1)[0].strip() for raw in fh) if ln]
+
+
 def read_params(items, params: dict, where: str) -> dict:
     """{name: converted value or default} of ``key=value`` items, for params
     name -> (converter, default); an unknown name, a missing REQUIRED one or
@@ -249,7 +254,7 @@ _HEADER = {"s": (int, REQUIRED), "k_inf": (float, REQUIRED), "alpha": (float, RE
 
 
 def kernel_from_file(path) -> ReturnKernel:
-    """Load a kernel from the CSV schema.
+    """Load a kernel from the CSV schema, read by read_lines.
 
     Header line ``s=<int>,k_inf=<float>,alpha=<float>`` (read_params) then
     lines ``n,K(n)`` with n ascending multiples of s (omitted atoms are zero;
@@ -257,8 +262,7 @@ def kernel_from_file(path) -> ReturnKernel:
     Total mass must match 1 - k_inf to within 1e-9 or the file is rejected;
     the accepted table is rescaled to machine-exact normalization.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    lines = read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty kernel file")
     s, k_inf, alpha = read_params(lines[0].split(","), _HEADER, f"{path} header").values()

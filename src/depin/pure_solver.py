@@ -138,24 +138,17 @@ def solve_free_energy_pure(kernel: ReturnKernel, h: float) -> PureSolution:
 def pure_asymptotics(kernel: ReturnKernel) -> PureAsymptotics:
     """Classify the homogeneous transition on the kernel's ideal law.
 
-    Requires either a family closed form or a declared tail exponent so
-    that convergence of the mean return time can be decided: a tabulated
-    kernel is read as a truncation of a law with the declared exponent, so
-    its mean return time counts as infinite when alpha <= 2 even though
-    the table itself is finite.
+    Sigma is kernel.ideal_mean_return(), and nothing else: finite Sigma is
+    first order with slope exp(h_c)/Sigma, infinite Sigma gives the power
+    1/(alpha - 1) of the declared tail exponent.  A kernel whose Sigma
+    cannot be decided (no closed form, no declared exponent) is the
+    ValueError of that method.
     """
     hc = hc_pure(kernel)
-    if kernel.family == "file":
-        if kernel.alpha is None:
-            raise ValueError("cannot classify: kernel has no declared tail exponent")
-        sigma = kernel.mean_return_steps if kernel.alpha > 2.0 else math.inf
-    else:
-        sigma = kernel.ideal_mean_return()
+    sigma = kernel.ideal_mean_return()
     if math.isfinite(sigma):
         return PureAsymptotics("first", 1.0, math.exp(hc) / sigma, sigma, hc)
     alpha = kernel.alpha
-    if alpha is None:
-        raise ValueError("cannot classify: infinite mean return but no tail exponent")
     if alpha == 1.0:
         return PureAsymptotics("higher", math.inf, None, sigma, hc)
     exponent = 1.0 / (alpha - 1.0)

@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from depin import analysis
+from depin import analysis, cli
 from depin.cli import (MAX_RANGE_POINTS, _float_list, parse_kernel_spec,
                        read_config_file, run)
 
@@ -120,6 +121,15 @@ def test_config_file_and_precedence(tmp_path, capsys):
     b_flag = float(capsys.readouterr().out.split("b=")[1].split()[0])
     assert b_flag > b_file
     assert read_config_file(cfg) == {"kernel": "geometric:p=0.5", "h": "-1"}
+
+
+def test_config_file_takes_a_byte_order_mark(tmp_path, capsys):
+    # the mark is not part of the first key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\ufeffkernel = geometric:p=0.5\nh = -1\n", encoding="utf-8")
+    assert read_config_file(cfg) == {"kernel": "geometric:p=0.5", "h": "-1"}
+    assert run(["pure", "--config", str(cfg)]) == 0
+    capsys.readouterr()
 
 
 def test_config_file_rejects_unknown_keys_and_booleans(tmp_path, capsys):
@@ -384,6 +394,36 @@ def test_range_point_cap():
     for text in (f"0:{MAX_RANGE_POINTS}:1", "1:2:1e-300"):
         with pytest.raises(ValueError, match="more than"):
             _float_list(text)
+
+
+def test_range_stops_at_hi(capsys):
+    # no point passes hi, on either side of zero and for either sign of step
+    assert _float_list("-1:0:0.6") == [-1.0, -0.4]
+    assert _float_list("0:1:0.6") == [0.0, 0.6]
+    assert _float_list("1:0:-0.6") == [1.0, 0.4]
+    # a point within rounding of hi is kept
+    assert len(_float_list("0.1:0.9:0.1")) == 9
+    assert len(_float_list("0:0.7:0.1")) == 8
+    assert _float_list("0:1:0.5") == [0.0, 0.5, 1.0]
+    with pytest.raises(ValueError, match="empty"):
+        _float_list("0:-0.4:1")
+    assert run(["pure", "--kernel", "geometric:p=0.5", "--h=-1:0:0.6"]) == 0
+    fields = [float(line.split()[0][2:]) for line in capsys.readouterr().out.splitlines()]
+    assert fields == [-1.0, -0.4]
+
+
+def test_readme_commands_parse():
+    # every example of the README's command-line block parses and converts,
+    # without a build
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(cmd) for cmd in block.replace("\\\n", " ").splitlines()
+                if cmd.startswith("depin ")]
+    assert len(commands) == 7
+    parser = cli._build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        cli._merge_options(args.command, args)
 
 
 def test_verify_subcommand(capsys):

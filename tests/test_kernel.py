@@ -94,6 +94,19 @@ def test_ideal_mean_return_is_infinite_up_to_alpha_2(alpha):
         assert math.isfinite(kern.mean_return_steps)
 
 
+def test_ideal_mean_return_of_kernel_files(tmp_path):
+    # the declared tail exponent decides, as it does for pure_asymptotics
+    path = tmp_path / "k.csv"
+    path.write_text("s=1,k_inf=0.0,alpha=1.5\n1,0.5\n2,0.5\n", encoding="utf-8")
+    assert dp.kernel_from_file(path).ideal_mean_return() == math.inf
+    path.write_text("s=1,k_inf=0.0,alpha=3\n1,0.5\n2,0.5\n", encoding="utf-8")
+    kern = dp.kernel_from_file(path)
+    assert kern.ideal_mean_return() == kern.mean_return_steps == 1.5
+    path.write_text("s=1,k_inf=0.0,alpha=nan\n1,0.5\n2,0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="no declared tail exponent"):
+        dp.kernel_from_file(path).ideal_mean_return()
+
+
 def test_power_kernel_ratio_exact():
     kern = dp.power_kernel(2.5, 3, 200)
     n = np.arange(1, 200)
@@ -228,6 +241,19 @@ def test_kernel_from_file_messages(tmp_path):
         path.write_text(f"{header}\n1,1.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             dp.kernel_from_file(path)
+
+
+@pytest.mark.parametrize("text", [
+    "s=2,k_inf=0.0,alpha=1.5\n2,0.5  # note\n4,0.5\n",
+    "s=2,k_inf=0.0,alpha=1.5\n  # indented\n2,0.5\n4,0.5\n",
+    "\ufeffs=2,k_inf=0.0,alpha=1.5\n2,0.5\n4,0.5\n",
+], ids=["trailing_comment", "indented_comment", "byte_order_mark"])
+def test_kernel_from_file_reads_lines_as_config_files_do(tmp_path, text):
+    path = tmp_path / "k.csv"
+    path.write_text(text, encoding="utf-8")
+    kern = dp.kernel_from_file(path)
+    assert kern.period == 2 and kern.alpha == 1.5
+    assert kern.density.tolist() == [0.5, 0.5]
 
 
 def test_declared_tail_exponent_is_finite():

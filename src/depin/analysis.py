@@ -44,7 +44,6 @@ class CriticalFit:
     hc_err: float
     exponent: float | None = None
     exponent_err: float | None = None
-    envelope_constant: float | None = None
     points: tuple = ()
 
 
@@ -148,9 +147,10 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     one-replica case (zero sigma) off the finite-size extrapolation
     residue.  A size that no chain of the kernel's excursions reaches is a
     UsageError, raised before any estimate, and so are a repeated size, an
-    h_window without lo < hi, and a copolymer h_window with lo < 0.  Each
-    bracket end moves out by the window's width until its phase is right,
-    in at most 8 probes; a copolymer's lower end stops at h = 0.
+    h_window without lo < hi or of infinite width, and a copolymer h_window
+    with lo < 0.  Each bracket end moves out by the window's width until its
+    phase is right, in at most 8 probes and to finite fields only; a
+    copolymer's lower end stops at h = 0.
 
     Probes go into a memo keyed by field, and the search speculates when a
     build is narrow: the first build holds both bracket ends and the
@@ -188,7 +188,7 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
 
     def split(lo: float, hi: float):
         """The bisection's next midpoint of (lo, hi), or None where it stops."""
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # no overflow for ends near the largest float
         if not hi - lo > 2.0 * tol or mid in (lo, hi):  # adjacent floats
             return None
         return mid
@@ -222,19 +222,21 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
         raise UsageError("a copolymer search window needs h_lo >= 0: no "
                          "copolymer coupling exists below h = 0")
     width = hi - lo
+    if not math.isfinite(width):
+        raise UsageError("the search window needs a finite width h_hi - h_lo")
 
     # both first probes and the bisection's first `depth` levels from one build
     evaluate([lo, hi, *tree(lo, hi, depth)])
     for i in range(8):  # no copolymer coupling exists below h = 0
         if localized(lo):
             break
-        if i == 7 or (kind == "copolymer" and lo == 0.0):
+        if i == 7 or (kind == "copolymer" and lo == 0.0) or not math.isfinite(lo - width):
             raise ValueError("no localized endpoint found in the search range")
         lo = max(lo - width, 0.0) if kind == "copolymer" else lo - width
     for i in range(8):
         if not localized(hi):
             break
-        if i == 7:
+        if i == 7 or not math.isfinite(hi + width):
             raise ValueError("no delocalized endpoint found in the search range")
         hi += width
 
@@ -243,7 +245,7 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
             lo = mid
         else:
             hi = mid
-    return CriticalFit(hc=0.5 * (lo + hi), hc_err=0.5 * (hi - lo),
+    return CriticalFit(hc=0.5 * lo + 0.5 * hi, hc_err=0.5 * (hi - lo),
                        points=tuple(probes))
 
 
@@ -262,8 +264,8 @@ def select_fit_points(points, hc: float, hc_err: float = 0.0):
 def fit_exponent(points, hc: float, hc_err: float = 0.0) -> CriticalFit:
     """Weighted log-log fit of F against (h_c - h) over the usable window.
 
-    Also reports the quadratic-envelope prefactor F/(h_c - h)^2 evaluated at
-    the window edge closest to the critical point.
+    The rows are fitted, and returned in points, in order of increasing gap,
+    which fixes the fit's summation order and so its bits.
     """
     used = select_fit_points(points, hc, hc_err)
     if len(used) < 4:
@@ -276,11 +278,8 @@ def fit_exponent(points, hc: float, hc_err: float = 0.0) -> CriticalFit:
     y = np.log(f)
     sigma = err / f
     _, slope, _, var_b = _wls_line(x, y, sigma)
-    edge_gap, edge_f = gaps[0], f[0]
     return CriticalFit(hc=hc, hc_err=hc_err, exponent=float(slope),
-                       exponent_err=float(math.sqrt(var_b)),
-                       envelope_constant=float(edge_f / edge_gap**2),
-                       points=tuple(used))
+                       exponent_err=float(math.sqrt(var_b)), points=tuple(used))
 
 
 def critical_power_fit(points, hc_lo: float, hc_hi: float,

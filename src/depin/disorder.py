@@ -1,10 +1,10 @@
 """IID disorder: laws, reproducible sampling, entropy functionals.
 
 Three unit-variance centered families are supported: ``gaussian``,
-``uniform`` (on [-sqrt(3), sqrt(3)]) and ``rademacher`` (+-1).  The bounded
-families carry their bound M; the gaussian carries the shift-entropy
-constant R = 1/2 (relative entropy of a translated copy is R x^2 per
-coordinate).
+``uniform`` (on [-sqrt(3), sqrt(3)]) and ``rademacher`` (+-1).  Each law
+carries one constant, the one source of its smoothing-envelope constant c:
+the bounded families their bound M, the gaussian its shift-entropy constant
+R = 1/2 (relative entropy of a translated copy is R x^2 per coordinate).
 
 Sampling is counter-based and splittable: a Philox stream keyed by a 64-bit
 seed supplies raw counters, child seeds for replicas are derived from the
@@ -103,10 +103,6 @@ class DisorderLaw:
     bound: float | None = None
     entropy_constant: float | None = None
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.bound is not None
-
     # closed forms for the exponentially tilted law; z(u) = E exp(u w)
 
     def log_mgf(self, u: float) -> float:
@@ -199,16 +195,16 @@ def sample_disorder(law: DisorderLaw, n: int, seed: int) -> DisorderSample:
 def shift_entropy(law: DisorderLaw, x: float, ell: int) -> float:
     """Relative entropy of translating the first ell coordinates by x.
 
-    Only defined for continuous laws with full support; for the gaussian it
-    is exactly ell * x^2 / 2.  Bounded families are rejected: translating
+    Equals ell * R * x^2 with R the law's shift-entropy constant (1/2 for
+    the gaussian).  A law without one is rejected (ValueError): translating
     the rademacher law gives infinite entropy and translating the uniform
     law moves mass outside the support.
     """
     if ell < 1:
         raise ValueError("ell must be positive")
-    if law.family != "gaussian":
+    if law.entropy_constant is None:
         raise ValueError(f"shift entropy undefined for the {law.family} law")
-    return ell * 0.5 * x * x
+    return ell * law.entropy_constant * x * x
 
 
 def tilt_entropy(law: DisorderLaw, u: float, ell: int) -> float:
@@ -224,46 +220,34 @@ def tilt_entropy(law: DisorderLaw, u: float, ell: int) -> float:
 
 @dataclass(frozen=True)
 class SmoothingConstants:
-    """Constants of the quadratic free-energy envelope at the critical point.
+    """The envelope F(beta, h) <= alpha * c * (h_c(beta) - h)^2; route is
+    how c was bounded, "shift" or "tilt" (see smoothing_constant)."""
 
-    The envelope reads F(beta, h) <= alpha * c * (h_c(beta) - h)^2 with
-    c = 1 / (4 C).  For laws with a shift entropy R the chain of estimates
-    gives C = beta^2 / (512 R); for bounded laws the tilting route is used
-    instead (c0 = exp(-4 M beta) / 8 and a second-moment bound M^2/8 in
-    place of R), which yields a much smaller, proof-grade C.
-    """
-
-    beta: float
     alpha: float
-    C: float
     c: float
     route: str
-    proof_grade: bool
-    vacuous: bool = False
 
     def envelope(self, gap: float) -> float:
         """alpha * c * gap^2, the free-energy bound at distance gap below h_c."""
-        if self.vacuous:
-            return math.inf
         return self.alpha * self.c * gap * gap
 
 
 def smoothing_constant(beta: float, alpha: float, law: DisorderLaw) -> SmoothingConstants:
-    """Envelope constants (C, c) for the given disorder strength and law."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    """Envelope constant c = 1 / (4 C) for beta > 0 (ValueError otherwise,
+    NaN included) and alpha >= 1, C from the law's own constant on both
+    routes: "shift", C = beta^2 / (512 R) for a shift-entropy constant R;
+    "tilt" for a law of bound M, C = c0^2 beta^2 / (512 M^2 / 8) with
+    c0 = exp(-4 M beta) / 8 and M^2 / 8 a second-moment bound in place of R.
+    """
+    if not beta > 0:
+        raise ValueError("beta must be positive")
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    if beta == 0.0:
-        return SmoothingConstants(beta, alpha, 0.0, math.inf, "vacuous",
-                                  proof_grade=False, vacuous=True)
     if law.entropy_constant is not None:
         C = beta * beta / (512.0 * law.entropy_constant)
-        return SmoothingConstants(beta, alpha, C, 1.0 / (4.0 * C), "shift",
-                                  proof_grade=False)
+        return SmoothingConstants(alpha, 1.0 / (4.0 * C), "shift")
     M = law.bound
     c0 = math.exp(-4.0 * M * beta) / 8.0
     r_tilt = M * M / 8.0
     C = c0 * c0 * beta * beta / (512.0 * r_tilt)
-    return SmoothingConstants(beta, alpha, C, 1.0 / (4.0 * C), "tilt",
-                              proof_grade=True)
+    return SmoothingConstants(alpha, 1.0 / (4.0 * C), "tilt")

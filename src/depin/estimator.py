@@ -162,9 +162,17 @@ def default_epsilon(n: int, s: int) -> float:
     return max(1.0 / math.sqrt(n), 2.0 * s / n)
 
 
+def _mean(matrix: np.ndarray):
+    # over replicas (axis 0); a constant column (beta = 0, or log Z = -inf
+    # for want of a path) is its value, which the rounded mean need not be
+    return np.where(matrix.min(axis=0) == matrix.max(axis=0), matrix[0],
+                    matrix.mean(axis=0))
+
+
 def _spread(values: np.ndarray) -> float:
-    # log Z = -inf (no path of length N) holds for every replica or none
-    if len(values) < 2 or values[0] == -math.inf:
+    # a constant column (see _mean) has no spread, which the rounded std
+    # of equal doubles need not show
+    if len(values) < 2 or values.min() == values.max():
         return 0.0
     # squared deviations overflow from about 1e154 on; dividing by a power
     # of two is exact, and values below the cut-off are left as they are
@@ -209,7 +217,7 @@ def estimate_free_energy(model, law: DisorderLaw, n, replicas: int, seed: int):
     for m, per_field in zip(models, matrix.transpose(1, 2, 0).copy()):
         out = []
         for size, values in zip(n_list, per_field):
-            mean = float(values.mean())
+            mean = float(_mean(values))
             f_mean = mean + m.h / 2.0 if m.kind == "copolymer" else None
             out.append(FreeEnergyEstimate(mean, _spread(values), size, replicas, seed, m,
                                           f_mean=f_mean, replica_values=values))
@@ -239,8 +247,8 @@ def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | No
     grid = tuple(float(m) for m in m_grid)
     matrix = _map_replicas(_phi_block, (model, law, n, grid, epsilon, seed), replicas,
                            model.beta)
-    # an infeasible density is -inf in every replica: its mean is -inf and
-    # _spread gives it 0
+    # an infeasible density is -inf in every replica: _mean and _spread give
+    # it -inf and 0
     stderr = np.array([_spread(column) for column in matrix.T])
-    return PhiCurve(m_grid, epsilon, matrix.mean(axis=0), stderr, np.isfinite(matrix[0]),
+    return PhiCurve(m_grid, epsilon, _mean(matrix), stderr, np.isfinite(matrix[0]),
                     n, replicas, seed, replica_values=matrix)

@@ -37,8 +37,6 @@ def test_fit_exponent_planted_noiseless(kappa):
     fit = dp.fit_exponent(pts, hc)
     assert fit.exponent == pytest.approx(kappa, abs=1e-10)
     assert fit.exponent_err == 0.0
-    edge = min(gaps)
-    assert fit.envelope_constant == pytest.approx(1.7 * edge**kappa / edge**2, rel=1e-9)
 
 
 def test_fit_exponent_synthetic_cubic():
@@ -231,6 +229,50 @@ def test_locate_hc_copolymer_lower_end_stops_at_zero(monkeypatch, gaussian_law):
         dp.locate_hc("copolymer", 0.5, dp.srw_kernel(128), gaussian_law, [64, 128], 8,
                      2, 1e-2, h_window=(0.3, 1.0))
     assert fields == [0.3, 1.0, 0.65, 0.0]
+
+
+def _fake_phase(monkeypatch, edge: float) -> list:
+    """Make locate_hc's probes localized exactly below edge, with no build;
+    returns the list that records every field it estimates."""
+    fields = []
+
+    def phase(kind, beta, h_values, *args):
+        fields.extend(h_values)
+        return [(1.0 if h < edge else 0.0, 0.0, None) for h in h_values]
+
+    monkeypatch.setattr(analysis, "_extrapolate_at", phase)
+    return fields
+
+
+@pytest.mark.parametrize("window, edge", [((1.0, 1e308), 0.99e308),
+                                          ((-1e308, -1e307), -0.99e308)])
+def test_locate_hc_midpoints_near_the_largest_float(monkeypatch, gaussian_law,
+                                                    window, edge):
+    # lo + hi overflows here, lo/2 + hi/2 does not
+    fields = _fake_phase(monkeypatch, edge)
+    fit = dp.locate_hc("pinning", 1.0, GEO, gaussian_law, [64], 2, 3, 1e-2,
+                       h_window=window)
+    assert all(math.isfinite(h) for h in fields)
+    assert fit.hc == pytest.approx(edge, rel=1e-15) and math.isfinite(fit.hc_err)
+
+
+def test_locate_hc_rejects_infinite_widths_and_ends(monkeypatch, gaussian_law):
+    fields = _fake_phase(monkeypatch, math.inf)  # localized everywhere
+    with pytest.raises(analysis.UsageError, match="finite width"):
+        dp.locate_hc("pinning", 1.0, GEO, gaussian_law, [64], 2, 3, 1e-2,
+                     h_window=(-1e308, 1e308))
+    assert fields == []
+    # the upper end would move from 1e308 to inf
+    with pytest.raises(ValueError, match="no delocalized endpoint found"):
+        dp.locate_hc("pinning", 1.0, GEO, gaussian_law, [64], 2, 3, 1e-2,
+                     h_window=(1.0, 1e308))
+    assert all(math.isfinite(h) for h in fields)
+    fields = _fake_phase(monkeypatch, -math.inf)  # delocalized everywhere
+    # the lower end would move from -1e308 to -inf
+    with pytest.raises(ValueError, match="no localized endpoint found"):
+        dp.locate_hc("pinning", 1.0, GEO, gaussian_law, [64], 2, 3, 1e-2,
+                     h_window=(-1e308, -1.0))
+    assert all(math.isfinite(h) for h in fields)
 
 
 def test_select_fit_points():

@@ -3,9 +3,12 @@
 The traced benchmark rebinds every function that bench/tracing.py lists
 in WRAPPED, looked up by name; the checks, the set-up timing and the
 tracer's self-test reach a few more as depin.<module>.<name>.  A rename or removal in src/depin would break those runs without
-failing any other test.
+failing any other test, and so would a SmoothingReport field that the smooth
+check reads.
 """
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -51,6 +54,19 @@ def test_dotted_names_in_bench_exist():
             if not hasattr(mod, name):
                 missing.append(f"{path.name}: depin.{module}.{name}")
     assert not missing
+
+
+def test_smooth_check_reads_report_fields():
+    # check_smooth reads smooth.json, which is SmoothingReport.to_dict() plus
+    # "config": each data["..."] key it reads must be a report field
+    tree = ast.parse((BENCH / "checks.py").read_text())
+    check = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "check_smooth")
+    keys = {node.slice.value for node in ast.walk(check)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "data" and isinstance(node.slice, ast.Constant)}
+    fields = {f.name for f in dataclasses.fields(depin.analysis.SmoothingReport)}
+    assert keys and keys <= fields, sorted(keys - fields)
 
 
 def test_extras_bind_the_parameters_they_read():

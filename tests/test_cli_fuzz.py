@@ -86,6 +86,10 @@ def argvs(draw):
                "--replicas=-1", "--tol=0.01"])  # no replicas once never returned
 @example(argv=["phi", "--kernel=geometric:p=0.5", "--m-grid=0.5", "--N=64",
                "--epsilon=1e308"])  # once an OverflowError in the density window
+@example(argv=["hc", "--kernel=geometric:p=0.5", "--N-list=8,16", "--beta=1",
+               "--replicas=2", "--h-lo=1", "--h-hi=1e308"])  # once an overflowing midpoint
+@example(argv=["hc", "--kernel=geometric:p=0.5", "--N-list=8,16", "--beta=1",
+               "--replicas=2", "--h-lo=-1e308", "--h-hi=1e308"])  # an infinite width
 def test_cli_never_crashes(monkeypatch, argv):
     monkeypatch.setenv("DEPIN_THREADS", "1")
     out, err = io.StringIO(), io.StringIO()

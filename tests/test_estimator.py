@@ -47,13 +47,23 @@ def test_each_replica_monotone_convex_in_h(monkeypatch, kind, sizes, replicas, b
             assert np.all(f[j] <= (1 - t) * f[j - 1] + t * f[j + 1] + slack)
 
 
-def test_beta0_no_spread(gaussian_law):
+@pytest.mark.parametrize("replicas", [3, 7, 10, 16])
+def test_beta0_no_spread(gaussian_law, replicas):
+    # every replica is the one build, whose value the rounded mean and std
+    # of equal doubles need not give back
     model = dp.ModelSpec("pinning", 0.0, -1.0, GEO)
-    est = dp.estimate_free_energy(model, gaussian_law, 256, 16, 3)
+    est = dp.estimate_free_energy(model, gaussian_law, 256, replicas, 3)
     assert est.stderr == 0.0
     om = dp.sample_disorder(gaussian_law, 256, dp.spawn_seed(3, 0))
     direct = dp.log_partition_pinning(model, om, 256)[-1] / 256
     assert est.mean == direct
+
+
+def test_beta0_phi_no_spread():
+    model = dp.ModelSpec("copolymer", 0.0, 0.0, dp.srw_kernel(4))
+    curve = dp.estimate_phi(model, LAW, [0.5], None, 4, 3, 1)
+    one = dp.estimate_phi(model, LAW, [0.5], None, 4, 1, 1)
+    assert curve.stderr[0] == 0.0 and curve.values[0] == one.values[0]
 
 
 def test_beta0_converges_to_pure(gaussian_law):

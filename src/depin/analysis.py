@@ -106,12 +106,12 @@ def _extrapolate_at(kind: str, beta: float, h_values, kernel: ReturnKernel,
     (the per-replica mean up to rounding: the fit is linear) and sigma the
     standard error of the per-replica values."""
     models = [ModelSpec(kind, beta, h, kernel) for h in h_values]
+    est = estimate_free_energy(models, law, n_list, replicas, seed)
     out = []
-    for ests in estimate_free_energy(models, law, n_list, replicas, seed):
+    for i in range(len(models)):
         # row 0 holds the size means, row 1 + r replica r's values
-        rows = np.vstack(([e.mean for e in ests],
-                          np.column_stack([e.replica_values for e in ests])))
-        f_inf, _ = extrapolate_free_energy(n_list, rows, [e.stderr for e in ests])
+        rows = np.vstack((est.mean[i], est.replica_values[:, i]))
+        f_inf, _ = extrapolate_free_energy(n_list, rows, est.stderr[i])
         out.append((float(f_inf[0]), _spread(f_inf[1:]), f_inf[1:]))
     return out
 

@@ -230,14 +230,14 @@ def _cmd_fe(merged: dict, cfg: dict) -> int:
     law = disorder_law(merged["law"])
     # one build serves every field and size; rows stay N-outer, h-inner
     models = [ModelSpec(merged["kind"], merged["beta"], h, kernel) for h in merged["h"]]
-    by_h = estimate_free_energy(models, law, ns, merged["replicas"], merged["seed"])
+    est = estimate_free_energy(models, law, ns, merged["replicas"], merged["seed"])
     rows = []
     for i, n in enumerate(ns):
-        for h, ests in zip(merged["h"], by_h):
-            est = ests[i]
-            rows.append((n, merged["beta"], h, est.mean, est.stderr,
+        for j, h in enumerate(merged["h"]):
+            mean, stderr = est.mean[j, i], est.stderr[j, i]
+            rows.append((n, merged["beta"], h, mean, stderr,
                          merged["replicas"], merged["seed"]))
-            print(f"N={n} h={_fmt(h)} F={_fmt(est.mean)} stderr={_fmt(est.stderr)}")
+            print(f"N={n} h={_fmt(h)} F={_fmt(mean)} stderr={_fmt(stderr)}")
     _save(merged, {
         "fe.csv": _csv(["N", "beta", "h", "mean", "stderr", "replicas", "seed"], rows, cfg),
         "fe.gp": _plot("fe.csv", "h", "F", "3:4:5", "yerrorlines")})

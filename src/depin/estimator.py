@@ -12,7 +12,9 @@ runs through the one renewal core together, in runs of at most BLOCK_CELLS
 charges so that a worker's memory does not grow with the replica count.
 A row of the core is a (field, replica) pair: the fields of one estimate
 share each replica's disorder row, so a list of fields costs one build,
-not one per field.
+not one per field.  A free-energy estimate is one set of arrays: the
+replica values, shape (replicas, fields, sizes), and their mean and
+standard error, shape (fields, sizes).
 Aggregation is a fold in fixed replica order, which makes every estimate
 bit-reproducible for identical inputs regardless of the worker count.
 
@@ -119,21 +121,19 @@ def _phi_block(args) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FreeEnergyEstimate:
-    """Replica mean and standard error of (1/N) log Z.
+    """Replica mean and standard error of (1/N) log Z on a grid of fields
+    and sizes: mean and stderr have shape (fields, sizes), and
+    replica_values, replica r's (1/N) log Z, shape (replicas, fields,
+    sizes), in the order of the models and sizes given.
 
-    For a copolymer model ``mean`` is the excess free energy (the quantity
-    that vanishes in the delocalized phase) and ``f_mean`` the plain growth
-    rate; the two differ by exactly h/2.
+    For a copolymer model mean is the excess free energy (the quantity that
+    vanishes in the delocalized phase); the plain growth rate is mean + h/2,
+    up to beta/2 times the sample mean of the disorder.
     """
 
-    mean: float
-    stderr: float
-    n: int
-    replicas: int
-    seed: int
-    model: ModelSpec
-    f_mean: float | None = None
-    replica_values: np.ndarray = field(repr=False, default=None)
+    mean: np.ndarray
+    stderr: np.ndarray
+    replica_values: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,8 @@ class PhiCurve:
     values[i] averages (1/N) log of the partition mass with rewarded-site
     density within m_grid[i] +- epsilon; infeasible windows (no admissible
     count) are -inf with feasible[i] False.  Feasibility depends only on
-    the kernel support, never on the disorder draw.
+    the kernel support, never on the disorder draw.  replica_values has
+    shape (replicas, densities).
     """
 
     m_grid: np.ndarray
@@ -151,10 +152,7 @@ class PhiCurve:
     values: np.ndarray
     stderr: np.ndarray
     feasible: np.ndarray
-    n: int
-    replicas: int
-    seed: int
-    replica_values: np.ndarray = field(repr=False, default=None)
+    replica_values: np.ndarray = field(repr=False)
 
 
 def default_epsilon(n: int, s: int) -> float:
@@ -181,48 +179,41 @@ def _spread(values: np.ndarray) -> float:
     return float((values / scale).std(ddof=1) * scale / math.sqrt(len(values)))
 
 
-def estimate_free_energy(model, law: DisorderLaw, n, replicas: int, seed: int):
-    """Average (1/N) log Z over independent disorder replicas.
+def estimate_free_energy(models, law: DisorderLaw, n_list, replicas: int,
+                         seed: int) -> FreeEnergyEstimate:
+    """Average (1/N) log Z over independent disorder replicas, for each of
+    models (ModelSpecs that differ only in h) at each size of n_list.
 
-    model is one ModelSpec, or a list of them that differ only in h, giving
-    one result per model; n is one size, giving one estimate, or a list of
-    sizes, giving one estimate per size.  Replica r reads the one disorder
-    chain spawn_seed(seed, r) at every field and size, so a replica's sizes
-    are prefixes of one chain and its fields share its disorder.  Each
-    estimate of a list equals its own one-model, one-size call bit for bit:
-    the fields are rows of one build, and every size takes its log Z from
-    that build at the largest N.  With beta = 0 the disorder is inert, so a
-    single build serves all replicas and sizes.
+    Replica r reads the one disorder chain spawn_seed(seed, r) at every
+    field and size, so a replica's sizes are prefixes of one chain and its
+    fields share its disorder.  Each (field, size) cell equals that of its
+    own one-field, one-size estimate bit for bit: the fields are rows of one
+    build, and every size takes its log Z from that build at the largest N.
+    With beta = 0 the disorder is inert, so a single build serves all
+    replicas and sizes.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
-    one_model = isinstance(model, ModelSpec)
-    models = [model] if one_model else list(model)
+    models, n_list = list(models), list(n_list)
     if not models:
         raise ValueError("need at least one model")
+    if not n_list:
+        raise ValueError("need at least one size")
     first = models[0]
     if any((m.kind, m.beta, m.kernel) != (first.kind, first.beta, first.kernel)
            for m in models):
         raise ValueError("the models of one estimate may differ only in h")
-    one = isinstance(n, (int, np.integer))
-    n_list = [n] if one else list(n)
     s = first.kernel.period
     for size in n_list:
         if size < s or size % s != 0:
             raise ValueError(f"N={size} is not a positive multiple of the period {s}")
     matrix = _map_replicas(_fe_block, (np.array([m.h for m in models]), first, law,
                                        n_list, seed), replicas, first.beta)
-    results = []
-    # one contiguous row of replica values per (field, size)
-    for m, per_field in zip(models, matrix.transpose(1, 2, 0).copy()):
-        out = []
-        for size, values in zip(n_list, per_field):
-            mean = float(_mean(values))
-            f_mean = mean + m.h / 2.0 if m.kind == "copolymer" else None
-            out.append(FreeEnergyEstimate(mean, _spread(values), size, replicas, seed, m,
-                                          f_mean=f_mean, replica_values=values))
-        results.append(out[0] if one else out)
-    return results[0] if one_model else results
+    # each cell's statistics from one contiguous row of its replica values
+    cells = matrix.transpose(1, 2, 0).copy()
+    return FreeEnergyEstimate(np.array([[_mean(v) for v in row] for row in cells]),
+                              np.array([[_spread(v) for v in row] for row in cells]),
+                              matrix)
 
 
 def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | None,
@@ -238,11 +229,11 @@ def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | No
     m_grid = np.asarray(m_grid, dtype=float)
     if len(m_grid) == 0:
         raise ValueError("empty density grid")
-    if np.any((m_grid < 0.0) | (m_grid > 1.0)):
+    if not np.all((m_grid >= 0.0) & (m_grid <= 1.0)):
         raise ValueError("densities must lie in [0, 1]")
     if epsilon is None:
         epsilon = default_epsilon(n, model.kernel.period)
-    if epsilon <= 0.0 or n * epsilon < 1.0:
+    if not (epsilon > 0.0 and n * epsilon >= 1.0):
         raise ValueError("window half-width must be positive with N * epsilon >= 1")
     grid = tuple(float(m) for m in m_grid)
     matrix = _map_replicas(_phi_block, (model, law, n, grid, epsilon, seed), replicas,
@@ -250,5 +241,4 @@ def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | No
     # an infeasible density is -inf in every replica: _mean and _spread give
     # it -inf and 0
     stderr = np.array([_spread(column) for column in matrix.T])
-    return PhiCurve(m_grid, epsilon, _mean(matrix), stderr, np.isfinite(matrix[0]),
-                    n, replicas, seed, replica_values=matrix)
+    return PhiCurve(m_grid, epsilon, _mean(matrix), stderr, np.isfinite(matrix[0]), matrix)

@@ -170,9 +170,9 @@ def test_criterion_08_phi_properties():
     n, replicas, seed = 2048, 64, 17
     curve = dp.estimate_phi(model, GAUSS, np.linspace(0.1, 0.9, 9), None,
                             n, replicas, seed)
-    fe0 = dp.estimate_free_energy(model, GAUSS, n, replicas, seed)
+    fe0 = dp.estimate_free_energy([model], GAUSS, [n], replicas, seed)
     ok = bool(np.all(curve.feasible))
-    ok &= bool(np.all(curve.values <= fe0.mean + 3.0 * fe0.stderr))
+    ok &= bool(np.all(curve.values <= fe0.mean[0, 0] + 3.0 * fe0.stderr[0, 0]))
     for i in range(1, len(curve.m_grid) - 1):
         gap = curve.values[i] - 0.5 * (curve.values[i - 1] + curve.values[i + 1])
         sig = math.sqrt(curve.stderr[i] ** 2 + 0.25 * curve.stderr[i - 1] ** 2

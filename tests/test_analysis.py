@@ -95,15 +95,15 @@ def test_per_replica_extrapolation_is_linear(monkeypatch, gaussian_law, kind, n_
         scan = analysis._extrapolate_at(kind, 1.0, fields, kern, gaussian_law, n_list,
                                         replicas, 7)
         for h, (f_inf, sigma, per) in zip(fields, scan):
-            ests = dp.estimate_free_energy(dp.ModelSpec(kind, 1.0, h, kern), gaussian_law,
-                                           n_list, replicas, 7)
-            stderrs = [e.stderr for e in ests]
-            want, _ = dp.extrapolate_free_energy(n_list, [e.mean for e in ests], stderrs)
+            est = dp.estimate_free_energy([dp.ModelSpec(kind, 1.0, h, kern)], gaussian_law,
+                                          n_list, replicas, 7)
+            stderrs = est.stderr[0]
+            want, _ = dp.extrapolate_free_energy(n_list, est.mean[0], stderrs)
             assert float(f_inf).hex() == float(want).hex()
             assert float(per.mean()) == pytest.approx(want, rel=1e-12, abs=1e-15)
             for r in range(replicas):
                 alone, _ = dp.extrapolate_free_energy(
-                    n_list, [e.replica_values[r] for e in ests], stderrs)
+                    n_list, est.replica_values[r, 0], stderrs)
                 assert float(per[r]).hex() == float(alone).hex()
             if replicas == 1:
                 assert float(per[0]).hex() == float(want).hex() and sigma == 0.0
@@ -319,12 +319,12 @@ def _sequential_locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol,
     def localized(h):
         # every size of a replica reads its one chain; the threshold is 3x
         # the standard error of the per-replica extrapolations
-        ests = dp.estimate_free_energy(dp.ModelSpec(kind, beta, h, kernel), law, n_list,
-                                       replicas, seed)
-        sigma = np.array([e.stderr for e in ests])
-        f_inf = _intercept(n_list, np.array([e.mean for e in ests]), sigma)
-        per = np.array([_intercept(n_list, np.array([e.replica_values[r] for e in ests]),
-                                   sigma) for r in range(replicas)])
+        est = dp.estimate_free_energy([dp.ModelSpec(kind, beta, h, kernel)], law, n_list,
+                                      replicas, seed)
+        sigma = est.stderr[0]
+        f_inf = _intercept(n_list, est.mean[0], sigma)
+        per = np.array([_intercept(n_list, est.replica_values[r, 0], sigma)
+                        for r in range(replicas)])
         spread = float(per.std(ddof=1)) / math.sqrt(replicas) if replicas > 1 else 0.0
         thr = max(3.0 * spread, floor)
         probes.append((h, f_inf, thr))

@@ -182,11 +182,16 @@ def test_field_column_rejects_bad_fields():
         dp.log_partition_copolymer(cop, values, 8, np.array([0.5, -0.5]))
 
 
+def _cell(est, j, i):
+    """Field j, size i of est as a one-field, one-size estimate."""
+    return dp.FreeEnergyEstimate(est.mean[j:j + 1, i:i + 1], est.stderr[j:j + 1, i:i + 1],
+                                 est.replica_values[:, j:j + 1, i:i + 1])
+
+
 def _same_estimate(a, b):
-    assert (a.n, a.replicas, a.seed, a.model) == (b.n, b.replicas, b.seed, b.model)
-    assert float(a.mean).hex() == float(b.mean).hex()
-    assert float(a.stderr).hex() == float(b.stderr).hex()
-    assert repr(a.f_mean) == repr(b.f_mean)
+    assert a.replica_values.shape == b.replica_values.shape
+    assert [float(x).hex() for x in a.mean.flat] == [float(x).hex() for x in b.mean.flat]
+    assert [float(x).hex() for x in a.stderr.flat] == [float(x).hex() for x in b.stderr.flat]
     assert a.replica_values.tobytes() == b.replica_values.tobytes()
 
 
@@ -207,9 +212,10 @@ def test_multi_size_matches_per_size(monkeypatch, kind, sizes, replicas, beta, h
     n_list = [kern.period * k for k in sizes]
     model = dp.ModelSpec(kind, beta, h if kind == "copolymer" else -h, kern)
     law = dp.disorder_law("gaussian")
-    multi = dp.estimate_free_energy(model, law, n_list, replicas, seed)
-    for est, n in zip(multi, n_list):
-        _same_estimate(est, dp.estimate_free_energy(model, law, n, replicas, seed))
+    multi = dp.estimate_free_energy([model], law, n_list, replicas, seed)
+    for i, n in enumerate(n_list):
+        _same_estimate(_cell(multi, 0, i),
+                       dp.estimate_free_energy([model], law, [n], replicas, seed))
 
 
 @pytest.mark.parametrize("kind", ["pinning", "copolymer"])
@@ -220,11 +226,11 @@ def test_sub_blocks_match_one_block(monkeypatch, kind):
     kern = dp.srw_kernel(12) if kind == "copolymer" else dp.geometric_kernel(0.5, n_max=16)
     model = dp.ModelSpec(kind, 1.0, 0.3 if kind == "copolymer" else -0.3, kern)
     law = dp.disorder_law("gaussian")
-    whole = dp.estimate_free_energy(model, law, [32, 64], 5, 8)
+    whole = dp.estimate_free_energy([model], law, [32, 64], 5, 8)
     monkeypatch.setattr(estimator, "BLOCK_CELLS", 2 * 64 + 1)
-    cut = dp.estimate_free_energy(model, law, [32, 64], 5, 8)
-    for a, b in zip(whole, cut):
-        _same_estimate(a, b)
+    cut = dp.estimate_free_energy([model], law, [32, 64], 5, 8)
+    for i in range(2):
+        _same_estimate(_cell(whole, 0, i), _cell(cut, 0, i))
 
 
 @pytest.mark.parametrize("kind", ["pinning", "copolymer"])
@@ -239,18 +245,18 @@ def test_fields_match_one_field_calls(monkeypatch, kind, budget, beta):
     models = [dp.ModelSpec(kind, beta, h, kern) for h in fields]
     law = dp.disorder_law("gaussian")
     monkeypatch.setenv("DEPIN_THREADS", "1")
-    singles = [dp.estimate_free_energy(m, law, [32, 64], 5, 8) for m in models]
+    singles = [dp.estimate_free_energy([m], law, [32, 64], 5, 8) for m in models]
     if budget is not None:
         monkeypatch.setattr(estimator, "BLOCK_CELLS", budget)
     for threads in ("1", "2"):
         monkeypatch.setenv("DEPIN_THREADS", threads)
         multi = dp.estimate_free_energy(models, law, [32, 64], 5, 8)
-        assert len(multi) == len(models)
-        for got, want in zip(multi, singles):
-            for a, b in zip(got, want):
-                _same_estimate(a, b)
-    one = dp.estimate_free_energy(models[:1], law, 64, 5, 8)
-    _same_estimate(one[0], singles[0][1])
+        assert multi.mean.shape == multi.stderr.shape == (len(models), 2)
+        for j, want in enumerate(singles):
+            for i in range(2):
+                _same_estimate(_cell(multi, j, i), _cell(want, 0, i))
+    one = dp.estimate_free_energy(models[:1], law, [64], 5, 8)
+    _same_estimate(one, _cell(singles[0], 0, 1))
 
 
 def test_fields_must_share_kind_beta_and_kernel():
@@ -261,18 +267,22 @@ def test_fields_must_share_kind_beta_and_kernel():
                   dp.ModelSpec("pinning", 1.0, 0.0, dp.geometric_kernel(0.5, n_max=16)),
                   dp.ModelSpec("copolymer", 1.0, 0.0, geo)):
         with pytest.raises(ValueError, match="differ only in h"):
-            dp.estimate_free_energy([base, other], law, 32, 2, 1)
+            dp.estimate_free_energy([base, other], law, [32], 2, 1)
     with pytest.raises(ValueError, match="at least one model"):
-        dp.estimate_free_energy([], law, 32, 2, 1)
+        dp.estimate_free_energy([], law, [32], 2, 1)
 
 
 def test_one_size_and_one_seed_forms():
+    # one field at one size is a 1 x 1 grid over the replicas, and the cell
+    # of that size in a longer size list
     model = dp.ModelSpec("pinning", 1.0, -0.2, dp.geometric_kernel(0.5, n_max=16))
     law = dp.disorder_law("gaussian")
-    one = dp.estimate_free_energy(model, law, 32, 3, 5)
+    one = dp.estimate_free_energy([model], law, [32], 3, 5)
     assert isinstance(one, dp.FreeEnergyEstimate)
-    _same_estimate(one, dp.estimate_free_energy(model, law, [32], 3, 5)[0])
-    _same_estimate(one, dp.estimate_free_energy(model, law, [64, 32], 3, 5)[1])
+    assert one.mean.shape == one.stderr.shape == (1, 1)
+    assert one.replica_values.shape == (3, 1, 1)
+    _same_estimate(one, dp.estimate_free_energy([model], law, [32], 3, 5))
+    _same_estimate(one, _cell(dp.estimate_free_energy([model], law, [64, 32], 3, 5), 0, 1))
 
 
 def _fe_bytes(tmp_path, monkeypatch, kind, threads):
@@ -298,6 +308,6 @@ def test_fe_rows_and_bytes_across_workers(tmp_path, monkeypatch, capsys):
         # each row is the estimate of its own size
         model = dp.ModelSpec(kind, 1.0, 0.35, parse_kernel_spec(
             "srw:n_max=32" if kind == "copolymer" else "geometric:p=0.5,n_max=32"))
-        est = dp.estimate_free_energy(model, dp.disorder_law("gaussian"), 96, 5, 9)
-        assert rows[-1][3] == repr(est.mean)
+        est = dp.estimate_free_energy([model], dp.disorder_law("gaussian"), [96], 5, 9)
+        assert rows[-1][3] == repr(float(est.mean[0, 0]))
     capsys.readouterr()

@@ -111,7 +111,7 @@ def test_estimator_calls_the_traced_recursion(monkeypatch):
     for kind, model in models.items():
         tracer = tracing.Tracer()
         with tracer.installed():
-            depin.estimate_free_energy(model, law, 16, 2, 1)
+            depin.estimate_free_energy([model], law, [16], 2, 1)
         names = [rec["name"] for rec in tracer.records()]
         assert f"log_partition_{kind}" in names, (kind, names)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import warnings
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import depin as dp
+from depin import estimator
 from depin.estimator import worker_count
 
 
@@ -37,9 +39,9 @@ def test_each_replica_monotone_convex_in_h(monkeypatch, kind, sizes, replicas, b
     models = [dp.ModelSpec(kind, beta, h, kern) for h in hs]
     n_list = [kern.period * k for k in sizes]
     monkeypatch.setenv("DEPIN_THREADS", threads)
-    by_h = dp.estimate_free_energy(models, LAW, n_list, replicas, seed)
+    est = dp.estimate_free_energy(models, LAW, n_list, replicas, seed)
     for i in range(len(n_list)):
-        f = np.array([ests[i].replica_values for ests in by_h])  # (fields, replicas)
+        f = est.replica_values[:, :, i].T  # (fields, replicas)
         slack = 1e-12 * np.abs(f).max(axis=0)
         assert np.all(f[1:] <= f[:-1] + slack)
         for j in range(1, len(hs) - 1):
@@ -52,11 +54,11 @@ def test_beta0_no_spread(gaussian_law, replicas):
     # every replica is the one build, whose value the rounded mean and std
     # of equal doubles need not give back
     model = dp.ModelSpec("pinning", 0.0, -1.0, GEO)
-    est = dp.estimate_free_energy(model, gaussian_law, 256, replicas, 3)
-    assert est.stderr == 0.0
+    est = dp.estimate_free_energy([model], gaussian_law, [256], replicas, 3)
+    assert est.stderr[0, 0] == 0.0
     om = dp.sample_disorder(gaussian_law, 256, dp.spawn_seed(3, 0))
     direct = dp.log_partition_pinning(model, om, 256)[-1] / 256
-    assert est.mean == direct
+    assert est.mean[0, 0] == direct
 
 
 def test_beta0_phi_no_spread():
@@ -69,8 +71,8 @@ def test_beta0_phi_no_spread():
 def test_beta0_converges_to_pure(gaussian_law):
     model = dp.ModelSpec("pinning", 0.0, -1.0, GEO)
     b = dp.solve_free_energy_pure(GEO, -1.0).b
-    est = dp.estimate_free_energy(model, gaussian_law, 4096, 4, 7)
-    assert est.mean == pytest.approx(b, abs=0.01)
+    est = dp.estimate_free_energy([model], gaussian_law, [4096], 4, 7)
+    assert est.mean[0, 0] == pytest.approx(b, abs=0.01)
 
 
 def test_beta0_monotone_in_n(gaussian_law):
@@ -78,7 +80,7 @@ def test_beta0_monotone_in_n(gaussian_law):
     # (1/N) log Z = b + log(hit)/N increases strictly toward b
     model = dp.ModelSpec("pinning", 0.0, -1.0, GEO)
     b = dp.solve_free_energy_pure(GEO, -1.0).b
-    means = [dp.estimate_free_energy(model, gaussian_law, n, 2, 5).mean
+    means = [dp.estimate_free_energy([model], gaussian_law, [n], 2, 5).mean[0, 0]
              for n in (256, 512, 1024, 2048, 4096, 8192)]
     assert all(m1 < m2 < b for m1, m2 in zip(means, means[1:]))
 
@@ -86,37 +88,49 @@ def test_beta0_monotone_in_n(gaussian_law):
 def test_replica_determinism_across_workers(monkeypatch):
     model = dp.ModelSpec("pinning", 1.0, -0.2, GEO)
     monkeypatch.setenv("DEPIN_THREADS", "1")
-    a = dp.estimate_free_energy(model, LAW, 512, 6, 11)
+    a = dp.estimate_free_energy([model], LAW, [512], 6, 11)
     monkeypatch.setenv("DEPIN_THREADS", "2")
-    b = dp.estimate_free_energy(model, LAW, 512, 6, 11)
-    assert a.mean == b.mean and a.stderr == b.stderr
+    b = dp.estimate_free_energy([model], LAW, [512], 6, 11)
+    assert a.mean[0, 0] == b.mean[0, 0] and a.stderr[0, 0] == b.stderr[0, 0]
     assert np.array_equal(a.replica_values, b.replica_values)
 
 
 def test_single_excursion_bound_on_mean():
     model = dp.ModelSpec("pinning", 1.2, 0.4, GEO)
     n, reps, seed = 64, 12, 13
-    est = dp.estimate_free_energy(model, LAW, n, reps, seed)
+    est = dp.estimate_free_energy([model], LAW, [n], reps, seed)
     bounds = []
     for r in range(reps):
         om = dp.sample_disorder(LAW, n, dp.spawn_seed(seed, r))
         bounds.append((1.2 * om.values[n - 1] - 0.4 + float(GEO.log_density[n - 1])) / n)
-    assert est.mean >= np.mean(bounds) - 1e-12
+    assert est.mean[0, 0] >= np.mean(bounds) - 1e-12
 
 
 def test_stderr_halves_with_replica_doubling():
     model = dp.ModelSpec("pinning", 1.0, -0.1, GEO)
-    est64 = dp.estimate_free_energy(model, LAW, 256, 64, 29)
-    est128 = dp.estimate_free_energy(model, LAW, 256, 128, 29)
-    ratio = est128.stderr**2 / est64.stderr**2
+    est64 = dp.estimate_free_energy([model], LAW, [256], 64, 29)
+    est128 = dp.estimate_free_energy([model], LAW, [256], 128, 29)
+    ratio = est128.stderr[0, 0]**2 / est64.stderr[0, 0]**2
     assert 0.5 * 0.7 <= ratio <= 0.5 * 1.3
 
 
 def test_copolymer_relation_exact():
+    # the plain growth rate, (1/N) log of the sum over +-1 bridges of
+    # 2^-N exp((1/2) sum_j (beta w_j + h) sign(S_j)), enumerated here, is
+    # each replica's excess value + h/2 + (beta/2) mean(w): mean + h/2 over
+    # replicas, up to the disorder's sample mean
     srw = dp.srw_kernel(32)
     model = dp.ModelSpec("copolymer", 1.0, 0.6, srw)
-    est = dp.estimate_free_energy(model, LAW, 128, 6, 17)
-    assert est.f_mean == est.mean + 0.3
+    n, reps, seed = 12, 6, 17
+    est = dp.estimate_free_energy([model], LAW, [n], reps, seed)
+    paths = np.array(list(itertools.product((1, -1), repeat=n)))
+    walks = np.cumsum(paths, axis=1)
+    signs = np.where(walks[walks[:, -1] == 0] < 0, -1.0, 1.0)
+    for r in range(reps):
+        w = dp.sample_disorder(LAW, n, dp.spawn_seed(seed, r)).values[:n]
+        plain = math.log(math.fsum(np.exp(0.5 * signs @ (w + 0.6)) * 0.5**n)) / n
+        got = est.replica_values[r, 0, 0] + 0.3 + 0.5 * w.mean()
+        assert got == pytest.approx(plain, rel=1e-12, abs=1e-15)
 
 
 def test_copolymer_excess_nonnegative_at_scale():
@@ -127,10 +141,10 @@ def test_copolymer_excess_nonnegative_at_scale():
     floor = (math.log(srw.density[255]) - math.log(2.0)) / 512
     for h in (0.0, 0.1, 0.2, 0.4, 1.0):
         model = dp.ModelSpec("copolymer", 1.0, h, srw)
-        est = dp.estimate_free_energy(model, LAW, 512, 8, 23)
-        assert est.mean >= floor - 1e-12
+        est = dp.estimate_free_energy([model], LAW, [512], 8, 23)
+        assert est.mean[0, 0] >= floor - 1e-12
         if h <= 0.2:
-            assert est.mean >= -3.0 * est.stderr
+            assert est.mean[0, 0] >= -3.0 * est.stderr[0, 0]
 
 
 def test_phi_default_epsilon():
@@ -151,12 +165,22 @@ def test_phi_curve_feasibility(tmp_path):
     assert curve.values[2] == -math.inf and curve.stderr[2] == 0.0
 
 
-def test_phi_validation():
+def _no_build(*args):
+    raise AssertionError("a replica build started")
+
+
+def test_phi_validation(monkeypatch):
     model = dp.ModelSpec("pinning", 1.0, 0.0, GEO)
     with pytest.raises(ValueError):
         dp.estimate_phi(model, LAW, [], 0.05, 64, 2, 1)
     with pytest.raises(ValueError):
         dp.estimate_phi(model, LAW, [0.5, 1.2], 0.05, 64, 2, 1)
+    # NaN is rejected before any replica is built
+    monkeypatch.setattr(estimator, "_map_replicas", _no_build)
+    with pytest.raises(ValueError, match="densities"):
+        dp.estimate_phi(model, LAW, [math.nan], None, 32, 2, 1)
+    with pytest.raises(ValueError, match="half-width"):
+        dp.estimate_phi(model, LAW, [0.5], math.nan, 32, 2, 1)
     with pytest.raises(ValueError):
         dp.estimate_phi(model, LAW, [0.5], 0.001, 64, 2, 1)  # N * eps < 1
 
@@ -165,11 +189,11 @@ def test_phi_below_unconstrained_pointwise():
     model = dp.ModelSpec("pinning", 1.0, 0.0, GEO)
     n, reps, seed = 256, 6, 41
     curve = dp.estimate_phi(model, LAW, np.linspace(0.1, 0.9, 5), None, n, reps, seed)
-    fe = dp.estimate_free_energy(model, LAW, n, reps, seed)
+    fe = dp.estimate_free_energy([model], LAW, [n], reps, seed)
     # same replica seeds: the windowed mass never exceeds the full sum
-    assert np.all(curve.values[curve.feasible] <= fe.mean + 3 * fe.stderr)
+    assert np.all(curve.values[curve.feasible] <= fe.mean[0, 0] + 3 * fe.stderr[0, 0])
     assert np.all(curve.replica_values[:, curve.feasible]
-                  <= fe.replica_values[:, None] + 1e-12)
+                  <= fe.replica_values[:, 0] + 1e-12)
 
 
 def test_phi_deterministic(monkeypatch):
@@ -185,8 +209,8 @@ def test_phi_deterministic(monkeypatch):
 def test_self_averaging():
     # the replica variance of (1/N) log Z shrinks as N grows
     def variance(model, n, replicas, seed):
-        return dp.estimate_free_energy(model, LAW, n, replicas,
-                                       seed).replica_values.var(ddof=1)
+        return dp.estimate_free_energy([model], LAW, [n], replicas,
+                                       seed).replica_values[:, 0, 0].var(ddof=1)
 
     model = dp.ModelSpec("pinning", 1.0, -0.3, GEO)
     ladder = [variance(model, n, 24, dp.spawn_seed(31, i))
@@ -198,10 +222,14 @@ def test_self_averaging():
                for i, n in enumerate([256, 512]))
 
 
-def test_estimate_validation():
+def test_estimate_validation(monkeypatch):
     model = dp.ModelSpec("pinning", 1.0, 0.0, GEO)
     with pytest.raises(ValueError):
-        dp.estimate_free_energy(model, LAW, 256, 0, 1)
+        dp.estimate_free_energy([model], LAW, [256], 0, 1)
+    # an empty size list is refused before any replica is built
+    monkeypatch.setattr(estimator, "_map_replicas", _no_build)
+    with pytest.raises(ValueError, match="at least one size"):
+        dp.estimate_free_energy([model], LAW, [], 2, 1)
 
 
 def test_worker_count_capped_at_cores(monkeypatch):
@@ -223,8 +251,8 @@ def test_unreachable_size_has_zero_spread(tmp_path):
     model = dp.ModelSpec("pinning", 1.0, 0.0, dp.kernel_from_file(path))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = dp.estimate_free_energy(model, LAW, 6, 3, 5)
-    assert est.mean == -math.inf and est.stderr == 0.0
+        est = dp.estimate_free_energy([model], LAW, [6], 3, 5)
+    assert est.mean[0, 0] == -math.inf and est.stderr[0, 0] == 0.0
 
 
 def test_spread_of_huge_free_energies_is_finite():
@@ -233,7 +261,8 @@ def test_spread_of_huge_free_energies_is_finite():
     model = dp.ModelSpec("pinning", 1e300, 0.0, dp.geometric_kernel(0.5, n_max=16))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = dp.estimate_free_energy(model, LAW, 64, 4, 5)
-    scaled = est.replica_values / 1e290
+        est = dp.estimate_free_energy([model], LAW, [64], 4, 5)
+    scaled = est.replica_values[:, 0, 0] / 1e290
     want = scaled.std(ddof=1) / 2.0 * 1e290
-    assert math.isfinite(est.stderr) and est.stderr == pytest.approx(want, rel=1e-12)
+    stderr = est.stderr[0, 0]
+    assert math.isfinite(stderr) and stderr == pytest.approx(want, rel=1e-12)

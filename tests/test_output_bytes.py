@@ -1,0 +1,64 @@
+"""Pinned output bytes, and the one version string that every output embeds.
+
+Each run below goes through `depin.cli.run` with `--out`; its digest is the
+sha256 of its standard output followed by every file it wrote, in name
+order.  The digests were recorded with numpy 2.4.6 on x86-64; another numpy
+version may round a sum differently and so change them, which is not a
+fault of the program.  Within one numpy version they must hold at every
+`DEPIN_THREADS`, because output bytes do not depend on the worker count.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+import depin
+from depin.cli import run
+
+RUNS = {
+    "fe_pinning": ["fe", "--kernel", "geometric:p=0.5,n_max=64", "--beta", "1",
+                   "--h=-0.5,-0.2", "--N", "128,256", "--replicas", "4", "--seed", "3"],
+    "fe_copolymer": ["fe", "--kind", "copolymer", "--kernel", "srw:n_max=64", "--beta", "1",
+                     "--h=0.2,0.6", "--N", "128,256", "--replicas", "4", "--seed", "5"],
+    "phi": ["phi", "--kernel", "geometric:p=0.5,n_max=32", "--beta", "1",
+            "--m-grid", "0.2:0.8:0.2", "--N", "64", "--replicas", "3", "--seed", "5"],
+    "hc_beta0": ["hc", "--kernel", "geometric:p=0.5,n_max=64", "--beta", "0",
+                 "--N-list", "256,512", "--replicas", "1", "--seed", "3", "--tol", "1e-3"],
+    "hc_beta1": ["hc", "--kernel", "geometric:p=0.5,n_max=64", "--beta", "1",
+                 "--N-list", "128,256", "--replicas", "4", "--seed", "7", "--tol", "0.01"],
+    "smooth": ["smooth", "--kernel", "power:alpha=3,s=1,n_max=128", "--beta", "1",
+               "--N-list", "128,256", "--replicas", "4", "--seed", "11", "--tol", "0.02",
+               "--scan-gaps", "0.4,0.3,0.22,0.16"],
+}
+
+DIGESTS = {
+    "fe_copolymer": "5a72bd4a4d21a71d0ff8bc0745374d0bc3f093e00e5ec21847efa7f035c3fcf2",
+    "fe_pinning": "806a5642098bbc49cd6bf8a798a5fb0a51fc95789b49fa8a1a297a795b2c8d05",
+    "hc_beta0": "fd15715e6944c7e4dada54bf6da4ab2c59243124247f2d84e6cec9cfa2d2f486",
+    "hc_beta1": "a7bd2f6c631fae11944dba0c4873cb03e734e5e5bb4e85ce87295515d37e279f",
+    "phi": "982330cc8766684b6899c3aaa924e5e0672e564829d6a2a96fed51c9db26e191",
+    "smooth": "39b41e01910c944213b9461cdaa2ae6b7d3ec033467f0d16be4b07456a790517",
+}
+
+
+def _digest(argv, out: Path, capsys) -> str:
+    assert run(argv + ["--out", str(out)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode())
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_output_bytes_are_pinned(name, threads, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DEPIN_THREADS", threads)
+    assert _digest(RUNS[name], tmp_path / "out", capsys) == DIGESTS[name]
+
+
+def test_version_has_one_value():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == depin.__version__

@@ -381,6 +381,7 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
     if not (scan_gaps and all(g > 0 for g in scan_gaps)
             and len(set(scan_gaps)) == len(scan_gaps)):
         raise UsageError("the scan gaps must be positive and distinct")
+    consts = smoothing_constant(beta, kernel.alpha, law)
     fit0 = locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol)
     hc, hc_err = fit0.hc, fit0.hc_err
     n_list = sorted(n_list)
@@ -430,7 +431,6 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
     else:
         jack_err = 0.0
 
-    consts = smoothing_constant(beta, kernel.alpha, law)
     envelope_ok = all(f <= consts.envelope(hc - h) + 3.0 * err
                       for h, f, err in loc)
 

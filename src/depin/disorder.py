@@ -233,21 +233,25 @@ class SmoothingConstants:
 
 
 def smoothing_constant(beta: float, alpha: float, law: DisorderLaw) -> SmoothingConstants:
-    """Envelope constant c = 1 / (4 C) for beta > 0 (ValueError otherwise,
-    NaN included) and alpha >= 1, C from the law's own constant on both
+    """Envelope constant c = 1 / (4 C) for beta > 0 and alpha >= 1
+    (ValueError otherwise, NaN included, and where c overflows: from beta
+    near 89 / M on the tilt route), C from the law's own constant on both
     routes: "shift", C = beta^2 / (512 R) for a shift-entropy constant R;
     "tilt" for a law of bound M, C = c0^2 beta^2 / (512 M^2 / 8) with
     c0 = exp(-4 M beta) / 8 and M^2 / 8 a second-moment bound in place of R.
     """
     if not beta > 0:
         raise ValueError("beta must be positive")
-    if alpha < 1:
+    if not alpha >= 1:
         raise ValueError("alpha must be >= 1")
     if law.entropy_constant is not None:
-        C = beta * beta / (512.0 * law.entropy_constant)
-        return SmoothingConstants(alpha, 1.0 / (4.0 * C), "shift")
-    M = law.bound
-    c0 = math.exp(-4.0 * M * beta) / 8.0
-    r_tilt = M * M / 8.0
-    C = c0 * c0 * beta * beta / (512.0 * r_tilt)
-    return SmoothingConstants(alpha, 1.0 / (4.0 * C), "tilt")
+        C, route = beta * beta / (512.0 * law.entropy_constant), "shift"
+    else:
+        M = law.bound
+        c0 = math.exp(-4.0 * M * beta) / 8.0
+        r_tilt = M * M / 8.0
+        C, route = c0 * c0 * beta * beta / (512.0 * r_tilt), "tilt"
+    if not (C > 0 and (c := 1.0 / (4.0 * C)) < math.inf):
+        raise ValueError(f"beta={beta!r} is out of range of the {route}-route "
+                         "envelope constant, which overflows")
+    return SmoothingConstants(alpha, c, route)

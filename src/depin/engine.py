@@ -19,7 +19,8 @@ O(w * J) for J counts, and returns only the final row.
 The pinned-endpoint and copolymer recursions share one renewal core, which
 also steps a block of rows at once, bit for bit a set of single builds.  A
 row is a (field, replica) pair: a disorder row of a 2-D array, with its own
-field h from an optional column (model.h for every row by default).
+field h from an optional column (model.h for every row by default).  A
+step copies the block's window into one buffer and works there in place.
 Couplings under which log Z could leave the floating-point range are
 rejected.
 
@@ -69,12 +70,13 @@ class ModelSpec:
 
 
 def logsumexp_1d(values: np.ndarray) -> float:
-    """Stable log of a sum of exponentials; -inf for an empty or -inf input."""
+    """Stable log of a sum of exponentials; -inf for an empty or all -inf
+    input, NaN for one holding a NaN."""
     if len(values) == 0:
         return -math.inf
     m = values.max()
     if not np.isfinite(m):
-        return -math.inf if m < 0 else math.inf
+        return float(m)
     return float(m + np.log(np.exp(values - m).sum()))
 
 
@@ -120,10 +122,13 @@ def _field_column(model: ModelSpec, h, rows: int) -> np.ndarray:
 def _renewal(kind: str, model: ModelSpec, omega, n: int, h=None):
     """log Z_m, m = 0, s, ..., n: of one DisorderSample as a 1-D array, or
     of each row of an (R, >= n) block as a 2-D array, stepping all rows at
-    once; row r carries the field h[r] (default model.h).  Pinning adds the
-    charge beta w - h to each step and finishes a row as
-    c + m + math.log(x); the copolymer adds a split term to each (step,
-    excursion) cell and finishes the block as m + np.log(x).
+    once; row r carries the field h[r] (default model.h).  Each step copies
+    the window logz[:, t-w:t] into one buffer, adds log K in place and
+    reduces every row to its max m and pairwise sum x of exp(cell - m).
+    Pinning finishes a row as (beta w - h + m) + math.log(x) (libm's log:
+    numpy's SIMD np.log differs in the last bit), the copolymer, after a
+    split term on each (step, excursion) cell, as m + np.log(x); a row whose
+    window is all -inf is NaN after the shift by m, and fmax makes it -inf.
 
     The split term is np.logaddexp(0, x) - LOG2, where x = c_grid - c_last
     is minus the excursion's interior charge.  logaddexp runs only on the
@@ -158,12 +163,14 @@ def _renewal(kind: str, model: ModelSpec, omega, n: int, h=None):
     logz = np.empty((rows, t_max + 1))
     logz[:, 0] = 0.0
     buf = np.empty(rows * w_max)
-    # a row whose window is all -inf turns to NaN on the shift by its max;
-    # it finishes at -inf instead
+    full = buf.reshape(rows, w_max)
+    m, x = np.empty(rows), np.empty(rows)
+    m_col = m[:, None]
+    # a row whose window is all -inf turns to NaN on the shift by its max
     with np.errstate(invalid="ignore"):
         for t in range(1, t_max + 1):
             w = min(t, w_max)
-            seg = buf[:rows * w].reshape(rows, w)
+            seg = full if w == w_max else buf[:rows * w].reshape(rows, w)
             if not pinning:
                 # log1p(e^x) only where rounding leaves it open; seg holds |x|
                 split = split_buf[:rows * w].reshape(rows, w)
@@ -173,20 +180,22 @@ def _renewal(kind: str, model: ModelSpec, omega, n: int, h=None):
                 np.logaddexp(0.0, split, out=split, where=near)
                 np.maximum(split, 0.0, out=split)
                 split -= LOG2
-            np.add(logz[:, t - w:t], rk[w_max - w:], out=seg)
+            # faster than np.add from the strided window into seg
+            seg[...] = logz[:, t - w:t]
+            seg += rk[w_max - w:]
             if not pinning:
                 seg += split
-            m = seg.max(axis=1, keepdims=True)
-            np.subtract(seg, m, out=seg)
+            np.maximum.reduce(seg, axis=1, out=m)
+            np.subtract(seg, m_col, out=seg)
             np.exp(seg, out=seg)
-            x = seg.sum(axis=1)
+            np.add.reduce(seg, axis=1, out=x)
+            col = logz[:, t]
             if pinning:
-                logz[:, t] = [c + mm + math.log(xx) if mm != -math.inf else -math.inf
-                              for c, mm, xx in zip(charges[t - 1].tolist(),
-                                                   m.ravel().tolist(), x.tolist())]
+                np.add(charges[t - 1], m, out=col)
+                col += np.fromiter(map(math.log, x.tolist()), float, rows)
             else:
-                np.add(m[:, 0], np.log(x, out=x), out=logz[:, t])
-                logz[m[:, 0] == -math.inf, t] = -math.inf
+                np.add(m, np.log(x, out=x), out=col)
+            np.fmax(col, -math.inf, out=col)
     return logz[0] if one else logz
 
 
@@ -297,12 +306,12 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
                 block[head:] = ring[:w - head, :t]
                 block += rk[w_max - w:, None]
                 m, z, dead = col_max[:t], col_sum[:t], empty[:t]
-                np.max(block, axis=0, out=m)
+                np.maximum.reduce(block, axis=0, out=m)
                 np.equal(m, -math.inf, out=dead)
                 np.copyto(m, 0.0, where=dead)
                 np.subtract(block, m, out=block)
                 np.exp(block, out=block)
-                np.sum(block, axis=0, out=z)
+                np.add.reduce(block, axis=0, out=z)
                 np.log(z, out=z)
                 np.add(m, z, out=z)
                 row = ring[t % w_max, :t + 1]

@@ -149,7 +149,7 @@ def test_config_file_rejects_unknown_keys_and_booleans(tmp_path, capsys):
     assert "order=" not in capsys.readouterr().out
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run(["pure", "--h", "-1"]) == 2                  # missing required
     assert run(["pure", "--kernel", "geometric:p=0.5",
                 "--h", "oops"]) == 2                        # malformed value
@@ -248,6 +248,18 @@ def test_exit_codes(tmp_path, capsys):
                     "--replicas", "2", "--tol", "0.01"]) == 2
         assert capsys.readouterr().err == (
             f"depin {cmd}: usage error: no path of the kernel ends at N=6\n")
+    # an envelope constant beyond the floating-point range is a one-line
+    # error before any build (at beta = 100 the bisection and scan once ran
+    # in full, then ended in a ZeroDivisionError traceback)
+    capsys.readouterr()
+    with monkeypatch.context() as mp:
+        mp.setattr(analysis, "locate_hc", lambda *a: pytest.fail("built before the check"))
+        assert run(["smooth", "--kernel", "power:alpha=3,n_max=128", "--law", "rademacher",
+                    "--beta", "100", "--N-list", "64,128", "--replicas", "4", "--tol", "0.5",
+                    "--scan-gaps", "80,60,50,40,30,20,10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("depin smooth: error: beta=100.0 ")
+    assert err.count("\n") == 1
     # no replicas, and a search window given by one end or upside down, are
     # usage errors before any estimate (no replicas once made hc and smooth
     # hang, and a lone or inverted window was dropped or probed in vain)

@@ -207,6 +207,17 @@ def test_smoothing_constant_vacuous_and_tilt():
     for beta in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             dp.smoothing_constant(beta, 1.5, law)
+    # a NaN alpha once gave alpha=nan
+    for alpha in (0.5, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            dp.smoothing_constant(1.0, alpha, law)
+    # c = 1 / (4 C) overflows as C nears 0 (beta = 93 on the tilt route
+    # once raised ZeroDivisionError, and beta = 89 gave c = inf)
+    for name, beta in (("rademacher", 89.0), ("rademacher", 93.0), ("uniform", 60.0),
+                       ("gaussian", 1e-170)):
+        with pytest.raises(ValueError, match="out of range"):
+            dp.smoothing_constant(beta, 1.5, dp.disorder_law(name))
+    assert dp.smoothing_constant(88.0, 1.5, dp.disorder_law("rademacher")).c < math.inf
 
     rad = dp.disorder_law("rademacher")
     sc = dp.smoothing_constant(1.0, 1.5, rad)

@@ -288,6 +288,17 @@ def test_constrained_window_extraction():
     assert dp.constrained_window(row, 16, 0.997, 0.001) == -math.inf
 
 
+def test_logsumexp_1d_non_finite_inputs():
+    inf, nan = math.inf, math.nan
+    assert dp.logsumexp_1d(np.array([])) == -inf
+    assert dp.logsumexp_1d(np.array([-inf, -inf])) == -inf
+    assert dp.logsumexp_1d(np.array([inf, 1.0])) == inf
+    # a NaN max once failed isfinite and then m < 0, and came out as +inf
+    for values in ([nan, 1.0], [1.0, nan], [-inf, nan], [inf, nan]):
+        assert math.isnan(dp.logsumexp_1d(np.array(values))), values
+    assert dp.logsumexp_1d(np.array([0.0, 0.0])) == math.log(2.0)
+
+
 def test_single_excursion_lower_bound():
     # one completed excursion spanning the whole system is one configuration
     for i in range(25):

@@ -133,6 +133,20 @@ def _speculation_depth(beta: float, kernel: ReturnKernel, n_max: int,
     return depth
 
 
+def _sizes(kernel: ReturnKernel, n_list) -> list:
+    """The sizes of a run, sorted.  A size at which no chain of the kernel's
+    excursions ends, or one given twice, is a UsageError."""
+    n_list = sorted(n_list)
+    if not n_list or n_list[0] < 1:
+        raise ValueError("need at least one size, all positive")
+    for n in n_list:
+        if not kernel.reaches(n):
+            raise UsageError(f"no path of the kernel ends at N={n}")
+    if len(set(n_list)) < len(n_list):
+        raise UsageError("each size may appear once")
+    return n_list
+
+
 def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
               n_list, replicas: int, seed: int, tol: float,
               h_window: tuple[float, float] | None = None) -> CriticalFit:
@@ -145,12 +159,11 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     the larger of 3 sigma, sigma the standard error of the per-replica
     extrapolations, and a floor of 4/max(N) that keeps the beta = 0 or
     one-replica case (zero sigma) off the finite-size extrapolation
-    residue.  A size that no chain of the kernel's excursions reaches is a
-    UsageError, raised before any estimate, and so are a repeated size, an
-    h_window without lo < hi or of infinite width, and a copolymer h_window
-    with lo < 0.  Each bracket end moves out by the window's width until its
-    phase is right, in at most 8 probes and to finite fields only; a
-    copolymer's lower end stops at h = 0.
+    residue.  Sizes that _sizes rejects are a UsageError, raised before any
+    estimate, and so are an h_window without lo < hi or of infinite width,
+    and a copolymer h_window with lo < 0.  Each bracket end moves out by the
+    window's width until its phase is right, in at most 8 probes and to
+    finite fields only; a copolymer's lower end stops at h = 0.
 
     Probes go into a memo keyed by field, and the search speculates when a
     build is narrow: the first build holds both bracket ends and the
@@ -167,15 +180,7 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
         raise ValueError("tol must be positive")
     if replicas < 1:
         raise ValueError("need at least one replica")
-    n_list = sorted(n_list)
-    if not n_list or n_list[0] < 1:
-        raise ValueError("need at least one size, all positive")
-    for n in n_list:
-        if not kernel.reaches(n):
-            raise UsageError(f"no path of the kernel ends at N={n}")
-    if len(set(n_list)) < len(n_list):
-        raise UsageError("each size may appear once: a repeated size is not "
-                         "an independent one")
+    n_list = _sizes(kernel, n_list)
     floor = 4.0 / n_list[-1]
     probes, known = [], {}
     depth = _speculation_depth(beta, kernel, n_list[-1], replicas)
@@ -369,7 +374,7 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
     same kernel is solved for contrast; a copolymer has no such contrast,
     and its scan leaves out fields below 0.  scan_gaps are distances below
     h_c; a list that is empty, holds a gap <= 0 or repeats one is a
-    UsageError, raised before the bisection.
+    UsageError, raised before the bisection, as are bad sizes (see _sizes).
     """
     if beta <= 0:
         raise ValueError("the envelope check needs beta > 0")
@@ -381,10 +386,10 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
     if not (scan_gaps and all(g > 0 for g in scan_gaps)
             and len(set(scan_gaps)) == len(scan_gaps)):
         raise UsageError("the scan gaps must be positive and distinct")
+    n_list = _sizes(kernel, n_list)
     consts = smoothing_constant(beta, kernel.alpha, law)
     fit0 = locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol)
     hc, hc_err = fit0.hc, fit0.hc_err
-    n_list = sorted(n_list)
 
     gaps = sorted(scan_gaps, reverse=True)
     h_values = [hc - g for g in gaps] + [hc + gaps[-1], hc + gaps[len(gaps) // 2]]

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import UsageError, locate_hc, smoothing_check
+from .analysis import UsageError, _sizes, locate_hc, smoothing_check
 from .disorder import disorder_law
 from .engine import ModelSpec
 from .estimator import estimate_free_energy, estimate_phi, worker_count
@@ -85,7 +85,8 @@ MAX_RANGE_POINTS = 100_000
 
 def _float_list(text: str):
     """Comma list, or lo:hi:step range of the points lo + i*step up to hi (a
-    1e-9 step past it counts as hi), at most MAX_RANGE_POINTS of them."""
+    1e-9 step past it counts as hi), at most MAX_RANGE_POINTS of them and
+    each once: a repeat would repeat its output row or scan point."""
     if ":" in text:
         lo, hi, step = (_finite(x) for x in text.split(":"))
         span = (hi - lo) / step if step else -1.0
@@ -94,10 +95,13 @@ def _float_list(text: str):
         count = math.floor(span + 1e-9) + 1
         if count > MAX_RANGE_POINTS:
             raise ValueError(f"range of more than {MAX_RANGE_POINTS} points")
-        return [lo + i * step for i in range(count)]
-    values = [_finite(x) for x in text.split(",") if x]
+        values = [lo + i * step for i in range(count)]
+    else:
+        values = [_finite(x) for x in text.split(",") if x]
     if not values:
         raise ValueError("empty list")
+    if len(set(values)) < len(values):
+        raise ValueError("a value repeats")
     return values
 
 
@@ -197,15 +201,7 @@ def _save(merged: dict, files: dict) -> None:
         (out / name).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _once(name: str, values) -> None:
-    """A usage error when a value repeats: it would repeat its output row."""
-    if len(set(values)) < len(values):
-        raise UsageError(f"each {name} may appear once: a repeated {name} "
-                         "repeats its row")
-
-
 def _cmd_pure(merged: dict, cfg: dict) -> int:
-    _once("field", merged["h"])
     kernel = parse_kernel_spec(merged["kernel"])
     rows = []
     for h in merged["h"]:
@@ -224,9 +220,8 @@ def _cmd_pure(merged: dict, cfg: dict) -> int:
 
 def _cmd_fe(merged: dict, cfg: dict) -> int:
     ns = merged["N"]
-    _once("size", ns)
-    _once("field", merged["h"])
     kernel = parse_kernel_spec(merged["kernel"])
+    _sizes(kernel, ns)  # rows keep the order given
     law = disorder_law(merged["law"])
     # one build serves every field and size; rows stay N-outer, h-inner
     models = [ModelSpec(merged["kind"], merged["beta"], h, kernel) for h in merged["h"]]
@@ -245,8 +240,8 @@ def _cmd_fe(merged: dict, cfg: dict) -> int:
 
 
 def _cmd_phi(merged: dict, cfg: dict) -> int:
-    _once("density", merged["m_grid"])
     kernel = parse_kernel_spec(merged["kernel"])
+    _sizes(kernel, [merged["N"]])
     law = disorder_law(merged["law"])
     model = ModelSpec(merged["kind"], merged["beta"], 0.0, kernel)
     curve = estimate_phi(model, law, merged["m_grid"], merged["epsilon"], merged["N"],
@@ -289,7 +284,7 @@ def _cmd_smooth(merged: dict, cfg: dict) -> int:
     print(f"hc={_fmt(report.hc)} +- {_fmt(report.hc_err)}")
     print(f"exponent={_fmt(report.exponent)} +- {_fmt(report.exponent_err)}")
     print(f"envelope_ok={report.envelope_ok} ratio_decreasing={report.ratio_decreasing}")
-    rows = [(merged["N_list"][-1], report.beta, h, f, s,
+    rows = [(max(merged["N_list"]), report.beta, h, f, s,
              merged["replicas"], merged["seed"]) for h, f, s in report.points]
     _save(merged, {
         "smooth.json": _json({**report.to_dict(), "config": cfg}),
@@ -386,8 +381,9 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"depin {args.command}: usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"depin {args.command}: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"depin {args.command}: error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 1
 
 

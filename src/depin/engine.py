@@ -259,7 +259,7 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
 
     The coupling h is deliberately absent from the recursion (the weight
     exp(-h j) reinstates it, see the Legendre analysis); only the disorder
-    rewards beta * w enter, and model.h is read only by the range check.
+    rewards beta * w enter, and model.h is never read.
     For pinning j counts contacts (J = N/s + 1 counts); for the copolymer j
     counts below-interface sites (J = N + 1), so an excursion of length k
     assigned below adds k - 1.  Entries are finite or -inf (-inf marks
@@ -279,7 +279,7 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
     s = kern.period
     w_max = min(t_max, kern.n_max)
     log_k = kern.log_density
-    _check_range(model, omega.values[:n], n, abs(model.h))
+    _check_range(model, omega.values[:n], n, 0.0)
 
     width = t_max + 1 if model.kind == "pinning" else n + 1
     ring = np.full((w_max, width), -math.inf)
@@ -290,10 +290,9 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
         cells = np.empty(w_max * t_max)
         col_max = np.empty(t_max)
         col_sum = np.empty(t_max)
-        empty = np.empty(t_max, dtype=bool)
-        # a column with no path (max -inf) is shifted by 0 instead, so its
-        # sum is 0 and its log -inf
-        with np.errstate(divide="ignore"):
+        # a column with no path turns to NaN on the shift by its max -inf,
+        # and fmax makes it -inf, as in _renewal
+        with np.errstate(invalid="ignore"):
             for t in range(1, t_max + 1):
                 w = min(t, w_max)
                 lo = (t - w) % w_max
@@ -305,10 +304,8 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
                 block[:head] = ring[lo:lo + head, :t]
                 block[head:] = ring[:w - head, :t]
                 block += rk[w_max - w:, None]
-                m, z, dead = col_max[:t], col_sum[:t], empty[:t]
+                m, z = col_max[:t], col_sum[:t]
                 np.maximum.reduce(block, axis=0, out=m)
-                np.equal(m, -math.inf, out=dead)
-                np.copyto(m, 0.0, where=dead)
                 np.subtract(block, m, out=block)
                 np.exp(block, out=block)
                 np.add.reduce(block, axis=0, out=z)
@@ -317,6 +314,7 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
                 row = ring[t % w_max, :t + 1]
                 row[0] = -math.inf
                 np.add(rewards[t - 1], z, out=row[1:])
+                np.fmax(row, -math.inf, out=row)
     else:
         rewards_prefix = np.concatenate([[0.0], np.cumsum(model.beta * omega.values[:n])])
         acc = np.empty(width)

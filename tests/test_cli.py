@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from depin import analysis, cli
+from depin import analysis, cli, estimator, kernel
 from depin.cli import (MAX_RANGE_POINTS, _float_list, parse_kernel_spec,
                        read_config_file, run)
 
@@ -149,6 +149,10 @@ def test_config_file_rejects_unknown_keys_and_booleans(tmp_path, capsys):
     assert "order=" not in capsys.readouterr().out
 
 
+def _no_build(*args):
+    pytest.fail("an input no run can use reached a build")
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run(["pure", "--h", "-1"]) == 2                  # missing required
     assert run(["pure", "--kernel", "geometric:p=0.5",
@@ -238,16 +242,36 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"depin {argv[0]}: error: "), argv
         assert err.count("\n") == 1 and named in err, err
-    # a size that no path reaches (atoms at 4 and 8 only) is named before
-    # any estimate runs
+    # a size that no path reaches (atoms at 4 and 8 only, or an odd size
+    # of the period-2 SRW law) is named before any estimate runs, by every
+    # command that takes sizes (fe once printed F=-inf with exit 0, phi every
+    # window -inf, and both exited 1 from the build at an odd SRW size)
     k48 = tmp_path / "k48.csv"
     k48.write_text("s=1,k_inf=0.0,alpha=2.0\n4,0.5\n8,0.5\n", encoding="utf-8")
-    for cmd in ("hc", "smooth"):
+    for spec, n in ((f"file:{k48}", 6), ("srw:n_max=8", 7)):
+        for argv in (["hc", "--N-list", f"{n},8,16", "--tol", "0.01"],
+                     ["smooth", "--N-list", f"{n},8,16", "--tol", "0.01"],
+                     ["fe", "--N", f"16,{n},8", "--h=-0.5"],
+                     ["phi", "--N", str(n), "--m-grid", "0.5"]):
+            capsys.readouterr()
+            with monkeypatch.context() as mp:
+                mp.setattr(estimator, "_map_replicas", _no_build)
+                assert run([*argv, "--kernel", spec, "--beta", "1", "--replicas", "2"]) == 2
+            assert capsys.readouterr().err == (
+                f"depin {argv[0]}: usage error: no path of the kernel ends at N={n}\n")
+    # and so is a repeated size (phi takes one size)
+    for argv in (["hc", "--N-list", "16,8,16", "--tol", "0.01"],
+                 ["smooth", "--N-list", "16,8,16", "--tol", "0.01"],
+                 ["fe", "--N", "16,8,16", "--h=-0.5"],
+                 ["phi", "--N", "16,16", "--m-grid", "0.5"]):
         capsys.readouterr()
-        assert run([cmd, "--kernel", f"file:{k48}", "--beta", "1", "--N-list", "6,8,16",
-                    "--replicas", "2", "--tol", "0.01"]) == 2
-        assert capsys.readouterr().err == (
-            f"depin {cmd}: usage error: no path of the kernel ends at N=6\n")
+        with monkeypatch.context() as mp:
+            mp.setattr(estimator, "_map_replicas", _no_build)
+            assert run([*argv, "--kernel", "power:alpha=3,s=1,n_max=16", "--beta", "1",
+                        "--replicas", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"depin {argv[0]}: usage error: ") and err.count("\n") == 1
+        assert ("--N: bad value" if argv[0] == "phi" else "each size may appear once") in err
     # an envelope constant beyond the floating-point range is a one-line
     # error before any build (at beta = 100 the bisection and scan once ran
     # in full, then ended in a ZeroDivisionError traceback)
@@ -422,6 +446,77 @@ def test_range_stops_at_hi(capsys):
     assert run(["pure", "--kernel", "geometric:p=0.5", "--h=-1:0:0.6"]) == 0
     fields = [float(line.split()[0][2:]) for line in capsys.readouterr().out.splitlines()]
     assert fields == [-1.0, -0.4]
+
+
+def test_repeated_list_values_are_named(monkeypatch, capsys):
+    # a repeated field, density or scan gap is one usage line naming its
+    # option, before any build, in a comma list or a range finer than the
+    # float resolution at its points
+    monkeypatch.setattr(estimator, "_map_replicas", _no_build)
+    geo = ["--kernel", "geometric:p=0.5,n_max=16"]
+    for argv, option in (
+            (["pure", *geo, "--h=-0.1,-0.1"], "--h"),
+            (["pure", *geo, "--h=1:1.0000000000000002:1e-17"], "--h"),
+            (["fe", *geo, "--beta", "1", "--h=-0.5,-0.2,-0.5", "--N", "16"], "--h"),
+            (["phi", *geo, "--beta", "1", "--m-grid", "0.5,0.5", "--N", "16"], "--m-grid"),
+            (["phi", *geo, "--beta", "1", "--m-grid=0.5:0.5000000000000001:1e-17",
+              "--N", "16"], "--m-grid"),
+            (["smooth", "--kernel", "power:alpha=3,s=1,n_max=64", "--beta", "1",
+              "--N-list", "64", "--scan-gaps", "0.4,0.2,0.4"], "--scan-gaps")):
+        capsys.readouterr()
+        assert run(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"depin {argv[0]}: usage error: {option}: bad value "), err
+        assert err.endswith("(a value repeats)\n"), err
+
+
+def test_smooth_points_carry_the_largest_size(tmp_path, capsys):
+    # the rows of smooth_points.csv are extrapolated from every size, and
+    # labelled with the largest whatever the order given (an unsorted list
+    # once labelled them with its last size)
+    texts = {}
+    for sizes in ("64,128", "128,64"):
+        out = tmp_path / sizes
+        assert run(["smooth", "--kernel", "power:alpha=3,s=1,n_max=128", "--beta", "1",
+                    "--N-list", sizes, "--replicas", "4", "--seed", "11", "--tol", "0.02",
+                    "--scan-gaps", "0.4,0.3,0.22,0.16,0.12,0.09", "--out", str(out)]) == 0
+        # the option echo aside
+        texts[sizes] = [capsys.readouterr().out] + [
+            path.read_text(encoding="utf-8").replace(f"N_list={sizes}", "N_list=64,128")
+            .replace(f'"N_list": "{sizes}"', '"N_list": "64,128"')
+            for path in sorted(out.iterdir())]
+    assert texts["128,64"] == texts["64,128"]
+    rows = [line for line in (tmp_path / "128,64" / "smooth_points.csv").read_text(
+        encoding="utf-8").splitlines() if not line.startswith(("#", "N,"))]
+    assert rows and all(row.startswith("128,") for row in rows)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_memory_error_is_one_line(monkeypatch, capsys, threads):
+    # an allocation numpy refuses ends a run with one error line, not a
+    # traceback; raised by a stub, since a host that overcommits would try
+    # to page in a real request of that size
+    monkeypatch.setenv("DEPIN_THREADS", threads)
+
+    message = "Unable to allocate 7.28 TiB for an array"
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(kernel, "srw_kernel", refuse)
+    monkeypatch.setattr(estimator, "sample_disorder", refuse)
+    for argv in (["pure", "--kernel", "srw:n_max=1000000000000", "--h=-0.1"],
+                 ["fe", "--kernel", "geometric:p=0.5", "--beta", "1", "--h=-0.5",
+                  "--N", "64", "--replicas", "2"]):
+        capsys.readouterr()
+        assert run(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"depin {argv[0]}: error: {message}\n"
+    # a MemoryError without a message is named by its type
+    message = ""
+    assert run(["pure", "--kernel", "srw:n_max=8", "--h=-0.1"]) == 1
+    assert capsys.readouterr().err == "depin pure: error: MemoryError\n"
 
 
 def test_readme_commands_parse():

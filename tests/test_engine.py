@@ -235,6 +235,19 @@ def test_constrained_reconstruction_identity(kind, h):
     assert lhs == pytest.approx(direct, abs=1e-12)
 
 
+def test_constrained_row_ignores_h():
+    # h never enters the count-resolved build, so no h bounds it: h = 1e306
+    # once raised "couplings too large for this N" at N = 256
+    om = dp.sample_disorder(LAW, 256, 5)
+    for kind, kern, fields in (("pinning", dp.geometric_kernel(0.5, n_max=16),
+                                (1e306, -1e307, 1e308)),
+                               ("copolymer", SRW, (1e306,))):
+        row = dp.log_partition_constrained(dp.ModelSpec(kind, 1.0, 0.0, kern), om, 256)
+        for h in fields:
+            got = dp.log_partition_constrained(dp.ModelSpec(kind, 1.0, h, kern), om, 256)
+            assert got.tobytes() == row.tobytes()
+
+
 def test_constrained_memory_is_w_rows():
     # a build keeps w = 8 rows of 2049 counts, where the whole
     # (N/s + 1)^2 table would take 33.6 MB
@@ -388,8 +401,9 @@ def test_couplings_beyond_float_range_rejected():
     for beta, h in ((1.0, -1e307), (1.0, 1e308), (1e307, 0.0)):
         with pytest.raises(ValueError, match="floating-point range"):
             dp.log_partition_pinning(dp.ModelSpec("pinning", beta, h, geo), om, 64)
-        with pytest.raises(ValueError, match="floating-point range"):
-            dp.log_partition_constrained(dp.ModelSpec("pinning", beta, h, geo), om, 64)
+    # the count-resolved build never reads h (see test_constrained_row_ignores_h)
+    with pytest.raises(ValueError, match="floating-point range"):
+        dp.log_partition_constrained(dp.ModelSpec("pinning", 1e307, 0.0, geo), om, 64)
     with pytest.raises(ValueError, match="floating-point range"):
         dp.log_partition_copolymer(dp.ModelSpec("copolymer", 1e307, 1.0, SRW), om, 64)
     # large but representable: finite and exact to rounding

@@ -257,13 +257,8 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
 def select_fit_points(points, hc: float, hc_err: float = 0.0):
     """Rows usable for a critical fit: significant F, gap clear of the
     critical-point uncertainty (10x its bracket), strictly below h_c."""
-    out = []
-    for h, f, err in points:
-        gap = hc - h
-        if gap <= 0 or f <= 3.0 * err or gap < 10.0 * hc_err:
-            continue
-        out.append((float(h), float(f), float(err)))
-    return out
+    return [(float(h), float(f), float(err)) for h, f, err in points
+            if not (hc - h <= 0 or f <= 3.0 * err or hc - h < 10.0 * hc_err)]
 
 
 def fit_exponent(points, hc: float, hc_err: float = 0.0) -> CriticalFit:

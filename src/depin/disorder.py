@@ -63,9 +63,7 @@ _F = [1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
 
 
 def _ratpoly(coeffs_num, coeffs_den, r):
-    num = np.polyval(coeffs_num[::-1], r)
-    den = np.polyval(coeffs_den[::-1], r)
-    return num / den
+    return np.polyval(coeffs_num[::-1], r) / np.polyval(coeffs_den[::-1], r)
 
 
 def normal_quantile(p):

@@ -225,9 +225,7 @@ def log_partition_free_endpoint(model: ModelSpec, omega: DisorderSample, n: int)
     """
     logz = log_partition_pinning(model, omega, n)
     kern = model.kernel
-    t_max = n // kern.period
-    surv = np.array([kern.tail_mass((t_max - t) * kern.period) + kern.defect_mass
-                     for t in range(t_max + 1)])
+    surv = kern.tail_mass(np.arange(n, -1, -kern.period)) + kern.defect_mass
     with np.errstate(divide="ignore"):
         terms = logz + np.log(surv)
     return logsumexp_1d(terms)

@@ -88,38 +88,46 @@ class ReturnKernel:
         suf.flags.writeable = False
         return suf
 
-    def tail_mass(self, n: int) -> float:
-        """P(n < first return < inf) for the tabulated law, K(inf) excluded.
+    def tail_mass(self, n):
+        """P(n < first return < inf) for the tabulated law, K(inf) excluded,
+        at an int64 n or at each entry of an integer array: zero beyond the
+        truncation horizon, and tail_mass(0) == 1 - K(inf)."""
+        return self._suffix_mass[np.clip(np.floor_divide(n, self.period), 0, self.n_max)]
 
-        Zero beyond the truncation horizon; tail_mass(0) == 1 - K(inf).
-        """
-        if n < 0:
-            n = 0
-        idx = min(n // self.period, self.n_max)
-        return float(self._suffix_mass[idx])
+    @cached_property
+    def _least_sums(self) -> np.ndarray:
+        # least[r]: the least sum of positive-mass atom positions (in periods)
+        # that is r modulo the smallest one, a (inf if none is), built by the
+        # round-robin algorithm of Boecker and Liptak (Algorithmica 48, 2007)
+        atom = self.density > 0.0
+        a = int(atom.argmax()) + 1
+        atom[a - 1::a] = False  # multiples of a add nothing
+        least = np.full(a, math.inf)
+        least[0] = 0.0
+        for b in (np.flatnonzero(atom) + 1).tolist():
+            if b < least[b % a]:  # b is not already a sum of smaller atoms
+                # r -> r + b (mod a) runs round d = gcd(a, b) cycles of a/d;
+                # over two laps, a running minimum of least - k b gives each
+                # residue its least over every start on its cycle
+                d = math.gcd(a, b)
+                kb = np.arange(2 * a // d) * b
+                cyc = (np.arange(d)[:, None] + kb) % a
+                run = np.minimum.accumulate(least[cyc] - kb, axis=1) + kb
+                least[cyc[:, a // d:]] = run[:, a // d:]
+        least.flags.writeable = False
+        return least
 
     def reaches(self, n: int) -> bool:
-        """Whether a chain of completed excursions ends exactly at n: n is a
-        sum of atom positions of positive mass."""
+        """Whether a chain of completed excursions ends exactly at n > 0, that
+        is, t = n/s is a sum of positive-mass atom positions: exactly when t >=
+        least[t % a] (_least_sums).  The table takes O(a) memory and O(a) numpy
+        work per atom not already a sum of smaller ones: one pass of comparisons
+        when a = 1 (srw, power, geometric), O(a * atoms) at worst (atoms a to
+        2a - 1: 0.06 s at a = 1000, 1 s at 5000); a call then reads one entry."""
         if n < self.period or n % self.period:
             return False
         t = n // self.period
-        if self.density[0] > 0.0:
-            return True
-        # bit u of `reach` marks u periods as reachable; an atom a that is
-        # not already a sum of smaller ones adds 1, 2, 4, ... copies of a,
-        # so 0 to 2^k - 1 copies after k shifts
-        reach, top = 1, (1 << (t + 1)) - 1
-        for a in (np.flatnonzero(self.density[:t]) + 1).tolist():
-            if reach >> t & 1:
-                return True
-            if reach & (1 << a):
-                continue
-            step = a
-            while step <= t:
-                reach |= (reach << step) & top
-                step *= 2
-        return bool(reach >> t & 1)
+        return t >= float(self._least_sums[t % self._least_sums.size])
 
     @cached_property
     def mean_return_steps(self) -> float:

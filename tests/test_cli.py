@@ -248,7 +248,8 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # window -inf, and both exited 1 from the build at an odd SRW size)
     k48 = tmp_path / "k48.csv"
     k48.write_text("s=1,k_inf=0.0,alpha=2.0\n4,0.5\n8,0.5\n", encoding="utf-8")
-    for spec, n in ((f"file:{k48}", 6), ("srw:n_max=8", 7)):
+    # (and so is 10^18 + 2 on atoms 4 and 8, which once ended in MemoryError)
+    for spec, n in ((f"file:{k48}", 6), ("srw:n_max=8", 7), (f"file:{k48}", 10**18 + 2)):
         for argv in (["hc", "--N-list", f"{n},8,16", "--tol", "0.01"],
                      ["smooth", "--N-list", f"{n},8,16", "--tol", "0.01"],
                      ["fe", "--N", f"16,{n},8", "--h=-0.5"],

@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import depin as dp
-from conftest import assert_log_close, random_instance
+from conftest import assert_log_close, random_instance, sparse_kernel
 from depin import engine
 from test_batched import _reference_copolymer_row
 
@@ -383,6 +384,71 @@ def test_concatenation_superadditivity():
             if math.isfinite(rhs):
                 assert lhs >= rhs - 1e-11
 
+
+
+def _pinned_log_z(model, values, n):
+    return dp.log_partition_pinning(model, values, n)[0, -1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_max=st.integers(1, 12), period=st.sampled_from([1, 2]),
+       zero_frac=st.floats(0.0, 0.9), first_zero=st.booleans(), key=st.integers(0, 2**32),
+       beta=st.floats(0.0, 2.0), h=st.floats(-2.0, 2.0),
+       n1=st.integers(1, 24), n2=st.integers(1, 24))
+def test_pinned_superadditivity(n_max, period, zero_frac, first_zero, key, beta, h, n1, n2):
+    # a path pinned at N + M that touches N is a path pinned at N followed by
+    # one pinned at M on the shifted chain theta^N w, so
+    # log Z_{N+M}(w) >= log Z_N(w) + log Z_M(theta^N w): the superadditivity
+    # behind the lower bound l_N <= F (-inf where the kernel reaches no path)
+    model = dp.ModelSpec("pinning", beta, h,
+                         sparse_kernel(n_max, period, zero_frac, first_zero, key))
+    n, m = n1 * period, n2 * period
+    values = dp.sample_disorder(LAW, n + m, key).values
+    whole = _pinned_log_z(model, values[None, :n + m], n + m)
+    split = (_pinned_log_z(model, values[None, :n], n)
+             + _pinned_log_z(model, values[None, n:n + m], m))
+    assert whole >= split - 1e-12 * max(1.0, abs(whole))
+
+
+def _log_w(model, values, n):
+    # log W_N, W_N = sum of the pinned Z_m over m = 0, s, ..., N (Z_0 = 1)
+    return np.logaddexp.reduce(dp.log_partition_pinning(model, values, n)[0])
+
+
+def _non_increasing_kernel(n_max, period, defect, key):
+    dens = np.sort(np.random.default_rng(key).random(n_max))[::-1]
+    return dp.ReturnKernel(dens * ((1.0 - defect) / dens.sum()), defect, period, None, n_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kern=st.one_of(
+           st.builds(_non_increasing_kernel, st.integers(1, 12), st.sampled_from([1, 2]),
+                     st.floats(0.0, 0.5), st.integers(0, 2**32)),
+           st.builds(dp.power_kernel, st.floats(1.0, 4.0), st.sampled_from([1, 2]),
+                     st.integers(1, 40), st.floats(0.0, 0.5))),
+       key=st.integers(0, 2**32), beta=st.floats(0.0, 2.0), h=st.floats(-2.0, 2.0),
+       n1=st.integers(1, 24), n2=st.integers(1, 24))
+def test_summed_partition_subadditive_on_non_increasing_kernels(kern, key, beta, h, n1, n2):
+    # for K non-increasing, a path to n > N, split at its last contact
+    # i <= N and first contact j > N, weighs K(j - i) <= K(j - N), so
+    # W_{N+M}(w) <= W_N(w) W_M(theta^N w): the upper bound F <= u_N
+    model = dp.ModelSpec("pinning", beta, h, kern)
+    n, m = n1 * kern.period, n2 * kern.period
+    values = dp.sample_disorder(LAW, n + m, key).values
+    whole = _log_w(model, values[None, :n + m], n + m)
+    split = _log_w(model, values[None, :n], n) + _log_w(model, values[None, n:n + m], m)
+    assert whole <= split + 1e-12 * max(1.0, abs(whole))
+
+
+def test_summed_partition_needs_a_non_increasing_kernel():
+    # K(1) < K(2): W_2 = W_1 W_1(theta w) + 0.8 e^{beta w_2}, so the
+    # inequality above fails at N = M = 1 on every chain
+    model = dp.ModelSpec("pinning", 1.0, 0.0,
+                         dp.ReturnKernel(np.array([0.1, 0.9]), 0.0, 1, None, 2))
+    values = dp.sample_disorder(LAW, 2, 1).values
+    excess = (_log_w(model, values[None, :2], 2)
+              - _log_w(model, values[None, :1], 1) - _log_w(model, values[None, 1:2], 1))
+    assert excess > 1e-6
 
 def test_table_entries_finite_or_neginf():
     om = dp.sample_disorder(LAW, 32, 2)

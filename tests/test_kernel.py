@@ -1,5 +1,7 @@
 import importlib.util
 import math
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -304,17 +306,43 @@ def test_parse_kernel_spec_names_the_key(spec, message):
         parse_kernel_spec(spec)
 
 
-@pytest.mark.parametrize("key", range(40))
+@pytest.mark.parametrize("key", range(200))
 def test_reaches_matches_position_recursion(key):
     # n is reached iff some atom of positive mass ends a chain that is
-    # itself reached: the renewal recursion on booleans
+    # itself reached: the renewal recursion on booleans.  A few tables (46,
+    # 70, 115, ...) hold an atom b with gcd(a, b) > 1 whose residue cycle
+    # does not start at its least entry
     rng = np.random.default_rng(key)
-    n_max, period = int(rng.integers(1, 12)), int(rng.integers(1, 3))
+    n_max, period = int(rng.integers(1, 41)), int(rng.integers(1, 3))
     kern = sparse_kernel(n_max, period, 0.7, key % 2 == 0, key)
+    atoms = [a for a in range(1, n_max + 1) if kern.density[a - 1] > 0.0]
     reached = [True]
-    for t in range(1, 61):
-        reached.append(any(reached[t - a] for a in range(1, min(t, n_max) + 1)
-                           if kern.density[a - 1] > 0.0))
-    for n in range(61 * period):
+    for t in range(1, 401):
+        reached.append(any(reached[t - a] for a in atoms if a <= t))
+    # the last n_max sizes are reached exactly at the multiples of the atoms'
+    # gcd, so 400 periods lie past the Frobenius number and every size
+    # beyond is decided as well
+    g = math.gcd(*atoms)
+    assert reached[-n_max:] == [t % g == 0 for t in range(401 - n_max, 401)]
+    for n in range(-1, 401 * period):
         want = n > 0 and n % period == 0 and reached[n // period]
         assert kern.reaches(n) == want, n
+
+
+def test_reaches_reads_a_table_whose_size_does_not_grow_with_n(tmp_path):
+    # atoms at 4 and 8 only: the sums are the multiples of 4, however large
+    path = tmp_path / "k48.csv"
+    path.write_text("s=1,k_inf=0.0,alpha=2.0\n4,0.5\n8,0.5\n", encoding="utf-8")
+    for n, want in ((10**8 + 2, False), (10**18 + 2, False), (10**8, True)):
+        kern = dp.kernel_from_file(path)  # the first call builds the table
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            got = kern.reaches(n)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is want, n
+        assert peak < 64 * 1024, (n, peak)
+        assert elapsed < 0.5, (n, elapsed)

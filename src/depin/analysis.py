@@ -21,7 +21,7 @@ import numpy as np
 
 from .disorder import DisorderLaw, smoothing_constant
 from .engine import ModelSpec
-from .estimator import _spread, estimate_free_energy
+from .estimator import _mean_stderr, estimate_free_energy
 from .kernel import ReturnKernel
 from .pure_solver import hc_pure, pure_asymptotics, solve_free_energy_pure
 
@@ -112,7 +112,7 @@ def _extrapolate_at(kind: str, beta: float, h_values, kernel: ReturnKernel,
         # row 0 holds the size means, row 1 + r replica r's values
         rows = np.vstack((est.mean[i], est.replica_values[:, i]))
         f_inf, _ = extrapolate_free_energy(n_list, rows, est.stderr[i])
-        out.append((float(f_inf[0]), _spread(f_inf[1:]), f_inf[1:]))
+        out.append((float(f_inf[0]), _mean_stderr(f_inf[1:])[1], f_inf[1:]))
     return out
 
 

@@ -4,18 +4,19 @@ Replicas are IID disorder realizations; replica r of a run with master seed
 S draws its charges from the child seed spawn_seed(S, r), one chain read at
 every field and size, so results do not depend on how replicas are
 scheduled.  The replicas are cut into contiguous blocks, one per worker
-(their number capped by the DEPIN_THREADS environment variable and by the
-replica count).  A process pool starts, and concurrent.futures is imported,
-only when an estimate has beta > 0 and more than one worker; otherwise the
-one block runs in this process.  A block of replicas, pinning or copolymer,
-runs through the one renewal core together, in runs of at most BLOCK_CELLS
-charges so that a worker's memory does not grow with the replica count.
-A row of the core is a (field, replica) pair: the fields of one estimate
+(their number capped by DEPIN_THREADS, the CPUs this process may use and
+the replica count).  A process pool starts, and concurrent.futures is
+imported, only when an estimate has beta > 0 and more than one worker;
+otherwise the one block runs in this process.  A block of replicas, pinning
+or copolymer, runs through the one renewal core together, in runs of at
+most BLOCK_CELLS charges so that a worker's memory does not grow with the
+replica count.  A row of the core is a (field, replica) pair: the fields of one estimate
 share each replica's disorder row, so a list of fields costs one build,
 not one per field.  A free-energy estimate is one set of arrays: the
 replica values, shape (replicas, fields, sizes), and their mean and
-standard error, shape (fields, sizes).
-Aggregation is a fold in fixed replica order, which makes every estimate
+standard error, shape (fields, sizes).  Every mean and standard error,
+fe's and phi's alike, is taken over one contiguous copy of its cell's
+replica values in replica order, which makes every estimate
 bit-reproducible for identical inputs regardless of the worker count.
 
 The disorder stream and the recursion are both prefix-consistent: log Z at
@@ -39,12 +40,14 @@ from .engine import (ModelSpec, constrained_window, log_partition_constrained,
 
 
 def worker_count() -> int:
-    """Worker processes for replica builds: DEPIN_THREADS, at most the cores.
+    """Worker processes for replica builds: DEPIN_THREADS, at most the CPUs
+    this process may use (its affinity set where the OS has one).
 
-    An unset or empty DEPIN_THREADS means every core; any other value must
+    An unset or empty DEPIN_THREADS means all of them; any other value must
     be an integer >= 1 (ValueError otherwise).
     """
-    cores = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     env = os.environ.get("DEPIN_THREADS")
     if not env:
         return cores
@@ -160,23 +163,26 @@ def default_epsilon(n: int, s: int) -> float:
     return max(1.0 / math.sqrt(n), 2.0 * s / n)
 
 
-def _mean(matrix: np.ndarray):
-    # over replicas (axis 0); a constant column (beta = 0, or log Z = -inf
-    # for want of a path) is its value, which the rounded mean need not be
-    return np.where(matrix.min(axis=0) == matrix.max(axis=0), matrix[0],
-                    matrix.mean(axis=0))
+def _stats(matrix: np.ndarray):
+    """Mean and standard error over replicas (axis 0) of every cell, each
+    by _mean_stderr from one contiguous copy of that cell's replica values."""
+    cells = np.ascontiguousarray(np.moveaxis(matrix, 0, -1))
+    pairs = np.array([_mean_stderr(v) for v in cells.reshape(-1, len(matrix))])
+    return pairs[:, 0].reshape(cells.shape[:-1]), pairs[:, 1].reshape(cells.shape[:-1])
 
 
-def _spread(values: np.ndarray) -> float:
-    # a constant column (see _mean) has no spread, which the rounded std
-    # of equal doubles need not show
-    if len(values) < 2 or values.min() == values.max():
-        return 0.0
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    # a constant row (beta = 0, or log Z = -inf for want of a path) is its
+    # value with no spread, which the rounded mean and std of equal doubles
+    # need not give back
+    if values.min() == values.max():
+        return float(values[0]), 0.0
     # squared deviations overflow from about 1e154 on; dividing by a power
     # of two is exact, and values below the cut-off are left as they are
     top = float(np.abs(values).max())
     scale = 2.0 ** math.frexp(top)[1] if top > 1e150 else 1.0
-    return float((values / scale).std(ddof=1) * scale / math.sqrt(len(values)))
+    return (float(values.mean()),
+            float((values / scale).std(ddof=1) * scale / math.sqrt(len(values))))
 
 
 def estimate_free_energy(models, law: DisorderLaw, n_list, replicas: int,
@@ -209,11 +215,7 @@ def estimate_free_energy(models, law: DisorderLaw, n_list, replicas: int,
             raise ValueError(f"N={size} is not a positive multiple of the period {s}")
     matrix = _map_replicas(_fe_block, (np.array([m.h for m in models]), first, law,
                                        n_list, seed), replicas, first.beta)
-    # each cell's statistics from one contiguous row of its replica values
-    cells = matrix.transpose(1, 2, 0).copy()
-    return FreeEnergyEstimate(np.array([[_mean(v) for v in row] for row in cells]),
-                              np.array([[_spread(v) for v in row] for row in cells]),
-                              matrix)
+    return FreeEnergyEstimate(*_stats(matrix), matrix)
 
 
 def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | None,
@@ -238,7 +240,5 @@ def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | No
     grid = tuple(float(m) for m in m_grid)
     matrix = _map_replicas(_phi_block, (model, law, n, grid, epsilon, seed), replicas,
                            model.beta)
-    # an infeasible density is -inf in every replica: _mean and _spread give
-    # it -inf and 0
-    stderr = np.array([_spread(column) for column in matrix.T])
-    return PhiCurve(m_grid, epsilon, _mean(matrix), stderr, np.isfinite(matrix[0]), matrix)
+    # an infeasible density is -inf in every replica: _stats gives it -inf and 0
+    return PhiCurve(m_grid, epsilon, *_stats(matrix), np.isfinite(matrix[0]), matrix)

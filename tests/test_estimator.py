@@ -233,14 +233,64 @@ def test_estimate_validation(monkeypatch):
 
 
 def test_worker_count_capped_at_cores(monkeypatch):
-    # only the count is asked for, so no pool is started
-    cores = os.cpu_count() or 1
+    # only the count is asked for, so no pool is started; the cap is the
+    # set of CPUs this process may use, not every CPU of the machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setenv("DEPIN_THREADS", "1000000")
-    assert worker_count() == cores
-    monkeypatch.setenv("DEPIN_THREADS", "1")
     assert worker_count() == 1
     monkeypatch.delenv("DEPIN_THREADS")
-    assert worker_count() == cores
+    assert worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert worker_count() == 3
+    monkeypatch.setenv("DEPIN_THREADS", "2")
+    assert worker_count() == 2
+    # where the OS has no affinity set, every CPU
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setenv("DEPIN_THREADS", "1000000")
+    assert worker_count() == 8
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    assert worker_count() == 1
+
+
+@pytest.mark.parametrize("kind", ["pinning", "copolymer"])
+@pytest.mark.parametrize("beta, draws", [(0.0, 1), (1.0, 5)])
+def test_inert_shortcut_only_at_beta_zero(monkeypatch, kind, beta, draws):
+    # the one build of replica 0 serves every replica and field only when
+    # no row of the block reads its disorder
+    monkeypatch.setenv("DEPIN_THREADS", "1")
+    drawn = []
+
+    def counted(law, n, seed):
+        drawn.append(seed)
+        return dp.sample_disorder(law, n, seed)
+
+    monkeypatch.setattr(estimator, "sample_disorder", counted)
+    kern = dp.srw_kernel(12) if kind == "copolymer" else GEO
+    models = [dp.ModelSpec(kind, beta, h, kern) for h in (0.2, 0.4)]
+    est = dp.estimate_free_energy(models, LAW, [32], 5, 3)
+    assert len(drawn) == draws
+    if beta == 0.0:
+        assert np.all(est.stderr == 0.0)
+        assert np.all(est.replica_values == est.replica_values[0])
+
+
+def test_phi_and_fe_share_one_statistics_rule():
+    # each cell's mean and standard error, phi's and fe's alike, are those of
+    # one contiguous copy of the cell's replica values; from 8 replicas on a
+    # mean along axis 0 of the matrix can differ from it in the last bits
+    model = dp.ModelSpec("pinning", 1.0, -0.2, dp.geometric_kernel(0.5, n_max=16))
+    curve = dp.estimate_phi(model, LAW, np.linspace(0.1, 0.9, 9), None, 64, 16, 1)
+    fe = dp.estimate_free_energy([model, dp.ModelSpec("pinning", 1.0, 0.1, model.kernel)],
+                                 LAW, [32, 64], 16, 1)
+    for values, mean, stderr in ((curve.replica_values, curve.values, curve.stderr),
+                                 (fe.replica_values, fe.mean, fe.stderr)):
+        assert mean.shape == stderr.shape == values.shape[1:]
+        for cell in np.ndindex(*values.shape[1:]):
+            column = values[(slice(None),) + cell].copy()
+            want = column[0] if column.min() == column.max() else column.mean()
+            assert mean[cell].tobytes() == want.tobytes()
+            assert stderr[cell] == estimator._mean_stderr(column)[1]
 
 
 def test_unreachable_size_has_zero_spread(tmp_path):

@@ -23,6 +23,10 @@ RUNS = {
                      "--h=0.2,0.6", "--N", "128,256", "--replicas", "4", "--seed", "5"],
     "phi": ["phi", "--kernel", "geometric:p=0.5,n_max=32", "--beta", "1",
             "--m-grid", "0.2:0.8:0.2", "--N", "64", "--replicas", "3", "--seed", "5"],
+    # from 8 replicas on the replica mean's rounding shows: each density's
+    # mean is taken over one contiguous copy of its replica values, as fe's
+    "phi_r8": ["phi", "--kernel", "geometric:p=0.5,n_max=32", "--beta", "1",
+               "--m-grid", "0.2:0.8:0.2", "--N", "64", "--replicas", "8", "--seed", "5"],
     "hc_beta0": ["hc", "--kernel", "geometric:p=0.5,n_max=64", "--beta", "0",
                  "--N-list", "256,512", "--replicas", "1", "--seed", "3", "--tol", "1e-3"],
     "hc_beta1": ["hc", "--kernel", "geometric:p=0.5,n_max=64", "--beta", "1",
@@ -38,6 +42,7 @@ DIGESTS = {
     "hc_beta0": "fd15715e6944c7e4dada54bf6da4ab2c59243124247f2d84e6cec9cfa2d2f486",
     "hc_beta1": "a7bd2f6c631fae11944dba0c4873cb03e734e5e5bb4e85ce87295515d37e279f",
     "phi": "982330cc8766684b6899c3aaa924e5e0672e564829d6a2a96fed51c9db26e191",
+    "phi_r8": "234c6a7372f790d86bb78935778c3380182dbc250c623cc9ea886cc3ee2785ba",
     "smooth": "39b41e01910c944213b9461cdaa2ae6b7d3ec033467f0d16be4b07456a790517",
 }
 

@@ -20,6 +20,7 @@ import numpy as np
 
 NORMALIZATION_TOL = 1e-12
 FILE_NORMALIZATION_TOL = 1e-9
+_CHUNK = 2**15  # atoms per chunk of a table walk: its buffers stay in L2
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,9 +48,11 @@ class ReturnKernel:
             raise ValueError("density must be a 1-d array of length n_max")
         if self.n_max < 1 or self.period < 1:
             raise ValueError("n_max and period must be positive integers")
-        if not np.all(np.isfinite(dens)):
+        # NaN passes through min and max, so no table-length mask is needed
+        least, most = dens.min(), dens.max()
+        if not (math.isfinite(least) and math.isfinite(most)):
             raise ValueError("kernel entries must be finite")
-        if np.any(dens < 0):
+        if least < 0:
             raise ValueError("kernel entries must be nonnegative")
         if not 0.0 <= self.defect_mass < 1.0:
             raise ValueError("defect mass must lie in [0, 1)")
@@ -63,12 +66,22 @@ class ReturnKernel:
 
     # -- derived tables (computed on demand, cached; kernel itself is immutable)
 
-    @cached_property
-    def steps(self) -> np.ndarray:
-        """Atom positions s, 2s, ..., s*n_max as an array."""
-        a = self.period * np.arange(1, self.n_max + 1, dtype=float)
-        a.flags.writeable = False
-        return a
+    def chunks(self):
+        """Walk the table in order, at most _CHUNK atoms at a time.
+
+        Yields (atoms, positions, work): atoms is the slice lo:hi of density,
+        positions holds s*(lo+1), ..., s*hi (exact integers, built as s*lo
+        plus a fixed s*(1, ..., m)) and work is an uninitialized buffer of the
+        same length.  positions and work are reused by every chunk, and a
+        caller may overwrite both, so a walk holds three chunk-length arrays
+        whatever n_max is.
+        """
+        unit = self.period * np.arange(1.0, min(self.n_max, _CHUNK) + 1.0)
+        pos, work = np.empty((2, unit.size))
+        for lo in range(0, self.n_max, _CHUNK):
+            m = min(_CHUNK, self.n_max - lo)
+            yield (slice(lo, lo + m), np.add(unit[:m], self.period * lo, out=pos[:m]),
+                   work[:m])
 
     @cached_property
     def log_density(self) -> np.ndarray:
@@ -131,8 +144,11 @@ class ReturnKernel:
 
     @cached_property
     def mean_return_steps(self) -> float:
-        """sum n K(n) of the tabulated law (always finite)."""
-        return float(np.dot(self.steps, self.density))
+        """sum n K(n) of the tabulated law (always finite): np.add.reduce of
+        each chunk's terms, then of the chunk partials."""
+        parts = [np.add.reduce(np.multiply(pos, self.density[atoms], out=work))
+                 for atoms, pos, work in self.chunks()]
+        return float(np.add.reduce(np.array(parts)))
 
     def ideal_mean_return(self) -> float:
         """Sigma = sum n K(n) of the ideal law, decided here for every kernel.
@@ -166,9 +182,13 @@ def srw_kernel(n_max: int) -> ReturnKernel:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     # K(2m+2) = K(2m) (2m - 1)/(2m + 2), products taken in the order of m;
-    # built in place, so that no more than two tables are alive at once
+    # built in place in one table: the denominator is the numerator plus 3,
+    # exactly, formed one chunk at a time
     dens = np.arange(-1.0, 2.0 * n_max - 2, 2.0)
-    np.divide(dens, np.arange(2.0, 2.0 * n_max + 1, 2.0), out=dens)
+    den = np.empty(min(n_max, _CHUNK))
+    for lo in range(0, n_max, _CHUNK):
+        num = dens[lo:lo + _CHUNK]
+        np.divide(num, np.add(num, 3.0, out=den[:num.size]), out=num)
     dens[0] = 0.5
     np.cumprod(dens, out=dens)
     dens[-1] += 1.0 - dens.sum()

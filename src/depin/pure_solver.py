@@ -74,13 +74,14 @@ def solve_free_energy_pure(kernel: ReturnKernel, h: float) -> PureSolution:
     root.  A root below the smallest subnormal is returned as that
     subnormal, so b > 0 exactly when h < h_c.  residual is
     |left side - right side| at the returned b.  A non-finite h is rejected.
-    One work array the length of the table is allocated per solve and
-    reused across Newton steps: each step computes its terms in place in
-    it, with the same operations in the same order at every step, so b and
-    residual do not depend on the reuse.  Three tables (density, steps and
-    this buffer) are the floor: the derivative reads steps while the buffer
-    holds the terms, and a chunked solve would change the summation order
-    of the dot products, and so the bits.
+    Each Newton step walks the table once in chunks (kernel.chunks), so a
+    solve holds three chunk-length buffers beside the kernel's own tables,
+    whatever n_max is.  Each chunk's partial of the value's sum and of the
+    derivative's is np.add.reduce of its terms, and the partials are summed
+    the same way; no sum goes through BLAS, so b and residual depend on
+    numpy alone, not on its BLAS library or thread count.  The far form
+    combines the chunks in two levels: each chunk's largest exponent and
+    its sums scaled by it.
     """
     if not math.isfinite(h):
         raise ValueError("h must be finite")
@@ -90,39 +91,47 @@ def solve_free_energy_pure(kernel: ReturnKernel, h: float) -> PureSolution:
     gap = h - hc
     mass = 1.0 - kernel.defect_mass
     near = gap > -LOG2
-    steps = kernel.steps
-    # the one work array of every Newton step; each ufunc writes in place
-    x = np.empty_like(steps)
+    density = kernel.density
 
     def excess(b: float) -> tuple[float, float]:
-        # (left side - right side, the denominator of its derivative in b);
-        # x keeps the terms that slope reads
+        # (left side - right side, its derivative in b); parts holds each
+        # chunk's (largest exponent, sum of terms, sum of n * terms)
+        parts = []
+        for atoms, pos, x in kernel.chunks():
+            if near:
+                # K(n) expm1(-bn), then n (that + K(n)) = n K(n) exp(-bn)
+                np.multiply(np.expm1(np.multiply(pos, -b, out=x), out=x), density[atoms],
+                            out=x)
+                total = np.add.reduce(x)
+                np.multiply(np.add(x, density[atoms], out=x), pos, out=x)
+                parts.append((0.0, total, np.add.reduce(x)))
+                continue
+            # log-sum-exp, so that exp(h) may lie below the smallest double;
+            # an overflow only makes a term -inf, which is exact
+            with np.errstate(over="ignore"):
+                np.subtract(kernel.log_density[atoms], np.multiply(pos, b, out=x), out=x)
+            top = x.max()
+            if top == -math.inf:  # the chunk adds nothing
+                parts.append((top, 0.0, 0.0))
+                continue
+            np.exp(np.subtract(x, top, out=x), out=x)
+            total = np.add.reduce(x)
+            parts.append((top, total, np.add.reduce(np.multiply(x, pos, out=x))))
+        tops, totals, moments = np.array(parts).T
+        top = tops.max()
+        scale = np.exp(tops - top)  # all 1 on the near form
+        total = float(np.add.reduce(totals * scale))
+        moment = float(np.add.reduce(moments * scale))
         if near:
-            np.expm1(np.multiply(steps, -b, out=x), out=x)
-            deficit = -float(np.dot(kernel.density, x))
-            return math.log1p(-deficit / mass) - gap, mass - deficit
-        # log-sum-exp, so that exp(h) may lie below the smallest double; an
-        # overflow only makes a term -inf, which is exact
-        with np.errstate(over="ignore"):
-            np.subtract(kernel.log_density, np.multiply(steps, b, out=x), out=x)
-        top = x.max()
-        np.exp(np.subtract(x, top, out=x), out=x)
-        tilted = float(x.sum())
-        return top + math.log(tilted) - h, tilted
-
-    def slope(denominator: float) -> float:
-        # derivative in b of the left side at the last excess point; only a
-        # step that follows needs it, so the last excess call skips it
-        if near:
-            np.multiply(np.add(x, 1.0, out=x), kernel.density, out=x)
-        return -float(np.dot(steps, x)) / denominator
+            return math.log1p(total / mass) - gap, -moment / (mass + total)
+        return top + math.log(total) - h, -moment / total
 
     b = 0.0
-    value, denominator = excess(b)
+    value, slope = excess(b)
     for _ in range(MAX_NEWTON_STEPS):
-        step = -value / slope(denominator)
+        step = -value / slope
         b += step
-        value, denominator = excess(b)
+        value, slope = excess(b)
         if value <= 0.0 or step <= NEWTON_RTOL * b:
             break
     else:  # pragma: no cover - monotone Newton converges for valid kernels

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import depin as dp
-from depin.kernel import parse_kernel_spec
+from depin.kernel import _CHUNK, parse_kernel_spec
 from conftest import sparse_kernel, srw_first_return_enum
 
 
@@ -37,6 +37,44 @@ def _srw_loop(n_max):
 @pytest.mark.parametrize("n_max", [1, 2, 3, 16, 512, 4096, 10**6])
 def test_srw_matches_loop_bit_for_bit(n_max):
     assert dp.srw_kernel(n_max).density.tobytes() == _srw_loop(n_max).tobytes()
+
+
+def _srw_two_tables(n_max):
+    """The SRW atoms from a table of numerators and one of denominators."""
+    dens = np.arange(-1.0, 2.0 * n_max - 2, 2.0)
+    np.divide(dens, np.arange(2.0, 2.0 * n_max + 1, 2.0), out=dens)
+    dens[0] = 0.5
+    np.cumprod(dens, out=dens)
+    dens[-1] += 1.0 - dens.sum()
+    return dens
+
+
+@pytest.mark.parametrize("n_max", [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 10**5])
+def test_srw_matches_two_tables_bit_for_bit(n_max):
+    # its denominators are formed a chunk at a time, as numerator + 3
+    assert dp.srw_kernel(n_max).density.tobytes() == _srw_two_tables(n_max).tobytes()
+
+
+def test_srw_is_built_in_one_table():
+    n_max = 10**6
+    tracemalloc.start()
+    try:
+        kern = dp.srw_kernel(n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kern.n_max == n_max
+    assert peak <= 8 * n_max + 8 * _CHUNK + 65536
+
+
+def test_mean_return_steps_sums_chunks_pairwise():
+    # np.add.reduce of each chunk's n K(n), then of the partials: no BLAS
+    # call, and within a few ulps of the exactly rounded sum
+    kern = dp.power_kernel(3.0, 2, 3 * _CHUNK + 7, defect_mass=0.3)
+    terms = 2.0 * np.arange(1, kern.n_max + 1, dtype=float) * kern.density
+    parts = [np.add.reduce(p) for p in np.split(terms, [_CHUNK, 2 * _CHUNK, 3 * _CHUNK])]
+    assert kern.mean_return_steps == float(np.add.reduce(np.array(parts)))
+    assert kern.mean_return_steps == pytest.approx(math.fsum(terms), rel=1e-15, abs=0.0)
 
 
 def test_srw_small_values():

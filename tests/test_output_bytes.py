@@ -9,6 +9,9 @@ fault of the program.  Within one numpy version they must hold at every
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,8 @@ RUNS = {
                  "--N-list", "256,512", "--replicas", "1", "--seed", "3", "--tol", "1e-3"],
     "hc_beta1": ["hc", "--kernel", "geometric:p=0.5,n_max=64", "--beta", "1",
                  "--N-list", "128,256", "--replicas", "4", "--seed", "7", "--tol", "0.01"],
+    # four chunks of the homogeneous solver's table walk, both branches
+    "pure": ["pure", "--kernel", "srw:n_max=100000", "--h=-0.01,-0.05,-1", "--asymptotics"],
     "smooth": ["smooth", "--kernel", "power:alpha=3,s=1,n_max=128", "--beta", "1",
                "--N-list", "128,256", "--replicas", "4", "--seed", "11", "--tol", "0.02",
                "--scan-gaps", "0.4,0.3,0.22,0.16"],
@@ -43,6 +48,7 @@ DIGESTS = {
     "hc_beta1": "a7bd2f6c631fae11944dba0c4873cb03e734e5e5bb4e85ce87295515d37e279f",
     "phi": "982330cc8766684b6899c3aaa924e5e0672e564829d6a2a96fed51c9db26e191",
     "phi_r8": "234c6a7372f790d86bb78935778c3380182dbc250c623cc9ea886cc3ee2785ba",
+    "pure": "b6d02946fd428943ef072c38563976480570f6965b07380f78da6cc9ce83b9e3",
     "smooth": "39b41e01910c944213b9461cdaa2ae6b7d3ec033467f0d16be4b07456a790517",
 }
 
@@ -60,6 +66,25 @@ def _digest(argv, out: Path, capsys) -> str:
 def test_output_bytes_are_pinned(name, threads, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DEPIN_THREADS", threads)
     assert _digest(RUNS[name], tmp_path / "out", capsys) == DIGESTS[name]
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_pure_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a BLAS dot product of 10^5 terms is split between its threads, and the
+    # split changes its rounding; the solver's sums never go through BLAS
+    src = Path(__file__).resolve().parents[1] / "src"
+    seen = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), **dict.fromkeys(BLAS_THREADS, threads)}
+        out = tmp_path / threads
+        done = subprocess.run(
+            [sys.executable, "-m", "depin.cli", "pure", "--kernel", "srw:n_max=100000",
+             "--h=-0.01,-0.05,-1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        seen.append((done.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert seen[0] == seen[1]
 
 
 def test_version_has_one_value():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import depin as dp
+from depin.kernel import _CHUNK
 
 
 def closed_form_geometric_b(p: float, h: float) -> float:
@@ -40,28 +41,40 @@ def test_far_field_overflow_is_silent():
 
 
 def _solve_fresh(kernel, h):
-    """solve_free_energy_pure with fresh arrays at every Newton step (the
-    reference for its reused work arrays): returns (b, residual)."""
+    """solve_free_energy_pure with fresh table-length arrays at every Newton
+    step, cut at every _CHUNK atoms only to be summed (the reference for its
+    reused chunk buffers): returns (b, residual)."""
     hc = dp.hc_pure(kernel)
     if not h < hc:
         return 0.0, 0.0
     gap = h - hc
     mass = 1.0 - kernel.defect_mass
     near = gap > -math.log(2.0)
-    steps = kernel.steps
+    steps = kernel.period * np.arange(1, kernel.n_max + 1, dtype=float)
+    cuts = list(range(_CHUNK, kernel.n_max, _CHUNK))
 
     def excess(b):
+        # each chunk's terms summed by np.add.reduce, the partials scaled by
+        # exp(chunk top - top) and summed by it too
         if near:
-            em = np.expm1(-b * steps)
-            deficit = -float(np.dot(kernel.density, em))
-            moment = float(np.dot(steps, kernel.density * (em + 1.0)))
-            return math.log1p(-deficit / mass) - gap, -moment / (mass - deficit)
-        with np.errstate(over="ignore"):
-            x = kernel.log_density - b * steps
-        top = x.max()
-        e = np.exp(x - top)
-        tilted = float(e.sum())
-        return top + math.log(tilted) - h, -float(np.dot(steps, e)) / tilted
+            terms = np.expm1(-b * steps) * kernel.density
+            tops = np.zeros(len(cuts) + 1)
+            moments = (terms + kernel.density) * steps
+        else:
+            with np.errstate(over="ignore"):
+                x = kernel.log_density - b * steps
+            tops = np.array([piece.max() for piece in np.split(x, cuts)])
+            terms = np.concatenate([np.exp(piece - top) if top > -math.inf
+                                    else np.zeros_like(piece)
+                                    for piece, top in zip(np.split(x, cuts), tops)])
+            moments = terms * steps
+        scale = np.exp(tops - tops.max())
+        total, moment = (
+            float(np.add.reduce(np.array([np.add.reduce(p) for p in np.split(t, cuts)]) * scale))
+            for t in (terms, moments))
+        if near:
+            return math.log1p(total / mass) - gap, -moment / (mass + total)
+        return tops.max() + math.log(total) - h, -moment / total
 
     b = 0.0
     value, slope = excess(b)
@@ -79,28 +92,51 @@ def _solve_fresh(kernel, h):
 
 @pytest.mark.parametrize("kern", [
     dp.srw_kernel(4096), dp.geometric_kernel(0.5),
-    dp.power_kernel(3.0, 2, 2000, defect_mass=0.3), dp.power_kernel(1.5, 1, 5000)])
+    dp.power_kernel(3.0, 2, 2000, defect_mass=0.3), dp.power_kernel(1.5, 1, 5000),
+    # either side of a chunk boundary, and a second chunk of zero atoms
+    dp.srw_kernel(_CHUNK - 1), dp.power_kernel(3.0, 2, _CHUNK, defect_mass=0.3),
+    dp.power_kernel(1.5, 1, _CHUNK + 1), dp.geometric_kernel(0.5, _CHUNK + 1),
+    # enough chunk partials that their pairwise sum is not a sequential one
+    dp.power_kernel(2.5, 1, 9 * _CHUNK + 1)])
 def test_work_arrays_keep_the_bits(kern):
-    # reused buffers give every b and residual of fresh ones, on both
-    # branches: either side of -log 2 by one ulp, and far below h_c
+    # reused chunk buffers give every b and residual of fresh arrays, on
+    # both branches: either side of -log 2 by one ulp, and far below h_c,
+    # where b * n overflows for every atom but the first
     hc = dp.hc_pure(kern)
     minus_log2 = -math.log(2.0)
     gaps = [10.0 ** k for k in range(-300, 1, 20)] + [1e-17, 1e-8, 0.1, 0.5, 3.0, 30.0]
     fields = [hc - g for g in gaps] + [
         hc + math.nextafter(minus_log2, 0.0), hc + minus_log2,
-        hc + math.nextafter(minus_log2, -1.0), -800.0]
+        hc + math.nextafter(minus_log2, -1.0), -800.0, -1e308]
     for h in fields:
         sol = dp.solve_free_energy_pure(kern, h)
         b, residual = _solve_fresh(kern, h)
         assert (repr(sol.b), repr(sol.residual)) == (repr(b), repr(residual)), h
 
 
-@pytest.mark.parametrize("kern", [
-    dp.srw_kernel(10**5), dp.power_kernel(3.0, 2, 10**5, defect_mass=0.3)])
-def test_solver_peak_is_one_work_array(kern):
-    # with the kernel's cached tables built, a solve allocates one work
-    # array of n_max doubles, on both branches, plus small Python objects
-    kern.steps, kern.log_density
+@pytest.mark.parametrize("make", [dp.srw_kernel, dp.geometric_kernel])
+@pytest.mark.parametrize("h", [-0.05, -0.2, -0.6, -1.0, -3.0, -5.0])
+def test_closed_forms_on_both_branches(make, h):
+    # srw: sum K(2m) x^2m = 1 - sqrt(1 - x^2) with x = exp(-b); geometric:
+    # (1 - p) x / (1 - p x) = exp(h).  Both tables span several chunks, and
+    # their truncation is far below 1e-12 at these fields
+    if make is dp.srw_kernel:
+        kern, want = dp.srw_kernel(10**5), -0.5 * math.log1p(-math.expm1(h) ** 2)
+    else:
+        kern, want = dp.geometric_kernel(0.5, 3 * _CHUNK), closed_form_geometric_b(0.5, h)
+    sol = dp.solve_free_energy_pure(kern, h)
+    assert sol.b == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("make", [
+    dp.srw_kernel, lambda n: dp.power_kernel(3.0, 2, n, defect_mass=0.3)],
+    ids=["srw", "power"])
+@pytest.mark.parametrize("n_max", [10**5, 10**6])
+def test_solver_peak_does_not_grow_with_the_table(make, n_max):
+    # with the kernel's cached log density built, a solve allocates its
+    # chunk walk's three buffers, on both branches, plus small Python objects
+    kern = make(n_max)
+    kern.log_density
     hc = dp.hc_pure(kern)
     for h in (hc - 1e-3, hc - 3.0):
         tracemalloc.start()
@@ -110,7 +146,7 @@ def test_solver_peak_is_one_work_array(kern):
         finally:
             tracemalloc.stop()
         assert sol.localized
-        assert peak <= 8 * kern.n_max + 65536, h
+        assert peak <= 3 * 8 * _CHUNK + 65536, h
 
 
 def test_single_atom_kernel():

@@ -271,7 +271,8 @@ def test_constrained_peak_is_ring_window_and_vectors(kind, kern, n):
     # the buffers of log_partition_constrained's docstring: the w x J ring
     # (each row once), the pinning window of w x N/s cells, O(J) vectors
     # (here at most 8), and numpy's iteration buffers of a ufunc call (one
-    # of np.getbufsize() entries per operand, at most 3)
+    # per operand, at most 3, of at most np.getbufsize() entries: the
+    # pinning build at N/s = 2048 steps under WIDE_BUFFER = 64 entries)
     t_max = n // kern.period
     w = min(t_max, kern.n_max)
     counts = t_max + 1 if kind == "pinning" else n + 1
@@ -287,6 +288,39 @@ def test_constrained_peak_is_ring_window_and_vectors(kind, kern, n):
         tracemalloc.stop()
     assert row.shape == (counts,)
     assert peak <= bound
+
+
+def test_bytes_do_not_depend_on_the_ufunc_buffer(monkeypatch):
+    # each build gives the same bytes under a caller's buffer of 16 entries
+    # and of numpy's default, with the wide-row rule on and with it off
+    # (WIDE_ROW = 2^30), and leaves the caller's buffer size as it was
+    block = np.random.default_rng(4).standard_normal((5, 1024))
+    om = dp.sample_disorder(LAW, 512, 2)
+    builds = {
+        "wide pinning block": lambda: dp.log_partition_pinning(
+            dp.ModelSpec("pinning", 1.0, -0.3, dp.power_kernel(3.0, 1, 512)), block, 1024),
+        "narrow pinning block": lambda: dp.log_partition_pinning(
+            dp.ModelSpec("pinning", 1.0, -0.3, GEO), block, 1024),
+        "copolymer block": lambda: dp.log_partition_copolymer(
+            dp.ModelSpec("copolymer", 1.0, 0.4, dp.srw_kernel(512)), block, 1024),
+        "count-resolved pinning": lambda: dp.log_partition_constrained(
+            dp.ModelSpec("pinning", 1.0, 0.0, GEO), om, 512),
+        "count-resolved copolymer": lambda: dp.log_partition_constrained(
+            dp.ModelSpec("copolymer", 1.0, 0.0, SRW), om, 256),
+    }
+    default = np.getbufsize()
+    for name, build in builds.items():
+        seen = set()
+        for wide_row in (engine.WIDE_ROW, 1 << 30):
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "WIDE_ROW", wide_row)
+                for size in (16, default):
+                    with np.errstate():
+                        np.setbufsize(size)
+                        seen.add(build().tobytes())
+                        assert np.getbufsize() == size, name
+        assert len(seen) == 1, name
+        assert np.getbufsize() == default
 
 
 def test_constrained_window_extraction():

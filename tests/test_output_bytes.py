@@ -39,15 +39,26 @@ RUNS = {
     "smooth": ["smooth", "--kernel", "power:alpha=3,s=1,n_max=128", "--beta", "1",
                "--N-list", "128,256", "--replicas", "4", "--seed", "11", "--tol", "0.02",
                "--scan-gaps", "0.4,0.3,0.22,0.16"],
+    # rows of 512 cells, which step under engine.WIDE_BUFFER (see WIDE_ROW)
+    "fe_pinning_wide": ["fe", "--kernel", "power:alpha=3,s=1,n_max=512", "--beta", "1",
+                        "--h=-0.5,-0.2", "--N", "512,1024", "--replicas", "4", "--seed", "3"],
+    "fe_copolymer_wide": ["fe", "--kind", "copolymer", "--kernel", "srw:n_max=512",
+                          "--beta", "1", "--h=0.2,0.6", "--N", "1024", "--replicas", "4",
+                          "--seed", "5"],
+    "phi_wide": ["phi", "--kernel", "geometric:p=0.5,n_max=32", "--beta", "1",
+                 "--m-grid", "0.2:0.8:0.2", "--N", "512", "--replicas", "3", "--seed", "5"],
 }
 
 DIGESTS = {
     "fe_copolymer": "5a72bd4a4d21a71d0ff8bc0745374d0bc3f093e00e5ec21847efa7f035c3fcf2",
+    "fe_copolymer_wide": "30ec4d63f68cced2f23111f5b67184216c7510b1cd36145ea65ea221865ace84",
     "fe_pinning": "806a5642098bbc49cd6bf8a798a5fb0a51fc95789b49fa8a1a297a795b2c8d05",
+    "fe_pinning_wide": "7633130c958f67fef0bf0f7818fd23830dd84bd81e79e0c41503dce1fb97e825",
     "hc_beta0": "fd15715e6944c7e4dada54bf6da4ab2c59243124247f2d84e6cec9cfa2d2f486",
     "hc_beta1": "a7bd2f6c631fae11944dba0c4873cb03e734e5e5bb4e85ce87295515d37e279f",
     "phi": "982330cc8766684b6899c3aaa924e5e0672e564829d6a2a96fed51c9db26e191",
     "phi_r8": "234c6a7372f790d86bb78935778c3380182dbc250c623cc9ea886cc3ee2785ba",
+    "phi_wide": "0fd71656299bfbdccceec89031175f828ef6526a35b0ca370e73a3593f84056c",
     "pure": "b6d02946fd428943ef072c38563976480570f6965b07380f78da6cc9ce83b9e3",
     "smooth": "39b41e01910c944213b9461cdaa2ae6b7d3ec033467f0d16be4b07456a790517",
 }

@@ -6,12 +6,13 @@ a log-log scale, and smoothing_check assembles the full comparison:
 disordered exponent and envelope versus the exactly solvable homogeneous
 model on the same kernel.  The bisection and the scan read replica r's one
 disorder chain at every size, field and probe, and take an error bar from
-the spread of per-replica extrapolations.  The bisection reads a memo of
-probes keyed by field, whose first build holds both bracket ends and the
-first levels of the bisection tree below them; the headline exponent and
-its jackknife refits take one fit route; every straight-line fit (the
-N = inf extrapolation, the log-log exponent, each candidate critical point
-of the power-law fit) is one _wls_line solve.
+the spread of per-replica extrapolations.  A field's estimate is one _Probe
+record.  The bisection's memo maps field to record, and the threshold rule
+is applied as a record is read; its first build holds both bracket ends
+and the first levels of the bisection tree below them.  The headline
+exponent and its jackknife refits take one fit route; every straight-line
+fit (the N = inf extrapolation, the log-log exponent, each candidate
+critical point of the power-law fit) is one _wls_line solve.
 """
 
 import math
@@ -98,21 +99,29 @@ def extrapolate_free_energy(n_values, means, stderrs):
     return (float(a) if y.ndim == 1 else a), sigma
 
 
-def _extrapolate_at(kind: str, beta: float, h_values, kernel: ReturnKernel,
-                    law: DisorderLaw, n_list, replicas: int, seed: int) -> list:
-    """Estimate F_N at each field of h_values on every size, all from one
-    build, and extrapolate each replica; returns one (F_inf, sigma,
-    per-replica F_inf) per field, F_inf extrapolated from the size means
-    (the per-replica mean up to rounding: the fit is linear) and sigma the
-    standard error of the per-replica values."""
+@dataclass(frozen=True, eq=False)
+class _Probe:
+    """One field's estimate, as _probes builds it (no ==: arrays have no truth value)."""
+
+    h: float
+    values: np.ndarray       # row r: replica r's (1/N) log Z per size (a view, not a copy)
+    f_inf: float             # the size means' extrapolation, per_replica's mean to rounding
+    sigma: float             # the standard error of per_replica
+    per_replica: np.ndarray  # each replica's own extrapolation
+
+
+def _probes(kind: str, beta: float, h_values, kernel: ReturnKernel,
+            law: DisorderLaw, n_list, replicas: int, seed: int) -> list:
+    """One _Probe per field of h_values, in order, all from one build."""
     models = [ModelSpec(kind, beta, h, kernel) for h in h_values]
     est = estimate_free_energy(models, law, n_list, replicas, seed)
     out = []
-    for i in range(len(models)):
+    for i, h in enumerate(h_values):
+        values = est.replica_values[:, i]
         # row 0 holds the size means, row 1 + r replica r's values
-        rows = np.vstack((est.mean[i], est.replica_values[:, i]))
-        f_inf, _ = extrapolate_free_energy(n_list, rows, est.stderr[i])
-        out.append((float(f_inf[0]), _mean_stderr(f_inf[1:])[1], f_inf[1:]))
+        f_inf, _ = extrapolate_free_energy(n_list, np.vstack((est.mean[i], values)),
+                                           est.stderr[i])
+        out.append(_Probe(h, values, float(f_inf[0]), _mean_stderr(f_inf[1:])[1], f_inf[1:]))
     return out
 
 
@@ -165,7 +174,7 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     window's width until its phase is right, in at most 8 probes and to
     finite fields only; a copolymer's lower end stops at h = 0.
 
-    Probes go into a memo keyed by field, and the search speculates when a
+    Records go into a memo keyed by field, and the search speculates when a
     build is narrow: the first build holds both bracket ends and the
     midpoints of the first d levels of the bisection between them, and a
     later probe at a field not yet known is built with the unknown
@@ -186,10 +195,9 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     depth = _speculation_depth(beta, kernel, n_list[-1], replicas)
 
     def evaluate(h_values) -> None:
-        """Put a probe (h, F_inf, threshold) per field in known, from one build."""
-        for h, (f_inf, sigma, _) in zip(h_values, _extrapolate_at(
-                kind, beta, h_values, kernel, law, n_list, replicas, seed)):
-            known[h] = (h, f_inf, max(3.0 * sigma, floor))
+        """Put the record of each field in known, from one build."""
+        known.update((p.h, p) for p in _probes(kind, beta, h_values, kernel, law,
+                                               n_list, replicas, seed))
 
     def split(lo: float, hi: float):
         """The bisection's next midpoint of (lo, hi), or None where it stops."""
@@ -210,8 +218,9 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
         unknown midpoints of the next `depth` levels below (lo, hi)."""
         if h not in known:
             evaluate([x for x in dict.fromkeys([h, *tree(lo, hi, depth)]) if x not in known])
-        probes.append(known[h])
-        return known[h][1] > known[h][2]
+        threshold = max(3.0 * known[h].sigma, floor)
+        probes.append((h, known[h].f_inf, threshold))
+        return known[h].f_inf > threshold
 
     if h_window is None:
         if kind == "pinning":
@@ -368,8 +377,8 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
     conservative bisection h_c.  For pinning the homogeneous model on the
     same kernel is solved for contrast; a copolymer has no such contrast,
     and its scan leaves out fields below 0.  scan_gaps are distances below
-    h_c; a list that is empty, holds a gap <= 0 or repeats one is a
-    UsageError, raised before the bisection, as are bad sizes (see _sizes).
+    h_c; fewer than 4, a gap <= 0 or a repeated one is a UsageError, raised
+    before the bisection, as are bad sizes (see _sizes).
     """
     if beta <= 0:
         raise ValueError("the envelope check needs beta > 0")
@@ -381,6 +390,8 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
     if not (scan_gaps and all(g > 0 for g in scan_gaps)
             and len(set(scan_gaps)) == len(scan_gaps)):
         raise UsageError("the scan gaps must be positive and distinct")
+    if len(scan_gaps) < 4:  # every usable point is a field hc - g, and a fit needs 4
+        raise UsageError("need at least 4 scan gaps: a fit needs 4 usable points")
     n_list = _sizes(kernel, n_list)
     consts = smoothing_constant(beta, kernel.alpha, law)
     fit0 = locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol)
@@ -392,8 +403,8 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
     if kind == "copolymer":
         h_values = [h for h in h_values if h >= 0]
     # every scan point extrapolated to N = inf, all from one build
-    scan = _extrapolate_at(kind, beta, h_values, kernel, law, n_list, replicas, seed)
-    points = tuple((h, f_inf, sig) for h, (f_inf, sig, _) in zip(h_values, scan))
+    scan = _probes(kind, beta, h_values, kernel, law, n_list, replicas, seed)
+    points = tuple((p.h, p.f_inf, p.sigma) for p in scan)
 
     loc = [p for p in points if p[0] < hc]
     usable = select_fit_points(loc, hc, hc_err)
@@ -415,13 +426,12 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
         raise ValueError("fewer than 4 usable points in the fit window")
     hc_fit, exponent = headline
 
-    # jackknife over replicas: each used point's leave-one-out mean of the
+    # jackknife over replicas: each usable point's leave-one-out mean of the
     # per-replica F_inf, re-fitted on the same route
-    used_h = [p[0] for p in usable]
-    used = [(h, per, sig) for h, (_, sig, per) in zip(h_values, scan) if h in used_h]
+    used = [p for p in scan if select_fit_points([(p.h, p.f_inf, p.sigma)], hc, hc_err)]
     jack = []
     for r in range(replicas):
-        loo = [(h, float(np.delete(per, r).mean()), sig) for h, per, sig in used]
+        loo = [(p.h, float(np.delete(p.per_replica, r).mean()), p.sigma) for p in used]
         refit = fit([p for p in loo if p[1] > 0], 200)
         if refit is not None:
             jack.append(refit[1])

@@ -164,9 +164,6 @@ class DisorderSample:
     def __post_init__(self):
         self.values.flags.writeable = False
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def _uniform01(seed: int, n: int) -> np.ndarray:
     # counter-based raw stream; (k + 1/2) * 2^-53 keeps u strictly inside (0,1)

@@ -40,7 +40,6 @@ class ReturnKernel:
     n_max: int
     family: str = "file"
     family_params: dict = field(default_factory=dict)
-    folded_tail: bool = False  # last atom carries the ideal mass beyond the horizon
 
     def __post_init__(self):
         dens = np.asarray(self.density, dtype=float)
@@ -192,7 +191,7 @@ def srw_kernel(n_max: int) -> ReturnKernel:
     dens[0] = 0.5
     np.cumprod(dens, out=dens)
     dens[-1] += 1.0 - dens.sum()
-    return ReturnKernel(dens, 0.0, 2, 1.5, n_max, family="srw", folded_tail=True)
+    return ReturnKernel(dens, 0.0, 2, 1.5, n_max, family="srw")
 
 
 def power_kernel(alpha: float, s: int, n_max: int, defect_mass: float = 0.0) -> ReturnKernel:
@@ -230,8 +229,8 @@ def geometric_kernel(p: float, n_max: int | None = None) -> ReturnKernel:
     n = np.arange(1, n_max + 1, dtype=float)
     dens = (1.0 - p) * p ** (n - 1.0)
     dens[-1] = p ** (n_max - 1.0)
-    return ReturnKernel(dens, 0.0, 1, None, n_max, folded_tail=True,
-                        family="geometric", family_params={"p": float(p)})
+    return ReturnKernel(dens, 0.0, 1, None, n_max, family="geometric",
+                        family_params={"p": float(p)})
 
 
 REQUIRED = object()  # the default of a parameter that must be given

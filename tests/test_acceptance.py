@@ -82,8 +82,7 @@ def test_criterion_04_pure_exponents():
     n = np.arange(1, n_atoms + 1, dtype=float)
     dens = (1.0 / zeta(1.25)) * n**-1.25
     dens[-1] += 1.0 - dens.sum()
-    quart = dp.ReturnKernel(dens, 0.0, 1, 1.25, n_atoms, family="file",
-                            folded_tail=True)
+    quart = dp.ReturnKernel(dens, 0.0, 1, 1.25, n_atoms, family="file")
     pts = [(-g, dp.solve_free_energy_pure(quart, -float(g)).b, 0.0)
            for g in np.geomspace(0.04, 0.08, 6)]
     fit_quart = dp.fit_exponent(pts, 0.0)

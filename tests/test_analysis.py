@@ -85,16 +85,22 @@ def test_critical_power_fit_recovers_planted():
 @pytest.mark.parametrize("kind", ["pinning", "copolymer"])
 @pytest.mark.parametrize("n_list", [[64, 128, 256], [128]])
 def test_per_replica_extrapolation_is_linear(monkeypatch, gaussian_law, kind, n_list):
-    # F_inf is the extrapolation of the size means, the mean of the
-    # per-replica extrapolations to rounding, and with one replica its bits;
-    # sigma is the standard error of the per-replica values
+    # one record per field, in order: F_inf is the extrapolation of the
+    # size means, the mean of the per-replica extrapolations to rounding, and
+    # with one replica its bits; sigma is the standard error of the
+    # per-replica values, and values are the build's replica values
     monkeypatch.setenv("DEPIN_THREADS", "1")
     kern = dp.srw_kernel(64) if kind == "copolymer" else GEO
     fields = [0.1, 0.6] if kind == "copolymer" else [-0.4, 0.2]
     for replicas in (1, 6):
-        scan = analysis._extrapolate_at(kind, 1.0, fields, kern, gaussian_law, n_list,
-                                        replicas, 7)
-        for h, (f_inf, sigma, per) in zip(fields, scan):
+        scan = analysis._probes(kind, 1.0, fields, kern, gaussian_law, n_list, replicas, 7)
+        assert [p.h for p in scan] == fields
+        together = dp.estimate_free_energy([dp.ModelSpec(kind, 1.0, h, kern) for h in fields],
+                                           gaussian_law, n_list, replicas, 7)
+        for i, (h, p) in enumerate(zip(fields, scan)):
+            f_inf, sigma, per = p.f_inf, p.sigma, p.per_replica
+            # a field's values are those of the one build, bit for bit
+            assert p.values.tobytes() == together.replica_values[:, i].tobytes()
             est = dp.estimate_free_energy([dp.ModelSpec(kind, 1.0, h, kern)], gaussian_law,
                                           n_list, replicas, 7)
             stderrs = est.stderr[0]
@@ -137,6 +143,35 @@ def test_smoothing_fixed_hc_route_has_a_jackknife_error(monkeypatch, gaussian_la
     assert math.isfinite(report.exponent_err) and report.exponent_err > 0.0
 
 
+def test_jackknife_reads_only_the_usable_records(monkeypatch, gaussian_law):
+    # a localized scan field whose F does not clear 3 sigma is no usable
+    # point: the headline fit and every leave-one-replica-out refit leave it
+    # out, so the report is that of the scan without it, bit for bit (some
+    # of its leave-one-out means are positive, which the refit route would
+    # take)
+    hc, spread = 0.5, np.array([1.04, 0.97, 1.01, 0.98])
+    monkeypatch.setattr(analysis, "locate_hc", lambda *args: dp.CriticalFit(hc, 0.0))
+
+    def planted(kind, beta, h_values, *args):
+        out = []
+        for h in h_values:
+            per = (hc - h) ** 2 * spread if hc - h > 0.01 else np.array([1, -1, 3, -2]) * 1e-3
+            out.append(analysis._Probe(h, None, float(per.mean()),
+                                       float(per.std(ddof=1) / 2.0), per))
+        return out
+
+    monkeypatch.setattr(analysis, "_probes", planted)
+    gaps = (0.4, 0.3, 0.22, 0.16, 0.12, 0.09)
+    alone, joined = (dp.smoothing_check(1.0, dp.power_kernel(3.0, 1, 64), gaussian_law,
+                                        n_list=[64], replicas=4, seed=1, scan_gaps=g)
+                     for g in (gaps, gaps + (0.005,)))
+    assert len(alone.ratios) == len(joined.ratios) == 6  # the refit route
+    assert any(h == hc - 0.005 for h, _f, _s in joined.points)
+    assert joined.exponent_err > 0.0
+    assert ((alone.hc_fit, alone.exponent, alone.exponent_err)
+            == (joined.hc_fit, joined.exponent, joined.exponent_err))
+
+
 def test_smoothing_needs_two_replicas(gaussian_law):
     with pytest.raises(analysis.UsageError, match="at least 2 replicas"):
         dp.smoothing_check(1.0, dp.power_kernel(3.0, 1, 64), gaussian_law, n_list=[64],
@@ -161,12 +196,17 @@ def test_locate_hc_rejects_repeated_sizes_and_copolymer_fields_below_0(
 
 def test_smoothing_rejects_bad_scan_gaps_before_the_bisection(monkeypatch, gaussian_law):
     # a gap <= 0 puts a "localized" point at or above h_c, a repeated one
-    # counts a field twice; neither reaches locate_hc
+    # counts a field twice, and fewer than 4 gaps give fewer than the 4
+    # usable points a fit needs; none reaches locate_hc
     monkeypatch.setattr(analysis, "locate_hc", _no_build)
     kern = dp.power_kernel(3.0, 1, 256)
-    for gaps in ((0.4, 0.3, 0.22, 0.16, 0.12, -0.09), (0.4, 0.3, 0.22, 0.16, 0.12, 0.0),
-                 (0.4, 0.4, 0.22, 0.16, 0.12, 0.09), (0.4, math.nan), ()):
-        with pytest.raises(analysis.UsageError, match="positive and distinct"):
+    for gaps, message in (((0.4, 0.3, 0.22, 0.16, 0.12, -0.09), "positive and distinct"),
+                          ((0.4, 0.3, 0.22, 0.16, 0.12, 0.0), "positive and distinct"),
+                          ((0.4, 0.4, 0.22, 0.16, 0.12, 0.09), "positive and distinct"),
+                          ((0.4, math.nan), "positive and distinct"),
+                          ((), "positive and distinct"),
+                          ((0.3, 0.2, 0.1), "at least 4 scan gaps")):
+        with pytest.raises(analysis.UsageError, match=message):
             dp.smoothing_check(1.0, kern, gaussian_law, n_list=[256, 512], replicas=8,
                                seed=11, tol=0.02, scan_gaps=gaps)
 
@@ -238,9 +278,10 @@ def _fake_phase(monkeypatch, edge: float) -> list:
 
     def phase(kind, beta, h_values, *args):
         fields.extend(h_values)
-        return [(1.0 if h < edge else 0.0, 0.0, None) for h in h_values]
+        return [analysis._Probe(h, None, 1.0 if h < edge else 0.0, 0.0, None)
+                for h in h_values]
 
-    monkeypatch.setattr(analysis, "_extrapolate_at", phase)
+    monkeypatch.setattr(analysis, "_probes", phase)
     return fields
 
 

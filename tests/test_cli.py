@@ -314,12 +314,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         # and phi prints one row per density
         ["phi", "--kernel", "geometric:p=0.5,n_max=8", "--m-grid", "0.5,0.5", "--N", "16",
          "--replicas", "2", "--beta", "1"],
-        # scan gaps lie strictly below h_c, each once
+        # scan gaps lie strictly below h_c, each once, and number at least the
+        # 4 usable points a fit needs
         *(["smooth", "--kernel", "power:alpha=3,s=1,n_max=256", "--beta", "1",
            "--N-list", "256,512", "--replicas", "8", "--seed", "11", "--tol", "0.02",
            f"--scan-gaps={gaps}"]
           for gaps in ("0.4,0.3,0.22,0.16,0.12,-0.09", "0.4,0.3,0.22,0.16,0.12,0",
-                       "0.4,0.4,0.22,0.16,0.12,0.09")),
+                       "0.4,0.4,0.22,0.16,0.12,0.09", "0.3,0.2,0.1")),
         # a seed outside [0, 2^64) would alias one inside, under another echo
         *([*argv, f"--seed={seed}"] for seed in (-1, 2**64, -(2**64))
           for argv in (["fe", *geo, "--beta", "1", "--h=-0.5", "--N", "64",

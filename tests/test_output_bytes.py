@@ -39,6 +39,15 @@ RUNS = {
     "smooth": ["smooth", "--kernel", "power:alpha=3,s=1,n_max=128", "--beta", "1",
                "--N-list", "128,256", "--replicas", "4", "--seed", "11", "--tol", "0.02",
                "--scan-gaps", "0.4,0.3,0.22,0.16"],
+    # 6 usable points: the route that refits h_c on the scan (hc_fit != hc)
+    "smooth_refit": ["smooth", "--kernel", "power:alpha=3,s=1,n_max=128", "--beta", "1",
+                     "--N-list", "128,256", "--replicas", "6", "--seed", "11", "--tol",
+                     "0.02", "--scan-gaps", "0.6,0.5,0.4,0.3,0.22,0.16"],
+    # a copolymer scan, which leaves out its fields below 0
+    "smooth_copolymer": ["smooth", "--kind", "copolymer", "--kernel", "srw:n_max=512",
+                         "--law", "gaussian", "--beta", "1", "--N-list", "128,256,512",
+                         "--replicas", "16", "--seed", "2", "--tol", "0.01",
+                         "--scan-gaps", "0.3,0.24,0.18,0.12,0.08,0.06"],
     # rows of 512 cells, which step under engine.WIDE_BUFFER (see WIDE_ROW)
     "fe_pinning_wide": ["fe", "--kernel", "power:alpha=3,s=1,n_max=512", "--beta", "1",
                         "--h=-0.5,-0.2", "--N", "512,1024", "--replicas", "4", "--seed", "3"],
@@ -61,6 +70,8 @@ DIGESTS = {
     "phi_wide": "0fd71656299bfbdccceec89031175f828ef6526a35b0ca370e73a3593f84056c",
     "pure": "b6d02946fd428943ef072c38563976480570f6965b07380f78da6cc9ce83b9e3",
     "smooth": "39b41e01910c944213b9461cdaa2ae6b7d3ec033467f0d16be4b07456a790517",
+    "smooth_copolymer": "5d50fdcea889e9da8dbf5cc9f379fe366d65bbd5e59f5ff7826549be1f4bce98",
+    "smooth_refit": "7b1ba20c2af54241754a82429fb95c0ee204d52d53775b27375bf623d26ebb3f",
 }
 
 

@@ -38,10 +38,14 @@ def test_pure_subcommand(capsys):
 
 
 def test_pure_asymptotics_flag(capsys):
-    code = run(["pure", "--kernel", "power:alpha=3,s=1,n_max=1000",
-                "--h", "-0.5", "--asymptotics"])
-    assert code == 0
-    assert "order=first" in capsys.readouterr().out
+    # zeta(alpha) and zeta(alpha - 1) inside and at both ends of alpha > 2
+    for alpha in ("3", "1e300", "2.0000000000000004"):
+        code = run(["pure", "--kernel", f"power:alpha={alpha},s=1,n_max=1000",
+                    "--h", "-0.5", "--asymptotics"])
+        out = capsys.readouterr().out
+        assert code == 0, alpha
+        assert "order=first" in out, alpha
+        assert math.isfinite(float(out.split("slope=")[1].split()[0])), alpha
 
 
 def test_fe_beta0_stderr_zero(tmp_path, capsys):
@@ -596,6 +600,9 @@ runs = {
                      "--asymptotics"]),
     "power": ("1", ["pure", "--kernel", "power:alpha=3,s=1,n_max=100", "--h=-0.5",
                     "--asymptotics"]),
+    "smooth": ("1", ["smooth", "--kernel", "power:alpha=3,s=1,n_max=128", "--beta", "1",
+                     "--N-list", "128,256", "--replicas", "4", "--seed", "11",
+                     "--tol", "0.02", "--scan-gaps", "0.4,0.3,0.22,0.16", "--out", "smooth"]),
 }
 for name, (threads, argv) in runs.items():
     os.environ["DEPIN_THREADS"] = threads
@@ -607,22 +614,23 @@ print(json.dumps(report))
 """
 
 
-def test_runs_import_scipy_and_the_pool_only_when_used(tmp_path):
+def test_runs_import_neither_scipy_nor_an_unused_pool(tmp_path):
     # a fresh interpreter: importing the command line loads neither scipy
     # nor a process pool; a beta = 0 estimate and a one-worker run start no
-    # pool, and only the ideal mean return time of a power law with
-    # alpha > 2 (zeta) loads scipy, with the line it prints unchanged;
-    # alpha = 2 has an infinite one and loads nothing
+    # pool, and no run loads scipy, not even the ideal mean return time of
+    # a power law with alpha > 2 (zeta), in `pure --asymptotics` or in a
+    # pinning `smooth`'s homogeneous contrast, whose values are unchanged
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", _IMPORTS_SCRIPT], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(done.stdout)
     assert report["import"] == []
-    for name in ("fe", "phi", "srw", "geometric", "power2"):
+    for name in ("fe", "phi", "srw", "geometric", "power2", "power", "smooth"):
         code, _line, loaded = report[name]
         assert (code, loaded) == (0, []), name
     assert report["srw"][1] == "order=second exponent=2.0 slope=- hc=-0.0"
     assert report["geometric"][1] == "order=first exponent=1.0 slope=0.5 hc=-0.0"
-    assert report["power"] == [
-        0, "order=first exponent=1.0 slope=0.7307629694014385 hc=-0.0", ["scipy"]]
+    assert report["power"][1] == "order=first exponent=1.0 slope=0.7307629694014385 hc=-0.0"
+    smooth = json.loads((tmp_path / "smooth" / "smooth.json").read_text())
+    assert smooth["pure_ratio_target"] == 0.7307629694014385

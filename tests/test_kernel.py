@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import depin as dp
-from depin.kernel import _CHUNK, parse_kernel_spec
+from depin.kernel import _CHUNK, _zeta, parse_kernel_spec
 from conftest import sparse_kernel, srw_first_return_enum
 
 
@@ -117,12 +117,48 @@ def test_power_kernel_partial_zeta():
 @pytest.mark.parametrize("defect", [0.0, 0.5])
 @pytest.mark.parametrize("s", [1, 2])
 def test_ideal_mean_return_of_power_kernels(alpha, defect, s):
-    # s (1 - K(inf)) zeta(alpha - 1) / zeta(alpha), to the last bit
-    from scipy.special import zeta
+    # s (1 - K(inf)) zeta(alpha - 1) / zeta(alpha), within 1 ulp of its
+    # 40-digit value
+    mpmath = pytest.importorskip("mpmath")
+    sigma = dp.power_kernel(alpha, s, 50, defect_mass=defect).ideal_mean_return()
+    with mpmath.workdps(40):
+        exact = s * (1 - mpmath.mpf(defect)) * mpmath.zeta(alpha - 1) / mpmath.zeta(alpha)
+        assert abs(sigma - exact) <= math.ulp(float(exact))
 
-    kern = dp.power_kernel(alpha, s, 50, defect_mass=defect)
-    expected = float(s * (1.0 - defect) / zeta(alpha) * zeta(alpha - 1.0))
-    assert kern.ideal_mean_return() == expected
+
+def test_zeta_at_even_integers():
+    # zeta(2) = pi^2/6, zeta(4) = pi^4/90, zeta(6) = pi^6/945, to 1 ulp
+    for s, closed in ((2.0, math.pi**2 / 6), (4.0, math.pi**4 / 90), (6.0, math.pi**6 / 945)):
+        assert abs(_zeta(s) - closed) <= math.ulp(closed), s
+
+
+def test_zeta_near_its_pole():
+    # the Laurent form 1/(s - 1) + gamma_E - gamma_1 (s - 1): from k = 15 on
+    # the dropped gamma_2 term is below 1e-15 relative
+    gamma_e, gamma_1 = 0.5772156649015329, -0.07281584548367672
+    for k in range(15, 41):
+        d = 2.0**-k
+        assert _zeta(1.0 + d) == pytest.approx(1.0 / d + gamma_e - gamma_1 * d,
+                                               rel=1e-15, abs=0), k
+
+
+def test_zeta_is_one_at_large_s_and_never_increases():
+    # above s = 54 zeta(s) - 1 is below half an ulp of 1; the corrections
+    # must neither overflow nor turn to NaN on the way there
+    for s in (60.0, 400.0, 1e300):
+        assert _zeta(s) == 1.0
+    values = [_zeta(s) for s in [1.0 + 2.0**-40, *np.linspace(1.0001, 80.0, 4001).tolist()]]
+    assert not any(math.isnan(v) for v in values)
+    assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def test_zeta_against_mpmath():
+    # within 1 ulp of the 40-digit value on 2000 points of (1.0001, 12]
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for s in np.linspace(1.0001, 12.0, 2001)[1:].tolist():
+            exact = mpmath.zeta(s)
+            assert abs(_zeta(s) - exact) <= math.ulp(float(exact)), s
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])

@@ -114,3 +114,13 @@ def test_version_has_one_value():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == depin.__version__
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    # scipy is a reference for the tests alone: no run imports it
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert any(req.startswith("scipy") for req in project["optional-dependencies"]["test"])

@@ -110,11 +110,10 @@ class _Probe:
     per_replica: np.ndarray  # each replica's own extrapolation
 
 
-def _probes(kind: str, beta: float, h_values, kernel: ReturnKernel,
-            law: DisorderLaw, n_list, replicas: int, seed: int) -> list:
+def _probes(model: ModelSpec, h_values, law: DisorderLaw, n_list, replicas: int,
+            seed: int) -> list:
     """One _Probe per field of h_values, in order, all from one build."""
-    models = [ModelSpec(kind, beta, h, kernel) for h in h_values]
-    est = estimate_free_energy(models, law, n_list, replicas, seed)
+    est = estimate_free_energy(model, law, h_values, n_list, replicas, seed)
     out = []
     for i, h in enumerate(h_values):
         values = est.replica_values[:, i]
@@ -185,10 +184,11 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
     built twice, and every field is estimated bit for bit as alone, so the
     result and the probes never depend on d.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if replicas < 1:
         raise ValueError("need at least one replica")
+    model = ModelSpec(kind, beta, kernel)
     n_list = _sizes(kernel, n_list)
     floor = 4.0 / n_list[-1]
     probes, known = [], {}
@@ -196,8 +196,8 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
 
     def evaluate(h_values) -> None:
         """Put the record of each field in known, from one build."""
-        known.update((p.h, p) for p in _probes(kind, beta, h_values, kernel, law,
-                                               n_list, replicas, seed))
+        known.update((p.h, p) for p in _probes(model, h_values, law, n_list,
+                                               replicas, seed))
 
     def split(lo: float, hi: float):
         """The bisection's next midpoint of (lo, hi), or None where it stops."""
@@ -392,6 +392,7 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
         raise UsageError("the scan gaps must be positive and distinct")
     if len(scan_gaps) < 4:  # every usable point is a field hc - g, and a fit needs 4
         raise UsageError("need at least 4 scan gaps: a fit needs 4 usable points")
+    model = ModelSpec(kind, beta, kernel)
     n_list = _sizes(kernel, n_list)
     consts = smoothing_constant(beta, kernel.alpha, law)
     fit0 = locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol)
@@ -403,7 +404,7 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
     if kind == "copolymer":
         h_values = [h for h in h_values if h >= 0]
     # every scan point extrapolated to N = inf, all from one build
-    scan = _probes(kind, beta, h_values, kernel, law, n_list, replicas, seed)
+    scan = _probes(model, h_values, law, n_list, replicas, seed)
     points = tuple((p.h, p.f_inf, p.sigma) for p in scan)
 
     loc = [p for p in points if p[0] < hc]

@@ -224,8 +224,8 @@ def _cmd_fe(merged: dict, cfg: dict) -> int:
     _sizes(kernel, ns)  # rows keep the order given
     law = disorder_law(merged["law"])
     # one build serves every field and size; rows stay N-outer, h-inner
-    models = [ModelSpec(merged["kind"], merged["beta"], h, kernel) for h in merged["h"]]
-    est = estimate_free_energy(models, law, ns, merged["replicas"], merged["seed"])
+    est = estimate_free_energy(ModelSpec(merged["kind"], merged["beta"], kernel), law,
+                               merged["h"], ns, merged["replicas"], merged["seed"])
     rows = []
     for i, n in enumerate(ns):
         for j, h in enumerate(merged["h"]):
@@ -243,7 +243,7 @@ def _cmd_phi(merged: dict, cfg: dict) -> int:
     kernel = parse_kernel_spec(merged["kernel"])
     _sizes(kernel, [merged["N"]])
     law = disorder_law(merged["law"])
-    model = ModelSpec(merged["kind"], merged["beta"], 0.0, kernel)
+    model = ModelSpec(merged["kind"], merged["beta"], kernel)
     curve = estimate_phi(model, law, merged["m_grid"], merged["epsilon"], merged["N"],
                          merged["replicas"], merged["seed"])
     rows = [(m, curve.epsilon, v, s, int(f)) for m, v, s, f in

@@ -19,7 +19,7 @@ O(w * J) for J counts, and returns only the final row.
 The pinned-endpoint and copolymer recursions share one renewal core, which
 also steps a block of rows at once, bit for bit a set of single builds.  A
 row is a (field, replica) pair: a disorder row of a 2-D array, with its own
-field h from an optional column (model.h for every row by default).  A
+field h (a model has none: each build takes one field or a column).  A
 step copies the block's window into one buffer and works there in place.
 Couplings under which log Z could leave the floating-point range are
 rejected.
@@ -65,22 +65,19 @@ def _row_buffer(cells: int):  # restores the caller's size on numpy 1 too
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A depinning model: pinning or copolymer, couplings and return law."""
+    """A depinning model without its field: kind, disorder strength, return law."""
 
     kind: str
     beta: float
-    h: float
     kernel: ReturnKernel
 
     def __post_init__(self):
         if self.kind not in ("pinning", "copolymer"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if not (math.isfinite(self.beta) and math.isfinite(self.h)):
-            raise ValueError("beta and h must be finite")
+        if not math.isfinite(self.beta):
+            raise ValueError("beta must be finite")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-        if self.kind == "copolymer" and self.h < 0:
-            raise ValueError("copolymer couplings are restricted to h >= 0")
 
 
 def logsumexp_1d(values: np.ndarray) -> float:
@@ -120,10 +117,10 @@ def _check_range(model: ModelSpec, values: np.ndarray, steps: int, h_max: float)
 
 
 def _field_column(model: ModelSpec, h, rows: int) -> np.ndarray:
-    """The field of each row: model.h for every row, or the column h."""
-    if h is None:
-        return np.full(rows, model.h)
+    """The field of each row: the number h for every row, or the column h."""
     h = np.asarray(h, dtype=float)
+    if h.ndim == 0:
+        h = np.full(rows, float(h))
     if h.shape != (rows,):
         raise ValueError(f"need one field per row: {rows} rows, field shape {h.shape}")
     if not np.all(np.isfinite(h)):
@@ -133,10 +130,10 @@ def _field_column(model: ModelSpec, h, rows: int) -> np.ndarray:
     return h
 
 
-def _renewal(kind: str, model: ModelSpec, omega, n: int, h=None):
+def _renewal(kind: str, model: ModelSpec, omega, n: int, h):
     """log Z_m, m = 0, s, ..., n: of one DisorderSample as a 1-D array, or
     of each row of an (R, >= n) block as a 2-D array, stepping all rows at
-    once; row r carries the field h[r] (default model.h).  Each step copies
+    once; row r carries the field h[r], or h if it is a number.  Each step copies
     the window logz[:, t-w:t] into one buffer, adds log K in place and
     reduces every row to its max m and pairwise sum x of exp(cell - m), with
     numpy's ufunc buffer at WIDE_BUFFER entries when w_max >= WIDE_ROW.
@@ -214,31 +211,32 @@ def _renewal(kind: str, model: ModelSpec, omega, n: int, h=None):
     return logz[0] if one else logz
 
 
-def log_partition_pinning(model: ModelSpec, omega, n: int, h=None):
+def log_partition_pinning(model: ModelSpec, omega, n: int, h):
     """Pinned-endpoint log Z_m for m = 0, s, ..., n.
 
     omega is one DisorderSample, giving the (n/s + 1,) array of its log Z
     (log Z_0 = 0, log Z_n last), or a block of disorder rows w_1.. as a 2-D
     array of shape (R, >= n), giving the (R, n/s + 1) array of their log Z.
-    h, when given, is a column of R fields, one per row, in place of
-    model.h; so the rows of a block can be (field, replica) pairs.  Every
-    step runs the window log-sum-exp on all rows at once, with each row's
-    arithmetic exactly that of a lone row, so row r of a block equals the
-    build of values[r] at the field h[r] bit for bit.  The recursion reads
+    h is one field for every row or a column of R fields, one per row; so
+    the rows of a block can be (field, replica) pairs.  Every step runs the
+    window log-sum-exp on all rows at once, with each row's arithmetic
+    exactly that of a lone row, so row r of a block equals the build of
+    values[r] at the field h[r] bit for bit.  The recursion reads
     no charge beyond position m, so the entries up to m of a longer build
     are those of a build at N = m.
     """
     return _renewal("pinning", model, omega, n, h)
 
 
-def log_partition_free_endpoint(model: ModelSpec, omega: DisorderSample, n: int) -> float:
+def log_partition_free_endpoint(model: ModelSpec, omega: DisorderSample, n: int,
+                                h: float) -> float:
     """log of the free-endpoint partition function (last excursion open).
 
     Sums Z_m * P(first return from m takes more than n - m steps) over the
     pinned table; the survival probability is the kernel tail plus the
     defect mass, so the m = n term contributes Z_n itself.
     """
-    logz = log_partition_pinning(model, omega, n)
+    logz = log_partition_pinning(model, omega, n, h)
     kern = model.kernel
     surv = kern.tail_mass(np.arange(n, -1, -kern.period)) + kern.defect_mass
     with np.errstate(divide="ignore"):
@@ -246,7 +244,7 @@ def log_partition_free_endpoint(model: ModelSpec, omega: DisorderSample, n: int)
     return logsumexp_1d(terms)
 
 
-def log_partition_copolymer(model: ModelSpec, omega, n: int, h=None):
+def log_partition_copolymer(model: ModelSpec, omega, n: int, h):
     """Copolymer log Z_m for m = 0, s, ..., n, in the below-interface form.
 
     A completed excursion over sites u+1..u+k contributes K(k)/2 times
@@ -258,9 +256,9 @@ def log_partition_copolymer(model: ModelSpec, omega, n: int, h=None):
     log1p(e^x) - log 2, x minus the interior sum, is exact: log1p runs only
     where |x| < SATURATION, and elsewhere max(x, 0) - log 2 is the same
     double (see SATURATION).  omega is one
-    DisorderSample or an (R, >= n) block of rows, and h an optional column
-    of R fields (each >= 0), as for log_partition_pinning; row r of a block
-    is bit for bit its own build.
+    DisorderSample or an (R, >= n) block of rows, and h one field or a
+    column of R fields (each >= 0), as for log_partition_pinning; row r of
+    a block is bit for bit its own build.
     """
     return _renewal("copolymer", model, omega, n, h)
 
@@ -272,12 +270,12 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
 
     The coupling h is deliberately absent from the recursion (the weight
     exp(-h j) reinstates it, see the Legendre analysis); only the disorder
-    rewards beta * w enter, and model.h is never read.
-    For pinning j counts contacts (J = N/s + 1 counts); for the copolymer j
-    counts below-interface sites (J = N + 1), so an excursion of length k
-    assigned below adds k - 1.  Entries are finite or -inf (-inf marks
-    counts no path can realize).  The row is read-only; the row of a
-    shorter position is the final row of a build at that N, bit for bit.
+    rewards beta * w enter.  For pinning j counts contacts (J = N/s + 1
+    counts); for the copolymer j counts below-interface sites (J = N + 1),
+    so an excursion of length k assigned below adds k - 1.  Entries are
+    finite or -inf (-inf marks counts no path can realize).  The row is
+    read-only; the row of a shorter position is the final row of a build at
+    that N, bit for bit.
 
     Row t (position t s) depends only on the w = min(N/s, n_max) rows
     before it, so only those are kept: row u in slot u mod w of a (w, J)

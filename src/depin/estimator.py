@@ -10,13 +10,13 @@ imported, only when an estimate has beta > 0 and more than one worker;
 otherwise the one block runs in this process.  A block of replicas, pinning
 or copolymer, runs through the one renewal core together, in runs of at
 most BLOCK_CELLS charges so that a worker's memory does not grow with the
-replica count.  A row of the core is a (field, replica) pair: the fields of one estimate
-share each replica's disorder row, so a list of fields costs one build,
-not one per field.  A free-energy estimate is one set of arrays: the
-replica values, shape (replicas, fields, sizes), and their mean and
-standard error, shape (fields, sizes).  Every mean and standard error,
-fe's and phi's alike, is taken over one contiguous copy of its cell's
-replica values in replica order, which makes every estimate
+replica count.  An estimate takes one model and a list of fields; a row of
+the core is a (field, replica) pair, so the fields share each replica's
+disorder row and cost one build, not one per field.  A free-energy estimate
+is one set of arrays: the replica values, shape (replicas, fields, sizes),
+and their mean and standard error, shape (fields, sizes).  Every mean and
+standard error, fe's and phi's alike, is taken over one contiguous copy of
+its cell's replica values in replica order, which makes every estimate
 bit-reproducible for identical inputs regardless of the worker count.
 
 The disorder stream and the recursion are both prefix-consistent: log Z at
@@ -35,8 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disorder import DisorderLaw, sample_disorder, spawn_seed
-from .engine import (ModelSpec, constrained_window, log_partition_constrained,
-                     log_partition_copolymer, log_partition_pinning)
+from .engine import (ModelSpec, _field_column, constrained_window,
+                     log_partition_constrained, log_partition_copolymer,
+                     log_partition_pinning)
 
 
 def worker_count() -> int:
@@ -127,7 +128,7 @@ class FreeEnergyEstimate:
     """Replica mean and standard error of (1/N) log Z on a grid of fields
     and sizes: mean and stderr have shape (fields, sizes), and
     replica_values, replica r's (1/N) log Z, shape (replicas, fields,
-    sizes), in the order of the models and sizes given.
+    sizes), in the order of the fields and sizes given.
 
     For a copolymer model mean is the excess free energy (the quantity that
     vanishes in the delocalized phase); the plain growth rate is mean + h/2,
@@ -185,10 +186,10 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
             float((values / scale).std(ddof=1) * scale / math.sqrt(len(values))))
 
 
-def estimate_free_energy(models, law: DisorderLaw, n_list, replicas: int,
-                         seed: int) -> FreeEnergyEstimate:
-    """Average (1/N) log Z over independent disorder replicas, for each of
-    models (ModelSpecs that differ only in h) at each size of n_list.
+def estimate_free_energy(model: ModelSpec, law: DisorderLaw, fields, n_list,
+                         replicas: int, seed: int) -> FreeEnergyEstimate:
+    """Average (1/N) log Z of model over independent disorder replicas, at
+    each field of fields and each size of n_list.
 
     Replica r reads the one disorder chain spawn_seed(seed, r) at every
     field and size, so a replica's sizes are prefixes of one chain and its
@@ -200,21 +201,18 @@ def estimate_free_energy(models, law: DisorderLaw, n_list, replicas: int,
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
-    models, n_list = list(models), list(n_list)
-    if not models:
-        raise ValueError("need at least one model")
+    fields, n_list = list(fields), list(n_list)
+    if not fields:
+        raise ValueError("need at least one field")
     if not n_list:
         raise ValueError("need at least one size")
-    first = models[0]
-    if any((m.kind, m.beta, m.kernel) != (first.kind, first.beta, first.kernel)
-           for m in models):
-        raise ValueError("the models of one estimate may differ only in h")
-    s = first.kernel.period
+    s = model.kernel.period
     for size in n_list:
         if size < s or size % s != 0:
             raise ValueError(f"N={size} is not a positive multiple of the period {s}")
-    matrix = _map_replicas(_fe_block, (np.array([m.h for m in models]), first, law,
-                                       n_list, seed), replicas, first.beta)
+    fields = _field_column(model, fields, len(fields))  # checked before any build
+    matrix = _map_replicas(_fe_block, (fields, model, law, n_list, seed), replicas,
+                           model.beta)
     return FreeEnergyEstimate(*_stats(matrix), matrix)
 
 
@@ -222,9 +220,8 @@ def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | No
                  n: int, replicas: int, seed: int) -> PhiCurve:
     """Replica average of the density-constrained free energy on a grid.
 
-    The model's h is ignored by construction (the constrained recursion
-    carries only the disorder rewards); epsilon defaults to
-    default_epsilon(n, s).
+    No field enters (the constrained recursion carries only the disorder
+    rewards); epsilon defaults to default_epsilon(n, s).
     """
     if replicas < 1:
         raise ValueError("need at least one replica")

@@ -168,7 +168,7 @@ def verify_battery(kernel: ReturnKernel, n_cap: int, draws: int, seed: int):
         beta = 0.25 * (i % 8)
         h = -2.0 + 0.37 * (i % 11)
         n = min(n_cap, 16)
-        got = log_partition_pinning(ModelSpec("pinning", beta, h, kernel), om, n)[-1]
+        got = log_partition_pinning(ModelSpec("pinning", beta, kernel), om, n, h)[-1]
         want = math.log(brute_force_pinning(kernel, om, beta, h, n).value)
         return abs(got - want) <= rel * max(1.0, abs(want))
 
@@ -177,8 +177,7 @@ def verify_battery(kernel: ReturnKernel, n_cap: int, draws: int, seed: int):
         beta = 0.25 * (i % 8)
         h = 0.3 * (i % 5)
         n = min(n_cap - n_cap % 2, 14)
-        model = ModelSpec("copolymer", beta, h, kern_srw)
-        got = log_partition_copolymer(model, om, n)[-1]
+        got = log_partition_copolymer(ModelSpec("copolymer", beta, kern_srw), om, n, h)[-1]
         want = math.log(brute_force_copolymer(kern_srw, om, beta, h, n).value)
         return abs(got - want) <= rel * max(1.0, abs(want))
 
@@ -186,7 +185,7 @@ def verify_battery(kernel: ReturnKernel, n_cap: int, draws: int, seed: int):
         om = sample_disorder(law, 16, spawn_seed(seed, 2000 + i))
         beta = 0.25 * (i % 8)
         n = min(n_cap, 16)
-        row = log_partition_constrained(ModelSpec("pinning", beta, 0.0, kernel), om, n)
+        row = log_partition_constrained(ModelSpec("pinning", beta, kernel), om, n)
         want = brute_force_constrained(kernel, om, beta, n)
         return all(abs(math.exp(row[j]) - val) <= rel * val
                    for j, val in want.items())

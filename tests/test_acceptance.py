@@ -101,14 +101,14 @@ def test_criterion_05_oracle_equivalence():
 
     for i in range(50):
         om, beta, h = random_instance(3000 + i, 16)
-        got = dp.log_partition_pinning(dp.ModelSpec("pinning", beta, h, geo),
-                                       om, 16)[-1]
+        got = dp.log_partition_pinning(dp.ModelSpec("pinning", beta, geo),
+                                       om, 16, h)[-1]
         want = math.log(dp.brute_force_pinning(geo, om, beta, h, 16).value)
         ok &= abs(got - want) <= rel * max(1.0, abs(want))
 
     for i in range(50):
         om, beta, _ = random_instance(4000 + i, 16)
-        row = dp.log_partition_constrained(dp.ModelSpec("pinning", beta, 0.0, geo),
+        row = dp.log_partition_constrained(dp.ModelSpec("pinning", beta, geo),
                                            om, 16)
         want = dp.brute_force_constrained(geo, om, beta, 16)
         for j, val in want.items():
@@ -117,8 +117,8 @@ def test_criterion_05_oracle_equivalence():
 
     for i in range(50):
         om, beta, h = random_instance(5000 + i, 14)
-        got = dp.log_partition_copolymer(dp.ModelSpec("copolymer", beta, abs(h), srw),
-                                         om, 14)[-1]
+        got = dp.log_partition_copolymer(dp.ModelSpec("copolymer", beta, srw),
+                                         om, 14, abs(h))[-1]
         want = math.log(dp.brute_force_copolymer(srw, om, beta, abs(h), 14).value)
         ok &= abs(got - want) <= rel * max(1.0, abs(want))
 
@@ -134,9 +134,9 @@ def test_criterion_06_sandwich_and_lower_bound():
         kmin = float(kern.density[:n].min())
         for i in range(count):
             om, beta, h = random_instance(10_000 + n + i, n)
-            model = dp.ModelSpec("pinning", beta, h, kern)
-            logz = dp.log_partition_pinning(model, om, n)[-1]
-            logzf = dp.log_partition_free_endpoint(model, om, n)
+            model = dp.ModelSpec("pinning", beta, kern)
+            logz = dp.log_partition_pinning(model, om, n, h)[-1]
+            logzf = dp.log_partition_free_endpoint(model, om, n, h)
             ok &= logzf >= logz - 1e-12
             ok &= logzf <= logz + abs(beta * om.values[n - 1] - h) - math.log(kmin) + 1e-12
             ok &= logz >= beta * om.values[n - 1] - h + math.log(kern.density[n - 1]) - 1e-12
@@ -151,11 +151,11 @@ def test_criterion_07_legendre_bracketing():
     for n in (64, 128, 256, 512):
         for i in range(4):
             om, beta, h = random_instance(20_000 + n + i, n)
-            model = dp.ModelSpec("pinning", beta, h, kern)
+            model = dp.ModelSpec("pinning", beta, kern)
             row = dp.log_partition_constrained(model, om, n)
             counts = np.arange(len(row), dtype=float)
             sup = float(np.max(row - h * counts))
-            logz = dp.log_partition_pinning(model, om, n)[-1]
+            logz = dp.log_partition_pinning(model, om, n, h)[-1]
             ok &= sup <= logz + 1e-11
             ok &= logz <= sup + math.log(n / kern.period + 1) + 1e-11
     _report(7, "count-resolved supremum brackets log Z within log(N/s + 1)",
@@ -165,11 +165,11 @@ def test_criterion_07_legendre_bracketing():
 def test_criterion_08_phi_properties():
     t0 = time.time()
     kern = dp.geometric_kernel(0.5, n_max=64)
-    model = dp.ModelSpec("pinning", 1.0, 0.0, kern)
+    model = dp.ModelSpec("pinning", 1.0, kern)
     n, replicas, seed = 2048, 64, 17
     curve = dp.estimate_phi(model, GAUSS, np.linspace(0.1, 0.9, 9), None,
                             n, replicas, seed)
-    fe0 = dp.estimate_free_energy([model], GAUSS, [n], replicas, seed)
+    fe0 = dp.estimate_free_energy(model, GAUSS, [0.0], [n], replicas, seed)
     ok = bool(np.all(curve.feasible))
     ok &= bool(np.all(curve.values <= fe0.mean[0, 0] + 3.0 * fe0.stderr[0, 0]))
     for i in range(1, len(curve.m_grid) - 1):

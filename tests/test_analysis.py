@@ -93,15 +93,16 @@ def test_per_replica_extrapolation_is_linear(monkeypatch, gaussian_law, kind, n_
     kern = dp.srw_kernel(64) if kind == "copolymer" else GEO
     fields = [0.1, 0.6] if kind == "copolymer" else [-0.4, 0.2]
     for replicas in (1, 6):
-        scan = analysis._probes(kind, 1.0, fields, kern, gaussian_law, n_list, replicas, 7)
+        scan = analysis._probes(dp.ModelSpec(kind, 1.0, kern), fields, gaussian_law, n_list,
+                                replicas, 7)
         assert [p.h for p in scan] == fields
-        together = dp.estimate_free_energy([dp.ModelSpec(kind, 1.0, h, kern) for h in fields],
-                                           gaussian_law, n_list, replicas, 7)
+        together = dp.estimate_free_energy(dp.ModelSpec(kind, 1.0, kern),
+                                           gaussian_law, fields, n_list, replicas, 7)
         for i, (h, p) in enumerate(zip(fields, scan)):
             f_inf, sigma, per = p.f_inf, p.sigma, p.per_replica
             # a field's values are those of the one build, bit for bit
             assert p.values.tobytes() == together.replica_values[:, i].tobytes()
-            est = dp.estimate_free_energy([dp.ModelSpec(kind, 1.0, h, kern)], gaussian_law,
+            est = dp.estimate_free_energy(dp.ModelSpec(kind, 1.0, kern), gaussian_law, [h],
                                           n_list, replicas, 7)
             stderrs = est.stderr[0]
             want, _ = dp.extrapolate_free_energy(n_list, est.mean[0], stderrs)
@@ -152,7 +153,7 @@ def test_jackknife_reads_only_the_usable_records(monkeypatch, gaussian_law):
     hc, spread = 0.5, np.array([1.04, 0.97, 1.01, 0.98])
     monkeypatch.setattr(analysis, "locate_hc", lambda *args: dp.CriticalFit(hc, 0.0))
 
-    def planted(kind, beta, h_values, *args):
+    def planted(model, h_values, *args):
         out = []
         for h in h_values:
             per = (hc - h) ** 2 * spread if hc - h > 0.01 else np.array([1, -1, 3, -2]) * 1e-3
@@ -251,6 +252,13 @@ def test_locate_hc_rejects_no_replicas_and_bad_windows(gaussian_law):
         with pytest.raises(ValueError, match="h_lo < h_hi"):
             dp.locate_hc("pinning", 0.0, GEO, gaussian_law, [64], 1, 3, 1e-2,
                          h_window=window)
+    for tol in (0.0, -1e-2, math.nan):  # NaN once searched to hc = 0.25 +- 0.5
+        with pytest.raises(ValueError, match="tol must be positive"):
+            dp.locate_hc("pinning", 1.0, GEO, gaussian_law, [64], 1, 3, tol)
+    # a bad beta is named as such, not as a bad search window
+    for beta in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="beta"):
+            dp.locate_hc("pinning", beta, GEO, gaussian_law, [64], 1, 3, 1e-2)
 
 
 def test_locate_hc_copolymer_lower_end_stops_at_zero(monkeypatch, gaussian_law):
@@ -260,9 +268,9 @@ def test_locate_hc_copolymer_lower_end_stops_at_zero(monkeypatch, gaussian_law):
     monkeypatch.setenv("DEPIN_THREADS", "1")
     fields = []
 
-    def recorded(models, *args):
-        fields.extend(m.h for m in models)
-        return dp.estimate_free_energy(models, *args)
+    def recorded(model, law, h_values, *args):
+        fields.extend(h_values)
+        return dp.estimate_free_energy(model, law, h_values, *args)
 
     monkeypatch.setattr(analysis, "estimate_free_energy", recorded)
     with pytest.raises(ValueError, match="no localized endpoint found"):
@@ -276,7 +284,7 @@ def _fake_phase(monkeypatch, edge: float) -> list:
     returns the list that records every field it estimates."""
     fields = []
 
-    def phase(kind, beta, h_values, *args):
+    def phase(model, h_values, *args):
         fields.extend(h_values)
         return [analysis._Probe(h, None, 1.0 if h < edge else 0.0, 0.0, None)
                 for h in h_values]
@@ -360,7 +368,7 @@ def _sequential_locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol,
     def localized(h):
         # every size of a replica reads its one chain; the threshold is 3x
         # the standard error of the per-replica extrapolations
-        est = dp.estimate_free_energy([dp.ModelSpec(kind, beta, h, kernel)], law, n_list,
+        est = dp.estimate_free_energy(dp.ModelSpec(kind, beta, kernel), law, [h], n_list,
                                       replicas, seed)
         sigma = est.stderr[0]
         f_inf = _intercept(n_list, est.mean[0], sigma)
@@ -426,9 +434,9 @@ def test_speculation_equals_sequential_bisection(monkeypatch, gaussian_law, case
                                                replicas, 3, tol, window)
     builds = []
 
-    def counted(models, *args):
-        builds.append([m.h for m in models])
-        return dp.estimate_free_energy(models, *args)
+    def counted(model, law, h_values, *args):
+        builds.append(list(h_values))
+        return dp.estimate_free_energy(model, law, h_values, *args)
 
     monkeypatch.setattr(analysis, "estimate_free_energy", counted)
     fit = dp.locate_hc(kind, beta, kern, gaussian_law, sizes, replicas, 3, tol,
@@ -464,9 +472,9 @@ def test_first_build_is_the_ends_and_the_first_levels(monkeypatch, gaussian_law,
     assert analysis._speculation_depth(0.0, GEO, 256, 1) == depth
     builds = []
 
-    def counted(models, *args):
-        builds.append([m.h for m in models])
-        return dp.estimate_free_energy(models, *args)
+    def counted(model, law, h_values, *args):
+        builds.append(list(h_values))
+        return dp.estimate_free_energy(model, law, h_values, *args)
 
     monkeypatch.setattr(analysis, "estimate_free_energy", counted)
     dp.locate_hc("pinning", 0.0, GEO, gaussian_law, [256], 1, 3, 1e-3,

@@ -19,13 +19,13 @@ from depin import estimator
 from depin.cli import parse_kernel_spec, run
 
 
-def _reference_row(model, values, n):
+def _reference_row(model, values, n, h):
     """The one-row recursion as a plain per-step loop (the reference)."""
     kern = model.kernel
     t_max = n // kern.period
     w_max = min(t_max, kern.n_max)
     rk = kern.log_density[:w_max][::-1].copy()
-    charges = model.beta * values[kern.period - 1:n:kern.period] - model.h
+    charges = model.beta * values[kern.period - 1:n:kern.period] - h
     logz = np.empty(t_max + 1)
     logz[0] = 0.0
     buf = np.empty(w_max)
@@ -43,14 +43,14 @@ def _reference_row(model, values, n):
     return logz
 
 
-def _reference_copolymer_row(model, values, n):
+def _reference_copolymer_row(model, values, n, h):
     """The one-row copolymer recursion as a plain per-step loop (the reference)."""
     kern = model.kernel
     s = kern.period
     t_max = n // s
     w_max = min(t_max, kern.n_max)
     rk = kern.log_density[:w_max][::-1].copy()
-    prefix = np.concatenate([[0.0], np.cumsum(model.beta * values[:n] + model.h)])
+    prefix = np.concatenate([[0.0], np.cumsum(model.beta * values[:n] + h)])
     c_grid = prefix[::s]
     c_last = prefix[s - 1::s][:t_max]
     logz = np.empty(t_max + 1)
@@ -107,7 +107,7 @@ def test_batched_rows_match_single_rows(kind, rows, n_max, period, steps, extra,
                                         zero_frac, first_zero, law, seed):
     kern = sparse_kernel(n_max, period, zero_frac, first_zero, seed)
     # copolymer couplings are restricted to h >= 0
-    model = dp.ModelSpec(kind, beta, abs(h) if kind == "copolymer" else h, kern)
+    model, field = dp.ModelSpec(kind, beta, kern), abs(h) if kind == "copolymer" else h
     recursion = _RECURSION[kind]
     n = steps * period
     law = dp.disorder_law(law)
@@ -115,9 +115,9 @@ def test_batched_rows_match_single_rows(kind, rows, n_max, period, steps, extra,
               for r in range(rows)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        block = recursion(model, np.stack([om.values for om in omegas]), n)
-        singles = [recursion(model, om, n) for om in omegas]
-        refs = [_REFERENCE[kind](model, om.values, n) for om in omegas]
+        block = recursion(model, np.stack([om.values for om in omegas]), n, field)
+        singles = [recursion(model, om, n, field) for om in omegas]
+        refs = [_REFERENCE[kind](model, om.values, n, field) for om in omegas]
     assert block.shape == (rows, steps + 1)
     for r, ref in enumerate(refs):
         assert block[r].tobytes() == ref.tobytes()
@@ -131,13 +131,13 @@ def test_pinning_finish_is_libm_log():
     # survives the charge and max added to it; numpy's SIMD np.log differs
     # from libm's math.log in that bit on a few inputs in a thousand, and a
     # finish with np.log flips 13 of these 32 rows (numpy 2.4)
-    model = dp.ModelSpec("pinning", 0.2, 0.0, dp.geometric_kernel(0.5, n_max=64))
+    model = dp.ModelSpec("pinning", 0.2, dp.geometric_kernel(0.5, n_max=64))
     law = dp.disorder_law("gaussian")
     values = np.stack([dp.sample_disorder(law, 512, dp.spawn_seed(9, r)).values
                        for r in range(32)])
-    block = dp.log_partition_pinning(model, values, 512)
+    block = dp.log_partition_pinning(model, values, 512, 0.0)
     for r, row in enumerate(values):
-        assert block[r].tobytes() == _reference_row(model, row, 512).tobytes(), r
+        assert block[r].tobytes() == _reference_row(model, row, 512, 0.0).tobytes(), r
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,14 +170,12 @@ def test_field_column_matches_one_field_calls(kind, replicas, fields, n_max, per
     omegas = [dp.sample_disorder(law, n, dp.spawn_seed(seed, r)).values
               for r in range(replicas)]
     pairs = [(h, om) for om in omegas for h in fields]
-    recursion = _RECURSION[kind]
+    recursion, model = _RECURSION[kind], dp.ModelSpec(kind, beta, kern)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        block = recursion(dp.ModelSpec(kind, beta, fields[0], kern),
-                          np.stack([om for _, om in pairs]), n,
+        block = recursion(model, np.stack([om for _, om in pairs]), n,
                           np.array([h for h, _ in pairs]))
-        singles = [recursion(dp.ModelSpec(kind, beta, h, kern), om[None, :], n)[0]
-                   for h, om in pairs]
+        singles = [recursion(model, om[None, :], n, h)[0] for h, om in pairs]
     assert block.shape == (len(pairs), steps + 1)
     for row, single in zip(block, singles):
         assert row.tobytes() == single.tobytes()
@@ -186,14 +184,21 @@ def test_field_column_matches_one_field_calls(kind, replicas, fields, n_max, per
 def test_field_column_rejects_bad_fields():
     law = dp.disorder_law("gaussian")
     values = np.stack([dp.sample_disorder(law, 8, r).values for r in range(2)])
-    pin = dp.ModelSpec("pinning", 1.0, 0.0, dp.geometric_kernel(0.5, n_max=4))
-    cop = dp.ModelSpec("copolymer", 1.0, 0.0, dp.srw_kernel(4))
+    pin = dp.ModelSpec("pinning", 1.0, dp.geometric_kernel(0.5, n_max=4))
+    cop = dp.ModelSpec("copolymer", 1.0, dp.srw_kernel(4))
     with pytest.raises(ValueError, match="one field per row"):
         dp.log_partition_pinning(pin, values, 8, np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
         dp.log_partition_pinning(pin, values, 8, np.array([0.0, math.nan]))
     with pytest.raises(ValueError, match="h >= 0"):
         dp.log_partition_copolymer(cop, values, 8, np.array([0.5, -0.5]))
+    # one field for every row
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dp.log_partition_pinning(pin, values, 8, bad)
+    with pytest.raises(ValueError, match="h >= 0"):
+        dp.log_partition_copolymer(cop, values, 8, -0.1)
+    dp.log_partition_pinning(pin, values, 8, -3.0)  # negative h fine for pinning
 
 
 def _cell(est, j, i):
@@ -224,12 +229,12 @@ def test_multi_size_matches_per_size(monkeypatch, kind, sizes, replicas, beta, h
     monkeypatch.setenv("DEPIN_THREADS", "1")
     kern = dp.srw_kernel(12) if kind == "copolymer" else dp.geometric_kernel(0.5, n_max=16)
     n_list = [kern.period * k for k in sizes]
-    model = dp.ModelSpec(kind, beta, h if kind == "copolymer" else -h, kern)
+    model, fields = dp.ModelSpec(kind, beta, kern), [h if kind == "copolymer" else -h]
     law = dp.disorder_law("gaussian")
-    multi = dp.estimate_free_energy([model], law, n_list, replicas, seed)
+    multi = dp.estimate_free_energy(model, law, fields, n_list, replicas, seed)
     for i, n in enumerate(n_list):
         _same_estimate(_cell(multi, 0, i),
-                       dp.estimate_free_energy([model], law, [n], replicas, seed))
+                       dp.estimate_free_energy(model, law, fields, [n], replicas, seed))
 
 
 @pytest.mark.parametrize("kind", ["pinning", "copolymer"])
@@ -238,11 +243,11 @@ def test_sub_blocks_match_one_block(monkeypatch, kind):
     # a last run of 1, gives the bytes of the uncut block
     monkeypatch.setenv("DEPIN_THREADS", "1")
     kern = dp.srw_kernel(12) if kind == "copolymer" else dp.geometric_kernel(0.5, n_max=16)
-    model = dp.ModelSpec(kind, 1.0, 0.3 if kind == "copolymer" else -0.3, kern)
+    model, fields = dp.ModelSpec(kind, 1.0, kern), [0.3 if kind == "copolymer" else -0.3]
     law = dp.disorder_law("gaussian")
-    whole = dp.estimate_free_energy([model], law, [32, 64], 5, 8)
+    whole = dp.estimate_free_energy(model, law, fields, [32, 64], 5, 8)
     monkeypatch.setattr(estimator, "BLOCK_CELLS", 2 * 64 + 1)
-    cut = dp.estimate_free_energy([model], law, [32, 64], 5, 8)
+    cut = dp.estimate_free_energy(model, law, fields, [32, 64], 5, 8)
     for i in range(2):
         _same_estimate(_cell(whole, 0, i), _cell(cut, 0, i))
 
@@ -256,47 +261,41 @@ def test_fields_match_one_field_calls(monkeypatch, kind, budget, beta):
     # result is the bytes of its one-field call, over 2 workers too
     kern = dp.srw_kernel(12) if kind == "copolymer" else dp.geometric_kernel(0.5, n_max=16)
     fields = [0.6, 0.1, 0.35] if kind == "copolymer" else [-0.6, 0.1, -0.35]
-    models = [dp.ModelSpec(kind, beta, h, kern) for h in fields]
+    model = dp.ModelSpec(kind, beta, kern)
     law = dp.disorder_law("gaussian")
     monkeypatch.setenv("DEPIN_THREADS", "1")
-    singles = [dp.estimate_free_energy([m], law, [32, 64], 5, 8) for m in models]
+    singles = [dp.estimate_free_energy(model, law, [h], [32, 64], 5, 8) for h in fields]
     if budget is not None:
         monkeypatch.setattr(estimator, "BLOCK_CELLS", budget)
     for threads in ("1", "2"):
         monkeypatch.setenv("DEPIN_THREADS", threads)
-        multi = dp.estimate_free_energy(models, law, [32, 64], 5, 8)
-        assert multi.mean.shape == multi.stderr.shape == (len(models), 2)
+        multi = dp.estimate_free_energy(model, law, fields, [32, 64], 5, 8)
+        assert multi.mean.shape == multi.stderr.shape == (len(fields), 2)
         for j, want in enumerate(singles):
             for i in range(2):
                 _same_estimate(_cell(multi, j, i), _cell(want, 0, i))
-    one = dp.estimate_free_energy(models[:1], law, [64], 5, 8)
+    one = dp.estimate_free_energy(model, law, fields[:1], [64], 5, 8)
     _same_estimate(one, _cell(singles[0], 0, 1))
 
 
-def test_fields_must_share_kind_beta_and_kernel():
-    geo = dp.geometric_kernel(0.5, n_max=16)
-    law = dp.disorder_law("gaussian")
-    base = dp.ModelSpec("pinning", 1.0, 0.0, geo)
-    for other in (dp.ModelSpec("pinning", 0.5, 0.0, geo),
-                  dp.ModelSpec("pinning", 1.0, 0.0, dp.geometric_kernel(0.5, n_max=16)),
-                  dp.ModelSpec("copolymer", 1.0, 0.0, geo)):
-        with pytest.raises(ValueError, match="differ only in h"):
-            dp.estimate_free_energy([base, other], law, [32], 2, 1)
-    with pytest.raises(ValueError, match="at least one model"):
-        dp.estimate_free_energy([], law, [32], 2, 1)
+def test_an_estimate_needs_a_field():
+    model = dp.ModelSpec("pinning", 1.0, dp.geometric_kernel(0.5, n_max=16))
+    with pytest.raises(ValueError, match="at least one field"):
+        dp.estimate_free_energy(model, dp.disorder_law("gaussian"), [], [32], 2, 1)
 
 
 def test_one_size_and_one_seed_forms():
     # one field at one size is a 1 x 1 grid over the replicas, and the cell
     # of that size in a longer size list
-    model = dp.ModelSpec("pinning", 1.0, -0.2, dp.geometric_kernel(0.5, n_max=16))
+    model = dp.ModelSpec("pinning", 1.0, dp.geometric_kernel(0.5, n_max=16))
     law = dp.disorder_law("gaussian")
-    one = dp.estimate_free_energy([model], law, [32], 3, 5)
+    one = dp.estimate_free_energy(model, law, [-0.2], [32], 3, 5)
     assert isinstance(one, dp.FreeEnergyEstimate)
     assert one.mean.shape == one.stderr.shape == (1, 1)
     assert one.replica_values.shape == (3, 1, 1)
-    _same_estimate(one, dp.estimate_free_energy([model], law, [32], 3, 5))
-    _same_estimate(one, _cell(dp.estimate_free_energy([model], law, [64, 32], 3, 5), 0, 1))
+    _same_estimate(one, dp.estimate_free_energy(model, law, [-0.2], [32], 3, 5))
+    _same_estimate(one, _cell(dp.estimate_free_energy(model, law, [-0.2], [64, 32], 3, 5),
+                              0, 1))
 
 
 def _fe_bytes(tmp_path, monkeypatch, kind, threads):
@@ -320,8 +319,8 @@ def test_fe_rows_and_bytes_across_workers(tmp_path, monkeypatch, capsys):
         assert [(r[0], r[2]) for r in rows] == [
             (n, h) for n in ("128", "64", "96") for h in ("0.6", "0.1", "0.35")]
         # each row is the estimate of its own size
-        model = dp.ModelSpec(kind, 1.0, 0.35, parse_kernel_spec(
+        model = dp.ModelSpec(kind, 1.0, parse_kernel_spec(
             "srw:n_max=32" if kind == "copolymer" else "geometric:p=0.5,n_max=32"))
-        est = dp.estimate_free_energy([model], dp.disorder_law("gaussian"), [96], 5, 9)
+        est = dp.estimate_free_energy(model, dp.disorder_law("gaussian"), [0.35], [96], 5, 9)
         assert rows[-1][3] == repr(float(est.mean[0, 0]))
     capsys.readouterr()

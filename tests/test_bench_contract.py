@@ -77,14 +77,14 @@ def test_extras_bind_the_parameters_they_read():
     tracing = _load_tracing()
     law = depin.disorder_law("gaussian")
     geo = depin.geometric_kernel(0.5, n_max=8)
-    pin = depin.ModelSpec("pinning", 1.0, 0.0, geo)
-    cop = depin.ModelSpec("copolymer", 1.0, 0.5, depin.srw_kernel(4))
+    pin = depin.ModelSpec("pinning", 1.0, geo)
+    cop = depin.ModelSpec("copolymer", 1.0, depin.srw_kernel(4))
     calls = {
         "sample_disorder": lambda: depin.sample_disorder(law, 16, 1),
         "log_partition_pinning": lambda: depin.log_partition_pinning(
-            pin, depin.sample_disorder(law, 16, 1), 16),
+            pin, depin.sample_disorder(law, 16, 1), 16, 0.0),
         "log_partition_copolymer": lambda: depin.log_partition_copolymer(
-            cop, depin.sample_disorder(law, 16, 1), 16),
+            cop, depin.sample_disorder(law, 16, 1), 16, 0.5),
         "log_partition_constrained": lambda: depin.log_partition_constrained(
             pin, depin.sample_disorder(law, 16, 1), 16),
         "locate_hc": lambda: depin.locate_hc("pinning", 0.0, geo, law, [16, 32], 1, 1, 0.1),
@@ -105,13 +105,13 @@ def test_estimator_calls_the_traced_recursion(monkeypatch):
     monkeypatch.setenv("DEPIN_THREADS", "1")
     tracing = _load_tracing()
     law = depin.disorder_law("gaussian")
-    models = {"pinning": depin.ModelSpec("pinning", 1.0, -0.2,
-                                         depin.geometric_kernel(0.5, n_max=8)),
-              "copolymer": depin.ModelSpec("copolymer", 1.0, 0.3, depin.srw_kernel(8))}
-    for kind, model in models.items():
+    geo = depin.geometric_kernel(0.5, n_max=8)
+    models = {"pinning": (depin.ModelSpec("pinning", 1.0, geo), -0.2),
+              "copolymer": (depin.ModelSpec("copolymer", 1.0, depin.srw_kernel(8)), 0.3)}
+    for kind, (model, h) in models.items():
         tracer = tracing.Tracer()
         with tracer.installed():
-            depin.estimate_free_energy([model], law, [16], 2, 1)
+            depin.estimate_free_energy(model, law, [h], [16], 2, 1)
         names = [rec["name"] for rec in tracer.records()]
         assert f"log_partition_{kind}" in names, (kind, names)
 
@@ -129,8 +129,8 @@ def test_fields_and_speculation_keep_their_spans(monkeypatch):
     for kind, (kern, hs) in fields.items():
         tracer = tracing.Tracer()
         with tracer.installed():
-            depin.estimate_free_energy([depin.ModelSpec(kind, 1.0, h, kern) for h in hs],
-                                       law, [16, 32], 2, 1)
+            depin.estimate_free_energy(depin.ModelSpec(kind, 1.0, kern),
+                                       law, hs, [16, 32], 2, 1)
         spans = [rec for rec in tracer.records() if rec["name"] == f"log_partition_{kind}"]
         assert spans and all(rec["cells"] > 0 for rec in spans), kind
     tracer = tracing.Tracer()

@@ -72,45 +72,44 @@ CASES = dict(
     period=st.sampled_from([1, 2]),
     steps=st.integers(1, 48),
     beta=st.floats(0.0, 5.0),
-    h=st.floats(-3.0, 3.0),
     zero_frac=st.sampled_from([0.0, 0.3, 0.8]),
     first_zero=st.booleans(),
     seed=st.integers(0, 2**63),
 )
 
 
-def _case(kind, n_max, period, zero_frac, first_zero, beta, h, seed, n):
+def _case(kind, n_max, period, zero_frac, first_zero, beta, seed, n):
     kern = sparse_kernel(n_max, period, zero_frac, first_zero, seed)
-    model = dp.ModelSpec(kind, beta, abs(h) if kind == "copolymer" else h, kern)
+    model = dp.ModelSpec(kind, beta, kern)
     omega = dp.sample_disorder(dp.disorder_law("gaussian"), n, dp.spawn_seed(seed, 1))
     return model, omega
 
 
 @settings(max_examples=60, deadline=None)
 @given(**CASES)
-@example(kind="pinning", n_max=3, period=1, steps=30, beta=5.0, h=-3.0,
+@example(kind="pinning", n_max=3, period=1, steps=30, beta=5.0,
          zero_frac=0.8, first_zero=True, seed=1)     # window below t_max, zero atoms
-@example(kind="copolymer", n_max=64, period=2, steps=20, beta=5.0, h=0.0,
+@example(kind="copolymer", n_max=64, period=2, steps=20, beta=5.0,
          zero_frac=0.3, first_zero=True, seed=2)     # window above t_max
-@example(kind="copolymer", n_max=4, period=1, steps=25, beta=1.0, h=1.0,
+@example(kind="copolymer", n_max=4, period=1, steps=25, beta=1.0,
          zero_frac=0.0, first_zero=False, seed=3)    # s = 1: undivided K(1)
 # at the wrap: the window fills the ring, first wraps, and has gone round twice
-@example(kind="pinning", n_max=5, period=1, steps=5, beta=1.0, h=0.5,
+@example(kind="pinning", n_max=5, period=1, steps=5, beta=1.0,
          zero_frac=0.0, first_zero=False, seed=4)
-@example(kind="pinning", n_max=5, period=2, steps=6, beta=1.0, h=0.5,
+@example(kind="pinning", n_max=5, period=2, steps=6, beta=1.0,
          zero_frac=0.3, first_zero=False, seed=5)
-@example(kind="pinning", n_max=5, period=1, steps=10, beta=2.0, h=-1.0,
+@example(kind="pinning", n_max=5, period=1, steps=10, beta=2.0,
          zero_frac=0.3, first_zero=True, seed=6)
-@example(kind="copolymer", n_max=5, period=2, steps=5, beta=1.0, h=0.5,
+@example(kind="copolymer", n_max=5, period=2, steps=5, beta=1.0,
          zero_frac=0.0, first_zero=False, seed=7)
-@example(kind="copolymer", n_max=5, period=1, steps=6, beta=1.0, h=0.5,
+@example(kind="copolymer", n_max=5, period=1, steps=6, beta=1.0,
          zero_frac=0.3, first_zero=False, seed=8)
-@example(kind="copolymer", n_max=5, period=2, steps=10, beta=2.0, h=1.0,
+@example(kind="copolymer", n_max=5, period=2, steps=10, beta=2.0,
          zero_frac=0.3, first_zero=True, seed=9)
-def test_ring_build_matches_full_table(kind, n_max, period, steps, beta, h,
-                                       zero_frac, first_zero, seed):
+def test_ring_build_matches_full_table(kind, n_max, period, steps, beta, zero_frac,
+                                       first_zero, seed):
     n = steps * period
-    model, omega = _case(kind, n_max, period, zero_frac, first_zero, beta, h, seed, n)
+    model, omega = _case(kind, n_max, period, zero_frac, first_zero, beta, seed, n)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         table = _reference_table(model, omega, n)
@@ -122,12 +121,12 @@ def test_ring_build_matches_full_table(kind, n_max, period, steps, beta, h,
 
 @settings(max_examples=40, deadline=None)
 @given(**CASES, short=st.integers(1, 48))
-def test_shorter_build_is_a_row_of_the_table(kind, n_max, period, steps, beta, h,
-                                             zero_frac, first_zero, seed, short):
+def test_shorter_build_is_a_row_of_the_table(kind, n_max, period, steps, beta, zero_frac,
+                                             first_zero, seed, short):
     # row t of the table is the final row of a build at N' = t s, bit for bit
     short = min(short, steps)
     n, n_short = steps * period, short * period
-    model, omega = _case(kind, n_max, period, zero_frac, first_zero, beta, h, seed, n)
+    model, omega = _case(kind, n_max, period, zero_frac, first_zero, beta, seed, n)
     table = _reference_table(model, omega, n)
     row = dp.log_partition_constrained(model, omega, n_short)
     assert row.tobytes() == table[short, :len(row)].tobytes()

@@ -81,15 +81,15 @@ def test_spawn_seed_properties():
 def test_spawn_seed_rejects_masters_outside_64_bits(monkeypatch):
     # -1 once aliased 2^64 - 1: both gave this estimate
     monkeypatch.setenv("DEPIN_THREADS", "1")
-    model = dp.ModelSpec("pinning", 1.0, -0.5, dp.geometric_kernel(0.5))
+    model = dp.ModelSpec("pinning", 1.0, dp.geometric_kernel(0.5))
     law = dp.disorder_law("gaussian")
-    est = dp.estimate_free_energy([model], law, [64], 2, 2**64 - 1)
+    est = dp.estimate_free_energy(model, law, [-0.5], [64], 2, 2**64 - 1)
     assert est.mean[0, 0] == 0.41956594921973717
     for master in (-1, 2**64, -(2**64)):
         with pytest.raises(ValueError, match="master seed"):
             dp.spawn_seed(master, 0)
         with pytest.raises(ValueError, match="master seed"):
-            dp.estimate_free_energy([model], law, [64], 2, master)
+            dp.estimate_free_energy(model, law, [-0.5], [64], 2, master)
     assert 0 <= dp.spawn_seed(0, 0) < 2**64
 
 

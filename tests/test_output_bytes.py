@@ -56,6 +56,10 @@ RUNS = {
                           "--seed", "5"],
     "phi_wide": ["phi", "--kernel", "geometric:p=0.5,n_max=32", "--beta", "1",
                  "--m-grid", "0.2:0.8:0.2", "--N", "512", "--replicas", "3", "--seed", "5"],
+    # the copolymer branch of the count-resolved build
+    "phi_copolymer": ["phi", "--kind", "copolymer", "--kernel", "srw:n_max=16", "--beta",
+                      "1", "--m-grid", "0.2:0.8:0.2", "--N", "32", "--replicas", "3",
+                      "--seed", "5"],
 }
 
 DIGESTS = {
@@ -66,6 +70,7 @@ DIGESTS = {
     "hc_beta0": "fd15715e6944c7e4dada54bf6da4ab2c59243124247f2d84e6cec9cfa2d2f486",
     "hc_beta1": "a7bd2f6c631fae11944dba0c4873cb03e734e5e5bb4e85ce87295515d37e279f",
     "phi": "982330cc8766684b6899c3aaa924e5e0672e564829d6a2a96fed51c9db26e191",
+    "phi_copolymer": "830585c4f8d3c70cfcae644689f2d740e9de91c415f8e8171fd104744323e4a5",
     "phi_r8": "234c6a7372f790d86bb78935778c3380182dbc250c623cc9ea886cc3ee2785ba",
     "phi_wide": "0fd71656299bfbdccceec89031175f828ef6526a35b0ca370e73a3593f84056c",
     "pure": "b6d02946fd428943ef072c38563976480570f6965b07380f78da6cc9ce83b9e3",

@@ -69,8 +69,8 @@ def test_tilt_entropy_sign(u, name):
 def test_pinning_engine_vs_oracle_random(beta, h, seed, n):
     kern = dp.geometric_kernel(0.5, n_max=32)
     om = dp.sample_disorder(dp.disorder_law("gaussian"), n, seed)
-    model = dp.ModelSpec("pinning", beta, h, kern)
-    got = dp.log_partition_pinning(model, om, n)[-1]
+    model = dp.ModelSpec("pinning", beta, kern)
+    got = dp.log_partition_pinning(model, om, n, h)[-1]
     want = math.log(dp.brute_force_pinning(kern, om, beta, h, n).value)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 

@@ -215,8 +215,8 @@ def test_engine_consistency_beta0(gaussian_law):
     n = 4096
     kern = dp.geometric_kernel(0.5, n_max=64)
     omega = dp.sample_disorder(gaussian_law, n, 3)
-    model = dp.ModelSpec("pinning", 0.0, -1.0, kern)
-    per_site = dp.log_partition_pinning(model, omega, n)[-1] / n
+    model = dp.ModelSpec("pinning", 0.0, kern)
+    per_site = dp.log_partition_pinning(model, omega, n, -1.0)[-1] / n
     b = dp.solve_free_energy_pure(kern, -1.0).b
     assert abs(per_site - b) <= 10.0 * math.log(n) / n
 

@@ -4,15 +4,17 @@ locate_hc finds the field where the size-extrapolated free energy stops
 clearing a noise threshold, fit_exponent measures the power of (h_c - h) on
 a log-log scale, and smoothing_check assembles the full comparison:
 disordered exponent and envelope versus the exactly solvable homogeneous
-model on the same kernel.  The bisection and the scan read replica r's one
-disorder chain at every size, field and probe, and take an error bar from
-the spread of per-replica extrapolations.  A field's estimate is one _Probe
-record.  The bisection's memo maps field to record, and the threshold rule
-is applied as a record is read; its first build holds both bracket ends
-and the first levels of the bisection tree below them.  The headline
-exponent and its jackknife refits take one fit route; every straight-line
-fit (the N = inf extrapolation, the log-log exponent, each candidate
-critical point of the power-law fit) is one _wls_line solve.
+model on the same kernel.  locate_hc and smoothing_check take a model
+(ModelSpec) and a disorder law, as every estimate does, and smoothing_check
+hands both on to locate_hc.  The bisection and the scan read replica r's
+one disorder chain at every size, field and probe, and take an error bar
+from the spread of per-replica extrapolations.  A field's estimate is one
+_Probe record.  The bisection's memo maps field to record, and the
+threshold rule is applied as a record is read; its first build holds both
+bracket ends and the first levels of the bisection tree below them.  The
+headline exponent and its jackknife refits take one fit route; every
+straight-line fit (the N = inf extrapolation, the log-log exponent, each
+candidate critical point of the power-law fit) is one _wls_line solve.
 """
 
 import math
@@ -129,12 +131,11 @@ def _probes(model: ModelSpec, h_values, law: DisorderLaw, n_list, replicas: int,
 SPECULATION_CELLS = 1 << 10
 
 
-def _speculation_depth(beta: float, kernel: ReturnKernel, n_max: int,
-                       replicas: int) -> int:
+def _speculation_depth(model: ModelSpec, n_max: int, replicas: int) -> int:
     """Levels of the bisection tree evaluated per build: the largest d >= 1
     with (2^d - 1) fields x rows per field x window <= SPECULATION_CELLS."""
-    rows = 1 if beta == 0.0 else replicas
-    cells = rows * min(n_max // kernel.period, kernel.n_max)
+    rows = 1 if model.beta == 0.0 else replicas
+    cells = rows * min(n_max // model.kernel.period, model.kernel.n_max)
     depth = 1
     while (2 ** (depth + 1) - 1) * cells <= SPECULATION_CELLS:
         depth += 1
@@ -155,10 +156,9 @@ def _sizes(kernel: ReturnKernel, n_list) -> list:
     return n_list
 
 
-def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
-              n_list, replicas: int, seed: int, tol: float,
-              h_window: tuple[float, float] | None = None) -> CriticalFit:
-    """Bisection for the critical field at fixed beta.
+def locate_hc(model: ModelSpec, law: DisorderLaw, n_list, replicas: int, seed: int,
+              tol: float, h_window: tuple[float, float] | None = None) -> CriticalFit:
+    """Bisection for the critical field of model, whose disorder is law.
 
     At each probe h the free energy is estimated on every size in n_list
     (replica r reads its one chain at every probe and size), the
@@ -188,11 +188,11 @@ def locate_hc(kind: str, beta: float, kernel: ReturnKernel, law: DisorderLaw,
         raise ValueError("tol must be positive")
     if replicas < 1:
         raise ValueError("need at least one replica")
-    model = ModelSpec(kind, beta, kernel)
+    kind, beta, kernel = model.kind, model.beta, model.kernel
     n_list = _sizes(kernel, n_list)
     floor = 4.0 / n_list[-1]
     probes, known = [], {}
-    depth = _speculation_depth(beta, kernel, n_list[-1], replicas)
+    depth = _speculation_depth(model, n_list[-1], replicas)
 
     def evaluate(h_values) -> None:
         """Put the record of each field in known, from one build."""
@@ -356,30 +356,33 @@ DEFAULT_SCAN_GAPS = (0.35, 0.248, 0.175, 0.124, 0.088, 0.062, 0.044,
                      0.031, 0.022, 0.0156, 0.011)
 
 
-def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
-                    n_list, replicas: int, seed: int, tol: float = 2e-3,
-                    scan_gaps=DEFAULT_SCAN_GAPS, kind: str = "pinning") -> SmoothingReport:
-    """Probe the quadratic smoothing envelope at desk scale.
+def smoothing_check(model: ModelSpec, law: DisorderLaw, *, n_list, replicas: int,
+                    seed: int, tol: float = 2e-3,
+                    scan_gaps=DEFAULT_SCAN_GAPS) -> SmoothingReport:
+    """Probe the smoothing envelope of model, disordered by law, at desk scale.
 
-    Locates h_c(beta) by bisection, then scans the free energy on both
-    sides of it; every scan point is estimated on all sizes in n_list and
-    extrapolated, replica by replica, with the same a log(N)/N form the
-    bisection uses, which removes most of the finite-size droop near the
-    critical point.  Replica r reads its one chain at every probe, point
-    and size, and a point's error bar is the standard error over replicas
-    of its per-replica extrapolated F, so at least 2 replicas are needed (a
-    UsageError otherwise).  The fit route is chosen once, from the usable
-    scan points: with 5 or more, a power-law fit that re-fits the critical
-    point on the scan (critical_power_fit); with fewer, fit_exponent at the
-    bisection h_c.  The exponent's uncertainty is a leave-one-replica-out
-    jackknife on that same route, dropping a replica whose points are too
-    few for it; the envelope and ratio diagnostics are anchored at the
-    conservative bisection h_c.  For pinning the homogeneous model on the
-    same kernel is solved for contrast; a copolymer has no such contrast,
-    and its scan leaves out fields below 0.  scan_gaps are distances below
-    h_c; fewer than 4, a gap <= 0 or a repeated one is a UsageError, raised
-    before the bisection, as are bad sizes (see _sizes).
+    Locates h_c(beta) by bisection (locate_hc on the same model and law),
+    then scans the free energy on both sides of it; every scan point is
+    estimated on all sizes in n_list and extrapolated, replica by replica,
+    with the same a log(N)/N form the bisection uses, which removes most of
+    the finite-size droop near the critical point.  Replica r reads its one
+    chain at every probe, point and size, and a point's error bar is the
+    standard error over replicas of its per-replica extrapolated F, so at
+    least 2 replicas are needed (a UsageError otherwise).  The fit route is
+    chosen once, from the usable scan points: with 5 or more, a power-law
+    fit that re-fits the critical point on the scan (critical_power_fit);
+    with fewer, fit_exponent at the bisection h_c.  The exponent's
+    uncertainty is a leave-one-replica-out jackknife on that same route,
+    dropping a replica whose points are too few for it; the envelope and
+    ratio diagnostics are anchored at the conservative bisection h_c.  For
+    pinning the homogeneous model on the same kernel is solved for
+    contrast; a copolymer has no such contrast, and its scan leaves out
+    fields below 0.  scan_gaps are distances below h_c; fewer than 4, a gap
+    that is not finite and positive, or a repeated one is a UsageError.
+    These, beta = 0, a kernel without a tail exponent and bad sizes (see
+    _sizes) are all refused before the bisection.
     """
+    kind, beta, kernel = model.kind, model.beta, model.kernel
     if beta <= 0:
         raise ValueError("the envelope check needs beta > 0")
     if replicas < 2:
@@ -387,15 +390,14 @@ def smoothing_check(beta: float, kernel: ReturnKernel, law: DisorderLaw, *,
                          "bars are their spread")
     if kernel.alpha is None:
         raise ValueError("kernel must declare a tail exponent")
-    if not (scan_gaps and all(g > 0 for g in scan_gaps)
+    if not (scan_gaps and all(0 < g < math.inf for g in scan_gaps)
             and len(set(scan_gaps)) == len(scan_gaps)):
-        raise UsageError("the scan gaps must be positive and distinct")
+        raise UsageError("the scan gaps must be finite, positive and distinct")
     if len(scan_gaps) < 4:  # every usable point is a field hc - g, and a fit needs 4
         raise UsageError("need at least 4 scan gaps: a fit needs 4 usable points")
-    model = ModelSpec(kind, beta, kernel)
     n_list = _sizes(kernel, n_list)
     consts = smoothing_constant(beta, kernel.alpha, law)
-    fit0 = locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol)
+    fit0 = locate_hc(model, law, n_list, replicas, seed, tol)
     hc, hc_err = fit0.hc, fit0.hc_err
 
     gaps = sorted(scan_gaps, reverse=True)

@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import UsageError, _sizes, locate_hc, smoothing_check
-from .disorder import disorder_law
+from .analysis import DEFAULT_SCAN_GAPS, UsageError, _sizes, locate_hc, smoothing_check
+from .disorder import DisorderLaw, disorder_law
 from .engine import ModelSpec
 from .estimator import estimate_free_energy, estimate_phi, worker_count
 from .kernel import REQUIRED, geometric_kernel, parse_kernel_spec, read_lines, read_pairs
@@ -201,6 +201,12 @@ def _save(merged: dict, files: dict) -> None:
         (out / name).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _model(merged: dict) -> tuple[ModelSpec, DisorderLaw]:
+    """The model and disorder law of fe, phi, hc and smooth."""
+    kernel = parse_kernel_spec(merged["kernel"])
+    return ModelSpec(merged["kind"], merged["beta"], kernel), disorder_law(merged["law"])
+
+
 def _cmd_pure(merged: dict, cfg: dict) -> int:
     kernel = parse_kernel_spec(merged["kernel"])
     rows = []
@@ -220,12 +226,11 @@ def _cmd_pure(merged: dict, cfg: dict) -> int:
 
 def _cmd_fe(merged: dict, cfg: dict) -> int:
     ns = merged["N"]
-    kernel = parse_kernel_spec(merged["kernel"])
-    _sizes(kernel, ns)  # rows keep the order given
-    law = disorder_law(merged["law"])
+    model, law = _model(merged)
+    _sizes(model.kernel, ns)  # rows keep the order given
     # one build serves every field and size; rows stay N-outer, h-inner
-    est = estimate_free_energy(ModelSpec(merged["kind"], merged["beta"], kernel), law,
-                               merged["h"], ns, merged["replicas"], merged["seed"])
+    est = estimate_free_energy(model, law, merged["h"], ns, merged["replicas"],
+                               merged["seed"])
     rows = []
     for i, n in enumerate(ns):
         for j, h in enumerate(merged["h"]):
@@ -240,10 +245,8 @@ def _cmd_fe(merged: dict, cfg: dict) -> int:
 
 
 def _cmd_phi(merged: dict, cfg: dict) -> int:
-    kernel = parse_kernel_spec(merged["kernel"])
-    _sizes(kernel, [merged["N"]])
-    law = disorder_law(merged["law"])
-    model = ModelSpec(merged["kind"], merged["beta"], kernel)
+    model, law = _model(merged)
+    _sizes(model.kernel, [merged["N"]])
     curve = estimate_phi(model, law, merged["m_grid"], merged["epsilon"], merged["N"],
                          merged["replicas"], merged["seed"])
     rows = [(m, curve.epsilon, v, s, int(f)) for m, v, s, f in
@@ -257,14 +260,12 @@ def _cmd_phi(merged: dict, cfg: dict) -> int:
 
 
 def _cmd_hc(merged: dict, cfg: dict) -> int:
-    kernel = parse_kernel_spec(merged["kernel"])
-    law = disorder_law(merged["law"])
+    model, law = _model(merged)
     if (merged["h_lo"] is None) != (merged["h_hi"] is None):
         raise UsageError("--h-lo and --h-hi go together")
     window = None if merged["h_lo"] is None else (merged["h_lo"], merged["h_hi"])
-    fit = locate_hc(merged["kind"], merged["beta"], kernel, law, merged["N_list"],
-                    merged["replicas"], merged["seed"], merged["tol"],
-                    h_window=window)
+    fit = locate_hc(model, law, merged["N_list"], merged["replicas"], merged["seed"],
+                    merged["tol"], h_window=window)
     print(f"hc={_fmt(fit.hc)} +- {_fmt(fit.hc_err)}")
     _save(merged, {"hc.json": _json({"hc": fit.hc, "hc_err": fit.hc_err,
                                      "probes": [list(p) for p in fit.points],
@@ -273,14 +274,11 @@ def _cmd_hc(merged: dict, cfg: dict) -> int:
 
 
 def _cmd_smooth(merged: dict, cfg: dict) -> int:
-    kernel = parse_kernel_spec(merged["kernel"])
-    law = disorder_law(merged["law"])
-    kwargs = {}
-    if merged["scan_gaps"]:
-        kwargs["scan_gaps"] = tuple(merged["scan_gaps"])
-    report = smoothing_check(merged["beta"], kernel, law, n_list=merged["N_list"],
+    model, law = _model(merged)
+    report = smoothing_check(model, law, n_list=merged["N_list"],
                              replicas=merged["replicas"], seed=merged["seed"],
-                             tol=merged["tol"], kind=merged["kind"], **kwargs)
+                             tol=merged["tol"],
+                             scan_gaps=tuple(merged["scan_gaps"] or DEFAULT_SCAN_GAPS))
     print(f"hc={_fmt(report.hc)} +- {_fmt(report.hc_err)}")
     print(f"exponent={_fmt(report.exponent)} +- {_fmt(report.exponent_err)}")
     print(f"envelope_ok={report.envelope_ok} ratio_decreasing={report.ratio_decreasing}")

@@ -186,6 +186,14 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
             float((values / scale).std(ddof=1) * scale / math.sqrt(len(values))))
 
 
+def _check_sizes(kernel, sizes) -> None:
+    """Refuse a size that is not a positive multiple of the kernel's period."""
+    s = kernel.period
+    for size in sizes:
+        if size < s or size % s != 0:
+            raise ValueError(f"N={size} is not a positive multiple of the period {s}")
+
+
 def estimate_free_energy(model: ModelSpec, law: DisorderLaw, fields, n_list,
                          replicas: int, seed: int) -> FreeEnergyEstimate:
     """Average (1/N) log Z of model over independent disorder replicas, at
@@ -206,10 +214,7 @@ def estimate_free_energy(model: ModelSpec, law: DisorderLaw, fields, n_list,
         raise ValueError("need at least one field")
     if not n_list:
         raise ValueError("need at least one size")
-    s = model.kernel.period
-    for size in n_list:
-        if size < s or size % s != 0:
-            raise ValueError(f"N={size} is not a positive multiple of the period {s}")
+    _check_sizes(model.kernel, n_list)
     fields = _field_column(model, fields, len(fields))  # checked before any build
     matrix = _map_replicas(_fe_block, (fields, model, law, n_list, seed), replicas,
                            model.beta)
@@ -225,6 +230,7 @@ def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | No
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
+    _check_sizes(model.kernel, [n])  # before default_epsilon divides by n
     m_grid = np.asarray(m_grid, dtype=float)
     if len(m_grid) == 0:
         raise ValueError("empty density grid")

@@ -45,9 +45,9 @@ def test_criterion_02_critical_point_formula():
     t0 = time.time()
     n_list = [8192, 16384, 32768, 65536]
     geo = dp.geometric_kernel(0.5, n_max=64)
-    fit_full = dp.locate_hc("pinning", 0.0, geo, GAUSS, n_list, 1, 11, 2.5e-4)
+    fit_full = dp.locate_hc(dp.ModelSpec("pinning", 0.0, geo), GAUSS, n_list, 1, 11, 2.5e-4)
     wet = dp.power_kernel(3.0, 1, 4096, defect_mass=0.5)
-    fit_wet = dp.locate_hc("pinning", 0.0, wet, GAUSS, n_list, 1, 11, 2.5e-4)
+    fit_wet = dp.locate_hc(dp.ModelSpec("pinning", 0.0, wet), GAUSS, n_list, 1, 11, 2.5e-4)
     ok = abs(fit_full.hc - 0.0) <= 1e-3
     ok &= abs(fit_wet.hc - (-math.log(2.0))) <= 1e-3
     _report(2, "h_c(0) = log(1 - K(inf)) located to 1e-3 for full and defective laws",
@@ -184,8 +184,8 @@ def test_criterion_08_phi_properties():
 def test_criterion_09_smoothing_desk_scale():
     t0 = time.time()
     kern = dp.power_kernel(3.0, 1, 2048)
-    report = dp.smoothing_check(1.0, kern, GAUSS, n_list=[2048, 4096, 8192],
-                                replicas=128, seed=123, tol=2e-3)
+    report = dp.smoothing_check(dp.ModelSpec("pinning", 1.0, kern), GAUSS,
+                                n_list=[2048, 4096, 8192], replicas=128, seed=123, tol=2e-3)
     # (a) homogeneous contrast on the same kernel is first order, criterion-3 slope
     ok_a = report.pure_order == "first"
     ok_a &= abs(report.pure_slope / report.pure_ratio_target - 1.0) <= 0.01

@@ -8,6 +8,8 @@ from depin import analysis
 
 
 GEO = dp.geometric_kernel(0.5, n_max=64)
+# the pinning models on GEO without disorder and at beta = 1
+PIN0, PIN1 = (dp.ModelSpec("pinning", beta, GEO) for beta in (0.0, 1.0))
 
 
 def test_extrapolation_recovers_planted():
@@ -124,8 +126,8 @@ def test_smoothing_hc_inside_the_rigorous_bracket(monkeypatch, gaussian_law):
     # and the refitted critical point stays under the annealed bound
     monkeypatch.setenv("DEPIN_THREADS", "1")
     kern = dp.power_kernel(3.0, 1, 256)
-    report = dp.smoothing_check(1.0, kern, gaussian_law, n_list=[256, 512, 1024],
-                                replicas=16, seed=11, tol=1e-2,
+    report = dp.smoothing_check(dp.ModelSpec("pinning", 1.0, kern), gaussian_law,
+                                n_list=[256, 512, 1024], replicas=16, seed=11, tol=1e-2,
                                 scan_gaps=(0.4, 0.3, 0.22, 0.16, 0.12, 0.09))
     base, upper = dp.hc_pure(kern), dp.hc_pure(kern) + gaussian_law.log_mgf(1.0)
     assert base - 1e-2 <= report.hc <= upper
@@ -137,8 +139,9 @@ def test_smoothing_fixed_hc_route_has_a_jackknife_error(monkeypatch, gaussian_la
     # is fitted at the bisection h_c, and so is every leave-one-replica-out
     # refit (the error once read 0.0 on this route)
     monkeypatch.setenv("DEPIN_THREADS", "1")
-    report = dp.smoothing_check(1.0, dp.power_kernel(3.0, 1, 256), gaussian_law,
-                                n_list=[256, 512], replicas=8, seed=11, tol=0.02,
+    report = dp.smoothing_check(dp.ModelSpec("pinning", 1.0, dp.power_kernel(3.0, 1, 256)),
+                                gaussian_law, n_list=[256, 512], replicas=8, seed=11,
+                                tol=0.02,
                                 scan_gaps=(0.4, 0.3, 0.22, 0.16, 0.12, 0.09))
     assert report.hc_fit == report.hc
     assert math.isfinite(report.exponent_err) and report.exponent_err > 0.0
@@ -163,8 +166,9 @@ def test_jackknife_reads_only_the_usable_records(monkeypatch, gaussian_law):
 
     monkeypatch.setattr(analysis, "_probes", planted)
     gaps = (0.4, 0.3, 0.22, 0.16, 0.12, 0.09)
-    alone, joined = (dp.smoothing_check(1.0, dp.power_kernel(3.0, 1, 64), gaussian_law,
-                                        n_list=[64], replicas=4, seed=1, scan_gaps=g)
+    model = dp.ModelSpec("pinning", 1.0, dp.power_kernel(3.0, 1, 64))
+    alone, joined = (dp.smoothing_check(model, gaussian_law, n_list=[64], replicas=4,
+                                        seed=1, scan_gaps=g)
                      for g in (gaps, gaps + (0.005,)))
     assert len(alone.ratios) == len(joined.ratios) == 6  # the refit route
     assert any(h == hc - 0.005 for h, _f, _s in joined.points)
@@ -175,12 +179,25 @@ def test_jackknife_reads_only_the_usable_records(monkeypatch, gaussian_law):
 
 def test_smoothing_needs_two_replicas(gaussian_law):
     with pytest.raises(analysis.UsageError, match="at least 2 replicas"):
-        dp.smoothing_check(1.0, dp.power_kernel(3.0, 1, 64), gaussian_law, n_list=[64],
-                           replicas=1, seed=3)
+        dp.smoothing_check(dp.ModelSpec("pinning", 1.0, dp.power_kernel(3.0, 1, 64)),
+                           gaussian_law, n_list=[64], replicas=1, seed=3)
 
 
 def _no_build(*args):
     raise AssertionError("an input no run can use reached a build")
+
+
+def test_smoothing_rejects_beta0_and_tailless_kernels_before_the_bisection(
+        monkeypatch, gaussian_law):
+    # no disorder has no envelope to check, and the envelope's constant
+    # needs the kernel's tail exponent
+    monkeypatch.setattr(analysis, "locate_hc", _no_build)
+    for model, message in ((dp.ModelSpec("pinning", 0.0, dp.power_kernel(3.0, 1, 64)),
+                            "beta > 0"),
+                           (dp.ModelSpec("pinning", 1.0, dp.geometric_kernel(0.5)),
+                            "tail exponent")):
+        with pytest.raises(ValueError, match=message):
+            dp.smoothing_check(model, gaussian_law, n_list=[64], replicas=4, seed=3)
 
 
 def test_locate_hc_rejects_repeated_sizes_and_copolymer_fields_below_0(
@@ -189,10 +206,10 @@ def test_locate_hc_rejects_repeated_sizes_and_copolymer_fields_below_0(
     monkeypatch.setattr(analysis, "estimate_free_energy", _no_build)
     for sizes in ([64, 32, 64], [64, 64]):
         with pytest.raises(analysis.UsageError, match="each size may appear once"):
-            dp.locate_hc("pinning", 1.0, GEO, gaussian_law, sizes, 4, 3, 1e-2)
+            dp.locate_hc(PIN1, gaussian_law, sizes, 4, 3, 1e-2)
     with pytest.raises(analysis.UsageError, match="h_lo >= 0"):
-        dp.locate_hc("copolymer", 0.5, dp.srw_kernel(64), gaussian_law, [64, 128], 4, 2,
-                     5e-2, h_window=(-1.0, 1.0))
+        dp.locate_hc(dp.ModelSpec("copolymer", 0.5, dp.srw_kernel(64)), gaussian_law,
+                     [64, 128], 4, 2, 5e-2, h_window=(-1.0, 1.0))
 
 
 def test_smoothing_rejects_bad_scan_gaps_before_the_bisection(monkeypatch, gaussian_law):
@@ -205,25 +222,28 @@ def test_smoothing_rejects_bad_scan_gaps_before_the_bisection(monkeypatch, gauss
                           ((0.4, 0.3, 0.22, 0.16, 0.12, 0.0), "positive and distinct"),
                           ((0.4, 0.4, 0.22, 0.16, 0.12, 0.09), "positive and distinct"),
                           ((0.4, math.nan), "positive and distinct"),
+                          # once reached the scan, past the whole bisection
+                          ((0.4, 0.3, 0.22, math.inf), "positive and distinct"),
                           ((), "positive and distinct"),
                           ((0.3, 0.2, 0.1), "at least 4 scan gaps")):
         with pytest.raises(analysis.UsageError, match=message):
-            dp.smoothing_check(1.0, kern, gaussian_law, n_list=[256, 512], replicas=8,
-                               seed=11, tol=0.02, scan_gaps=gaps)
+            dp.smoothing_check(dp.ModelSpec("pinning", 1.0, kern), gaussian_law,
+                               n_list=[256, 512], replicas=8, seed=11, tol=0.02,
+                               scan_gaps=gaps)
 
 
 def test_locate_hc_beta0_kernels(gaussian_law):
     n_list = [2048, 4096, 8192]
-    fit = dp.locate_hc("pinning", 0.0, GEO, gaussian_law, n_list, 1, 3, 1e-3)
+    fit = dp.locate_hc(PIN0, gaussian_law, n_list, 1, 3, 1e-3)
     assert abs(fit.hc - dp.hc_pure(GEO)) <= 5e-3
     wet = dp.power_kernel(3.0, 1, 2048, defect_mass=0.5)
-    fit2 = dp.locate_hc("pinning", 0.0, wet, gaussian_law, n_list, 1, 3, 1e-3)
+    fit2 = dp.locate_hc(dp.ModelSpec("pinning", 0.0, wet), gaussian_law, n_list, 1, 3, 1e-3)
     assert abs(fit2.hc - dp.hc_pure(wet)) <= 5e-3
 
 
 def test_locate_hc_srw_beta0(gaussian_law):
     srw = dp.srw_kernel(1024)
-    fit = dp.locate_hc("pinning", 0.0, srw, gaussian_law, [4096, 8192, 16384],
+    fit = dp.locate_hc(dp.ModelSpec("pinning", 0.0, srw), gaussian_law, [4096, 8192, 16384],
                        1, 3, 5e-3)
     # quadratic transition: the threshold crossing dominates the bracket
     assert abs(fit.hc) <= 2e-2
@@ -231,7 +251,7 @@ def test_locate_hc_srw_beta0(gaussian_law):
 
 def test_locate_hc_copolymer_positive(gaussian_law):
     srw = dp.srw_kernel(256)
-    fit = dp.locate_hc("copolymer", 1.0, srw, gaussian_law, [256, 512, 1024],
+    fit = dp.locate_hc(dp.ModelSpec("copolymer", 1.0, srw), gaussian_law, [256, 512, 1024],
                        16, 5, 5e-3)
     assert 0.0 < fit.hc < 2.0
     assert math.isfinite(fit.hc_err)
@@ -240,25 +260,25 @@ def test_locate_hc_copolymer_positive(gaussian_law):
 def test_locate_hc_bracket_failure(gaussian_law):
     with pytest.raises(ValueError):
         # a window too deep in the delocalized phase exhausts the expansion
-        dp.locate_hc("pinning", 0.0, GEO, gaussian_law, [512], 1, 3, 1e-3,
+        dp.locate_hc(PIN0, gaussian_law, [512], 1, 3, 1e-3,
                      h_window=(5.0, 5.5))
 
 
 def test_locate_hc_rejects_no_replicas_and_bad_windows(gaussian_law):
     for replicas in (0, -1):  # once an endless speculation-depth loop
         with pytest.raises(ValueError, match="need at least one replica"):
-            dp.locate_hc("pinning", 1.0, GEO, gaussian_law, [64], replicas, 3, 1e-2)
+            dp.locate_hc(PIN1, gaussian_law, [64], replicas, 3, 1e-2)
     for window in ((0.3, -0.5), (0.3, 0.3), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="h_lo < h_hi"):
-            dp.locate_hc("pinning", 0.0, GEO, gaussian_law, [64], 1, 3, 1e-2,
+            dp.locate_hc(PIN0, gaussian_law, [64], 1, 3, 1e-2,
                          h_window=window)
     for tol in (0.0, -1e-2, math.nan):  # NaN once searched to hc = 0.25 +- 0.5
         with pytest.raises(ValueError, match="tol must be positive"):
-            dp.locate_hc("pinning", 1.0, GEO, gaussian_law, [64], 1, 3, tol)
+            dp.locate_hc(PIN1, gaussian_law, [64], 1, 3, tol)
     # a bad beta is named as such, not as a bad search window
     for beta in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="beta"):
-            dp.locate_hc("pinning", beta, GEO, gaussian_law, [64], 1, 3, 1e-2)
+            dp.locate_hc(dp.ModelSpec("pinning", beta, GEO), gaussian_law, [64], 1, 3, 1e-2)
 
 
 def test_locate_hc_copolymer_lower_end_stops_at_zero(monkeypatch, gaussian_law):
@@ -274,8 +294,8 @@ def test_locate_hc_copolymer_lower_end_stops_at_zero(monkeypatch, gaussian_law):
 
     monkeypatch.setattr(analysis, "estimate_free_energy", recorded)
     with pytest.raises(ValueError, match="no localized endpoint found"):
-        dp.locate_hc("copolymer", 0.5, dp.srw_kernel(128), gaussian_law, [64, 128], 8,
-                     2, 1e-2, h_window=(0.3, 1.0))
+        dp.locate_hc(dp.ModelSpec("copolymer", 0.5, dp.srw_kernel(128)), gaussian_law,
+                     [64, 128], 8, 2, 1e-2, h_window=(0.3, 1.0))
     assert fields == [0.3, 1.0, 0.65, 0.0]
 
 
@@ -299,7 +319,7 @@ def test_locate_hc_midpoints_near_the_largest_float(monkeypatch, gaussian_law,
                                                     window, edge):
     # lo + hi overflows here, lo/2 + hi/2 does not
     fields = _fake_phase(monkeypatch, edge)
-    fit = dp.locate_hc("pinning", 1.0, GEO, gaussian_law, [64], 2, 3, 1e-2,
+    fit = dp.locate_hc(PIN1, gaussian_law, [64], 2, 3, 1e-2,
                        h_window=window)
     assert all(math.isfinite(h) for h in fields)
     assert fit.hc == pytest.approx(edge, rel=1e-15) and math.isfinite(fit.hc_err)
@@ -308,18 +328,18 @@ def test_locate_hc_midpoints_near_the_largest_float(monkeypatch, gaussian_law,
 def test_locate_hc_rejects_infinite_widths_and_ends(monkeypatch, gaussian_law):
     fields = _fake_phase(monkeypatch, math.inf)  # localized everywhere
     with pytest.raises(analysis.UsageError, match="finite width"):
-        dp.locate_hc("pinning", 1.0, GEO, gaussian_law, [64], 2, 3, 1e-2,
+        dp.locate_hc(PIN1, gaussian_law, [64], 2, 3, 1e-2,
                      h_window=(-1e308, 1e308))
     assert fields == []
     # the upper end would move from 1e308 to inf
     with pytest.raises(ValueError, match="no delocalized endpoint found"):
-        dp.locate_hc("pinning", 1.0, GEO, gaussian_law, [64], 2, 3, 1e-2,
+        dp.locate_hc(PIN1, gaussian_law, [64], 2, 3, 1e-2,
                      h_window=(1.0, 1e308))
     assert all(math.isfinite(h) for h in fields)
     fields = _fake_phase(monkeypatch, -math.inf)  # delocalized everywhere
     # the lower end would move from -1e308 to -inf
     with pytest.raises(ValueError, match="no localized endpoint found"):
-        dp.locate_hc("pinning", 1.0, GEO, gaussian_law, [64], 2, 3, 1e-2,
+        dp.locate_hc(PIN1, gaussian_law, [64], 2, 3, 1e-2,
                      h_window=(-1e308, -1.0))
     assert all(math.isfinite(h) for h in fields)
 
@@ -335,9 +355,9 @@ def test_select_fit_points():
 def test_locate_hc_sizes_and_float_resolution(gaussian_law):
     for bad in ([], [0, 512], [-64]):
         with pytest.raises(ValueError):
-            dp.locate_hc("pinning", 0.0, GEO, gaussian_law, bad, 1, 3, 1e-3)
+            dp.locate_hc(PIN0, gaussian_law, bad, 1, 3, 1e-3)
     # a tolerance below float spacing ends at two adjacent floats
-    fit = dp.locate_hc("pinning", 0.0, GEO, gaussian_law, [64, 128], 1, 3, 1e-300)
+    fit = dp.locate_hc(PIN0, gaussian_law, [64, 128], 1, 3, 1e-300)
     assert 0.0 < fit.hc_err <= 0.5 * math.ulp(abs(fit.hc))
 
 
@@ -357,10 +377,10 @@ def _intercept(n_list, y, sigma):
     return float((sxx * sy - sx * sxy) / (sw * sxx - sx * sx))
 
 
-def _sequential_locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol,
-                          h_window=None):
+def _sequential_locate_hc(model, law, n_list, replicas, seed, tol, h_window=None):
     """locate_hc as a bisection of one probe per build (the reference):
     returns (hc, hc_err, probes)."""
+    kind, beta, kernel = model.kind, model.beta, model.kernel
     n_list = sorted(n_list)
     floor = 4.0 / n_list[-1]
     probes = []
@@ -368,8 +388,7 @@ def _sequential_locate_hc(kind, beta, kernel, law, n_list, replicas, seed, tol,
     def localized(h):
         # every size of a replica reads its one chain; the threshold is 3x
         # the standard error of the per-replica extrapolations
-        est = dp.estimate_free_energy(dp.ModelSpec(kind, beta, kernel), law, [h], n_list,
-                                      replicas, seed)
+        est = dp.estimate_free_energy(model, law, [h], n_list, replicas, seed)
         sigma = est.stderr[0]
         f_inf = _intercept(n_list, est.mean[0], sigma)
         per = np.array([_intercept(n_list, est.replica_values[r, 0], sigma)
@@ -429,9 +448,10 @@ def test_speculation_equals_sequential_bisection(monkeypatch, gaussian_law, case
     # probes, in order, to the last bit, in fewer builds
     kind, beta, kern, sizes, replicas, tol, window, depth = case
     monkeypatch.setenv("DEPIN_THREADS", "1")
-    assert analysis._speculation_depth(beta, kern, max(sizes), replicas) == depth
-    hc, hc_err, probes = _sequential_locate_hc(kind, beta, kern, gaussian_law, sizes,
-                                               replicas, 3, tol, window)
+    model = dp.ModelSpec(kind, beta, kern)
+    assert analysis._speculation_depth(model, max(sizes), replicas) == depth
+    hc, hc_err, probes = _sequential_locate_hc(model, gaussian_law, sizes, replicas, 3,
+                                               tol, window)
     builds = []
 
     def counted(model, law, h_values, *args):
@@ -439,8 +459,7 @@ def test_speculation_equals_sequential_bisection(monkeypatch, gaussian_law, case
         return dp.estimate_free_energy(model, law, h_values, *args)
 
     monkeypatch.setattr(analysis, "estimate_free_energy", counted)
-    fit = dp.locate_hc(kind, beta, kern, gaussian_law, sizes, replicas, 3, tol,
-                       h_window=window)
+    fit = dp.locate_hc(model, gaussian_law, sizes, replicas, 3, tol, h_window=window)
     assert (repr(fit.hc), repr(fit.hc_err)) == (repr(hc), repr(hc_err))
     assert [repr(p) for p in fit.points] == [repr(p) for p in probes]
     fields = [h for build in builds for h in build]
@@ -469,7 +488,7 @@ def test_first_build_is_the_ends_and_the_first_levels(monkeypatch, gaussian_law,
     # lo, hi, then the bisection tree below them, `depth` levels deep
     if cells is not None:
         monkeypatch.setattr(analysis, "SPECULATION_CELLS", cells)
-    assert analysis._speculation_depth(0.0, GEO, 256, 1) == depth
+    assert analysis._speculation_depth(PIN0, 256, 1) == depth
     builds = []
 
     def counted(model, law, h_values, *args):
@@ -477,7 +496,7 @@ def test_first_build_is_the_ends_and_the_first_levels(monkeypatch, gaussian_law,
         return dp.estimate_free_energy(model, law, h_values, *args)
 
     monkeypatch.setattr(analysis, "estimate_free_energy", counted)
-    dp.locate_hc("pinning", 0.0, GEO, gaussian_law, [256], 1, 3, 1e-3,
+    dp.locate_hc(PIN0, gaussian_law, [256], 1, 3, 1e-3,
                  h_window=(-0.5, 0.5))
     assert builds[0] == [-0.5, 0.5, *_tree(-0.5, 0.5, depth)]
     if depth == 2:
@@ -489,5 +508,4 @@ def test_speculation_keeps_the_bracket_failure(gaussian_law):
     # search does, after the same probes
     for search in (_sequential_locate_hc, dp.locate_hc):
         with pytest.raises(ValueError, match="no localized endpoint found"):
-            search("pinning", 0.0, GEO, gaussian_law, [512], 1, 3, 1e-3,
-                   h_window=(5.0, 5.5))
+            search(PIN0, gaussian_law, [512], 1, 3, 1e-3, h_window=(5.0, 5.5))

@@ -87,7 +87,8 @@ def test_extras_bind_the_parameters_they_read():
             cop, depin.sample_disorder(law, 16, 1), 16, 0.5),
         "log_partition_constrained": lambda: depin.log_partition_constrained(
             pin, depin.sample_disorder(law, 16, 1), 16),
-        "locate_hc": lambda: depin.locate_hc("pinning", 0.0, geo, law, [16, 32], 1, 1, 0.1),
+        "locate_hc": lambda: depin.locate_hc(depin.ModelSpec("pinning", 0.0, geo), law,
+                                             [16, 32], 1, 1, 0.1),
     }
     assert set(calls) == set(tracing._EXTRAS)
     tracer = tracing.Tracer()
@@ -135,7 +136,8 @@ def test_fields_and_speculation_keep_their_spans(monkeypatch):
         assert spans and all(rec["cells"] > 0 for rec in spans), kind
     tracer = tracing.Tracer()
     with tracer.installed():
-        fit = depin.locate_hc("pinning", 0.0, geo, law, [64, 128], 1, 1, 1e-3)
+        fit = depin.locate_hc(depin.ModelSpec("pinning", 0.0, geo), law, [64, 128], 1, 1,
+                              1e-3)
     recs = tracer.records()
     hc = [rec for rec in recs if rec["name"] == "locate_hc"]
     builds = [rec for rec in recs if rec["name"] == "log_partition_pinning"]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from depin import analysis, cli, estimator, kernel
+from depin import ModelSpec, analysis, cli, estimator, kernel
 from depin.cli import (MAX_RANGE_POINTS, _float_list, parse_kernel_spec,
                        read_config_file, run)
 
@@ -99,11 +99,11 @@ def test_hc_subcommand(tmp_path, capsys):
 def test_hc_bytes_do_not_depend_on_speculation(tmp_path, monkeypatch):
     # one field per build (depth 1), the default depth, and a deep one
     # write the same hc.json
-    kernel = parse_kernel_spec("geometric:p=0.5,n_max=64")
+    model = ModelSpec("pinning", 0.0, parse_kernel_spec("geometric:p=0.5,n_max=64"))
     written, depths = [], []
     for cells in (1, analysis.SPECULATION_CELLS, 1 << 14):
         monkeypatch.setattr(analysis, "SPECULATION_CELLS", cells)
-        depths.append(analysis._speculation_depth(0.0, kernel, 512, 1))
+        depths.append(analysis._speculation_depth(model, 512, 1))
         out = tmp_path / str(cells)
         assert run(["hc", "--kernel", "geometric:p=0.5,n_max=64", "--beta", "0",
                     "--N-list", "256,512", "--replicas", "1", "--seed", "3",

@@ -183,6 +183,13 @@ def test_phi_validation(monkeypatch):
         dp.estimate_phi(model, LAW, [0.5], math.nan, 32, 2, 1)
     with pytest.raises(ValueError):
         dp.estimate_phi(model, LAW, [0.5], 0.001, 64, 2, 1)  # N * eps < 1
+    with pytest.raises(ValueError, match="at least one replica"):
+        dp.estimate_phi(model, LAW, [0.5], None, 32, 0, 1)
+    # N = 0 once divided by zero in default_epsilon, and N = -4 took the
+    # square root of a negative number
+    for kern, n in ((GEO, 0), (GEO, -4), (dp.srw_kernel(8), 31)):
+        with pytest.raises(ValueError, match=f"N={n} is not a positive multiple"):
+            dp.estimate_phi(dp.ModelSpec("pinning", 1.0, kern), LAW, [0.5], None, n, 2, 1)
 
 
 def test_phi_below_unconstrained_pointwise():
@@ -230,6 +237,10 @@ def test_estimate_validation(monkeypatch):
     monkeypatch.setattr(estimator, "_map_replicas", _no_build)
     with pytest.raises(ValueError, match="at least one size"):
         dp.estimate_free_energy(model, LAW, [0.0], [], 2, 1)
+    # so is a size off the period of the simple random walk's returns
+    with pytest.raises(ValueError, match="N=3 is not a positive multiple of the period 2"):
+        dp.estimate_free_energy(dp.ModelSpec("pinning", 1.0, dp.srw_kernel(8)), LAW, [0.0],
+                                [16, 3], 2, 1)
 
 
 def test_bad_field_is_rejected_before_any_build(monkeypatch):

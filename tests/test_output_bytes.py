@@ -34,6 +34,10 @@ RUNS = {
                  "--N-list", "256,512", "--replicas", "1", "--seed", "3", "--tol", "1e-3"],
     "hc_beta1": ["hc", "--kernel", "geometric:p=0.5,n_max=64", "--beta", "1",
                  "--N-list", "128,256", "--replicas", "4", "--seed", "7", "--tol", "0.01"],
+    # the copolymer bisection: its default window and its h >= 0 rules
+    "hc_copolymer": ["hc", "--kind", "copolymer", "--kernel", "srw:n_max=512", "--beta", "1",
+                     "--N-list", "128,256,512", "--replicas", "16", "--seed", "2", "--tol",
+                     "0.01"],
     # four chunks of the homogeneous solver's table walk, both branches
     "pure": ["pure", "--kernel", "srw:n_max=100000", "--h=-0.01,-0.05,-1", "--asymptotics"],
     "smooth": ["smooth", "--kernel", "power:alpha=3,s=1,n_max=128", "--beta", "1",
@@ -69,6 +73,7 @@ DIGESTS = {
     "fe_pinning_wide": "7633130c958f67fef0bf0f7818fd23830dd84bd81e79e0c41503dce1fb97e825",
     "hc_beta0": "fd15715e6944c7e4dada54bf6da4ab2c59243124247f2d84e6cec9cfa2d2f486",
     "hc_beta1": "a7bd2f6c631fae11944dba0c4873cb03e734e5e5bb4e85ce87295515d37e279f",
+    "hc_copolymer": "7e3da16df16db8b045ac357c174da0eccb8b8a08aece35931381a29eac4bb129",
     "phi": "982330cc8766684b6899c3aaa924e5e0672e564829d6a2a96fed51c9db26e191",
     "phi_copolymer": "830585c4f8d3c70cfcae644689f2d740e9de91c415f8e8171fd104744323e4a5",
     "phi_r8": "234c6a7372f790d86bb78935778c3380182dbc250c623cc9ea886cc3ee2785ba",

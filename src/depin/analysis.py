@@ -25,13 +25,8 @@ import numpy as np
 from .disorder import DisorderLaw, smoothing_constant
 from .engine import ModelSpec
 from .estimator import _mean_stderr, estimate_free_energy
-from .kernel import ReturnKernel
+from .kernel import UsageError
 from .pure_solver import hc_pure, pure_asymptotics, solve_free_energy_pure
-
-
-class UsageError(ValueError):
-    """An input that no run can use, such as a size no path reaches (exit
-    code 2 on the command line)."""
 
 
 @dataclass(frozen=True)
@@ -142,20 +137,6 @@ def _speculation_depth(model: ModelSpec, n_max: int, replicas: int) -> int:
     return depth
 
 
-def _sizes(kernel: ReturnKernel, n_list) -> list:
-    """The sizes of a run, sorted.  A size at which no chain of the kernel's
-    excursions ends, or one given twice, is a UsageError."""
-    n_list = sorted(n_list)
-    if not n_list or n_list[0] < 1:
-        raise ValueError("need at least one size, all positive")
-    for n in n_list:
-        if not kernel.reaches(n):
-            raise UsageError(f"no path of the kernel ends at N={n}")
-    if len(set(n_list)) < len(n_list):
-        raise UsageError("each size may appear once")
-    return n_list
-
-
 def locate_hc(model: ModelSpec, law: DisorderLaw, n_list, replicas: int, seed: int,
               tol: float, h_window: tuple[float, float] | None = None) -> CriticalFit:
     """Bisection for the critical field of model, whose disorder is law.
@@ -167,11 +148,11 @@ def locate_hc(model: ModelSpec, law: DisorderLaw, n_list, replicas: int, seed: i
     the larger of 3 sigma, sigma the standard error of the per-replica
     extrapolations, and a floor of 4/max(N) that keeps the beta = 0 or
     one-replica case (zero sigma) off the finite-size extrapolation
-    residue.  Sizes that _sizes rejects are a UsageError, raised before any
-    estimate, and so are an h_window without lo < hi or of infinite width,
-    and a copolymer h_window with lo < 0.  Each bracket end moves out by the
-    window's width until its phase is right, in at most 8 probes and to
-    finite fields only; a copolymer's lower end stops at h = 0.
+    residue.  Sizes that kernel.sizes rejects are a UsageError, raised before
+    any estimate, and so are an h_window without lo < hi or of infinite
+    width, and one with lo < model.h_min (0 for a copolymer).  Each bracket
+    end moves out by the window's width until its phase is right, in at most
+    8 probes and to finite fields only; the lower end stops at h_min.
 
     Records go into a memo keyed by field, and the search speculates when a
     build is narrow: the first build holds both bracket ends and the
@@ -189,7 +170,7 @@ def locate_hc(model: ModelSpec, law: DisorderLaw, n_list, replicas: int, seed: i
     if replicas < 1:
         raise ValueError("need at least one replica")
     kind, beta, kernel = model.kind, model.beta, model.kernel
-    n_list = _sizes(kernel, n_list)
+    n_list = kernel.sizes(n_list)
     floor = 4.0 / n_list[-1]
     probes, known = [], {}
     depth = _speculation_depth(model, n_list[-1], replicas)
@@ -232,7 +213,7 @@ def locate_hc(model: ModelSpec, law: DisorderLaw, n_list, replicas: int, seed: i
         lo, hi = h_window
     if not lo < hi:
         raise UsageError("the search window needs h_lo < h_hi")
-    if kind == "copolymer" and lo < 0.0:
+    if lo < model.h_min:
         raise UsageError("a copolymer search window needs h_lo >= 0: no "
                          "copolymer coupling exists below h = 0")
     width = hi - lo
@@ -241,12 +222,12 @@ def locate_hc(model: ModelSpec, law: DisorderLaw, n_list, replicas: int, seed: i
 
     # both first probes and the bisection's first `depth` levels from one build
     evaluate([lo, hi, *tree(lo, hi, depth)])
-    for i in range(8):  # no copolymer coupling exists below h = 0
+    for i in range(8):  # no coupling exists below h_min
         if localized(lo):
             break
-        if i == 7 or (kind == "copolymer" and lo == 0.0) or not math.isfinite(lo - width):
+        if i == 7 or lo == model.h_min or not math.isfinite(lo - width):
             raise ValueError("no localized endpoint found in the search range")
-        lo = max(lo - width, 0.0) if kind == "copolymer" else lo - width
+        lo = max(lo - width, model.h_min)
     for i in range(8):
         if not localized(hi):
             break
@@ -263,11 +244,16 @@ def locate_hc(model: ModelSpec, law: DisorderLaw, n_list, replicas: int, seed: i
                        points=tuple(probes))
 
 
+def _usable(h, f, err, hc: float, hc_err: float) -> bool:
+    """Whether a row can enter a critical fit: significant F, gap clear of
+    the critical-point uncertainty (10x its bracket), strictly below h_c."""
+    return not (hc - h <= 0 or f <= 3.0 * err or hc - h < 10.0 * hc_err)
+
+
 def select_fit_points(points, hc: float, hc_err: float = 0.0):
-    """Rows usable for a critical fit: significant F, gap clear of the
-    critical-point uncertainty (10x its bracket), strictly below h_c."""
+    """The rows (h, F, stderr) of points usable for a critical fit (_usable)."""
     return [(float(h), float(f), float(err)) for h, f, err in points
-            if not (hc - h <= 0 or f <= 3.0 * err or hc - h < 10.0 * hc_err)]
+            if _usable(h, f, err, hc, hc_err)]
 
 
 def fit_exponent(points, hc: float, hc_err: float = 0.0) -> CriticalFit:
@@ -377,10 +363,10 @@ def smoothing_check(model: ModelSpec, law: DisorderLaw, *, n_list, replicas: int
     ratio diagnostics are anchored at the conservative bisection h_c.  For
     pinning the homogeneous model on the same kernel is solved for
     contrast; a copolymer has no such contrast, and its scan leaves out
-    fields below 0.  scan_gaps are distances below h_c; fewer than 4, a gap
-    that is not finite and positive, or a repeated one is a UsageError.
-    These, beta = 0, a kernel without a tail exponent and bad sizes (see
-    _sizes) are all refused before the bisection.
+    fields below 0 (the model's h_min).  scan_gaps are distances below h_c;
+    fewer than 4, a gap that is not finite and positive, or a repeated one
+    is a UsageError.  These, beta = 0, a kernel without a tail exponent and
+    bad sizes (see ReturnKernel.sizes) are all refused before the bisection.
     """
     kind, beta, kernel = model.kind, model.beta, model.kernel
     if beta <= 0:
@@ -395,22 +381,21 @@ def smoothing_check(model: ModelSpec, law: DisorderLaw, *, n_list, replicas: int
         raise UsageError("the scan gaps must be finite, positive and distinct")
     if len(scan_gaps) < 4:  # every usable point is a field hc - g, and a fit needs 4
         raise UsageError("need at least 4 scan gaps: a fit needs 4 usable points")
-    n_list = _sizes(kernel, n_list)
+    n_list = kernel.sizes(n_list)
     consts = smoothing_constant(beta, kernel.alpha, law)
     fit0 = locate_hc(model, law, n_list, replicas, seed, tol)
     hc, hc_err = fit0.hc, fit0.hc_err
 
     gaps = sorted(scan_gaps, reverse=True)
     h_values = [hc - g for g in gaps] + [hc + gaps[-1], hc + gaps[len(gaps) // 2]]
-    # copolymer couplings exist only at h >= 0
-    if kind == "copolymer":
-        h_values = [h for h in h_values if h >= 0]
+    h_values = [h for h in h_values if h >= model.h_min]
     # every scan point extrapolated to N = inf, all from one build
     scan = _probes(model, h_values, law, n_list, replicas, seed)
     points = tuple((p.h, p.f_inf, p.sigma) for p in scan)
 
     loc = [p for p in points if p[0] < hc]
-    usable = select_fit_points(loc, hc, hc_err)
+    used = [p for p in scan if _usable(p.h, p.f_inf, p.sigma, hc, hc_err)]
+    usable = [(p.h, p.f_inf, p.sigma) for p in used]
     h_top = max((p[0] for p in usable), default=hc)
 
     def fit(pts, grid_size: int):
@@ -431,7 +416,6 @@ def smoothing_check(model: ModelSpec, law: DisorderLaw, *, n_list, replicas: int
 
     # jackknife over replicas: each usable point's leave-one-out mean of the
     # per-replica F_inf, re-fitted on the same route
-    used = [p for p in scan if select_fit_points([(p.h, p.f_inf, p.sigma)], hc, hc_err)]
     jack = []
     for r in range(replicas):
         loo = [(p.h, float(np.delete(p.per_replica, r).mean()), p.sigma) for p in used]

@@ -26,11 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import DEFAULT_SCAN_GAPS, UsageError, _sizes, locate_hc, smoothing_check
+from .analysis import DEFAULT_SCAN_GAPS, locate_hc, smoothing_check
 from .disorder import DisorderLaw, disorder_law
-from .engine import ModelSpec
+from .engine import KINDS, ModelSpec
 from .estimator import estimate_free_energy, estimate_phi, worker_count
-from .kernel import REQUIRED, geometric_kernel, parse_kernel_spec, read_lines, read_pairs
+from .kernel import (REQUIRED, UsageError, geometric_kernel, parse_kernel_spec, read_lines,
+                     read_pairs)
 from .oracle import verify_battery
 from .pure_solver import pure_asymptotics, solve_free_energy_pure
 
@@ -71,6 +72,12 @@ def _positive(text: str) -> float:
     if not value > 0.0:
         raise ValueError("not a positive number")
     return value
+
+
+def _kind(text: str) -> str:
+    if text not in KINDS:
+        raise ValueError(f"not one of {', '.join(KINDS)}")
+    return text
 
 
 def _flag(text: str) -> bool:
@@ -227,7 +234,7 @@ def _cmd_pure(merged: dict, cfg: dict) -> int:
 def _cmd_fe(merged: dict, cfg: dict) -> int:
     ns = merged["N"]
     model, law = _model(merged)
-    _sizes(model.kernel, ns)  # rows keep the order given
+    model.kernel.sizes(ns)  # rows keep the order given
     # one build serves every field and size; rows stay N-outer, h-inner
     est = estimate_free_energy(model, law, merged["h"], ns, merged["replicas"],
                                merged["seed"])
@@ -246,7 +253,7 @@ def _cmd_fe(merged: dict, cfg: dict) -> int:
 
 def _cmd_phi(merged: dict, cfg: dict) -> int:
     model, law = _model(merged)
-    _sizes(model.kernel, [merged["N"]])
+    model.kernel.sizes([merged["N"]])
     curve = estimate_phi(model, law, merged["m_grid"], merged["epsilon"], merged["N"],
                          merged["replicas"], merged["seed"])
     rows = [(m, curve.epsilon, v, s, int(f)) for m, v, s, f in
@@ -315,6 +322,7 @@ _COMMON = {
     "seed": (_seed, 0, "master seed, in [0, 2^64)"),
     "replicas": (_size, 8, "disorder replicas"),
     "out": (str, None, "output directory"),
+    "kind": (_kind, "pinning", "model kind"),
 }
 
 # subcommand -> (handler, options); an option is name -> (converter,
@@ -328,20 +336,17 @@ _COMMANDS = {
     }),
     "fe": (_cmd_fe, {
         **_COMMON,
-        "kind": (str, "pinning", "model kind"),
         "h": (_float_list, REQUIRED, "field value(s)"),
         "N": (_size_list, REQUIRED, "system size(s)"),
     }),
     "phi": (_cmd_phi, {
         **_COMMON,
-        "kind": (str, "pinning", "model kind"),
         "m_grid": (_float_list, REQUIRED, "density grid, comma list or lo:hi:step"),
         "epsilon": (_finite, None, "window half-width (default max(1/sqrt(N), 2s/N))"),
         "N": (_size, REQUIRED, "system size"),
     }),
     "hc": (_cmd_hc, {
         **_COMMON,
-        "kind": (str, "pinning", "model kind"),
         "N_list": (_size_list, REQUIRED, "extrapolation sizes"),
         "tol": (_positive, 1e-3, "bisection tolerance on h"),
         "h_lo": (_finite, None, "optional lower search bound"),
@@ -349,7 +354,6 @@ _COMMANDS = {
     }),
     "smooth": (_cmd_smooth, {
         **_COMMON,
-        "kind": (str, "pinning", "model kind"),
         "N_list": (_size_list, REQUIRED, "extrapolation sizes"),
         "tol": (_positive, 2e-3, "bisection tolerance on h"),
         "scan_gaps": (_float_list, None, "distances below h_c to scan"),

@@ -42,6 +42,7 @@ import numpy as np
 from .disorder import DisorderSample
 from .kernel import ReturnKernel
 
+KINDS = ("pinning", "copolymer")  # the model kinds, named here only
 LOG2 = math.log(2.0)
 # for |x| >= SATURATION, np.logaddexp(0, x) - LOG2 == max(x, 0) - LOG2 in
 # doubles: for x <= -40, log1p(e^x) <= e^-40 ~ 4.2e-18 is below half an ulp
@@ -65,19 +66,24 @@ def _row_buffer(cells: int):  # restores the caller's size on numpy 1 too
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A depinning model without its field: kind, disorder strength, return law."""
+    """A model without its field: kind (one of KINDS), disorder strength, return law."""
 
     kind: str
     beta: float
     kernel: ReturnKernel
 
     def __post_init__(self):
-        if self.kind not in ("pinning", "copolymer"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if not math.isfinite(self.beta):
             raise ValueError("beta must be finite")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
+
+    @property
+    def h_min(self) -> float:
+        """The least field of the kind: 0 for the copolymer, -inf for pinning."""
+        return 0.0 if self.kind == "copolymer" else -math.inf
 
 
 def logsumexp_1d(values: np.ndarray) -> float:
@@ -92,12 +98,10 @@ def logsumexp_1d(values: np.ndarray) -> float:
 
 
 def _check_inputs(model: ModelSpec, length: int, n: int) -> int:
-    s = model.kernel.period
-    if n < s or n % s != 0:
-        raise ValueError(f"N={n} is not a positive multiple of the period {s}")
+    t_max = model.kernel.steps(n)
     if length < n:
         raise ValueError(f"disorder sample of length {length} shorter than N={n}")
-    return n // s
+    return t_max
 
 
 def _check_range(model: ModelSpec, values: np.ndarray, steps: int, h_max: float) -> None:
@@ -125,7 +129,7 @@ def _field_column(model: ModelSpec, h, rows: int) -> np.ndarray:
         raise ValueError(f"need one field per row: {rows} rows, field shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("fields h must be finite")
-    if model.kind == "copolymer" and np.any(h < 0):
+    if np.any(h < model.h_min):
         raise ValueError("copolymer couplings are restricted to h >= 0")
     return h
 

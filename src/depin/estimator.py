@@ -93,7 +93,8 @@ def _fe_block(args) -> np.ndarray:
     sizes = np.array(n_list)
     top = int(sizes.max())
     # looked up at call time, so that a wrapper bound to the name sees the call
-    recursion = globals()[f"log_partition_{model.kind}"]
+    recursion = (log_partition_pinning if model.kind == "pinning"
+                 else log_partition_copolymer)
     out = np.empty((hi - lo, nf, len(n_list)))
     # whole replicas per run when they fit; otherwise a replica's fields are
     # cut over runs, and each run samples the replicas it touches
@@ -186,14 +187,6 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
             float((values / scale).std(ddof=1) * scale / math.sqrt(len(values))))
 
 
-def _check_sizes(kernel, sizes) -> None:
-    """Refuse a size that is not a positive multiple of the kernel's period."""
-    s = kernel.period
-    for size in sizes:
-        if size < s or size % s != 0:
-            raise ValueError(f"N={size} is not a positive multiple of the period {s}")
-
-
 def estimate_free_energy(model: ModelSpec, law: DisorderLaw, fields, n_list,
                          replicas: int, seed: int) -> FreeEnergyEstimate:
     """Average (1/N) log Z of model over independent disorder replicas, at
@@ -214,7 +207,8 @@ def estimate_free_energy(model: ModelSpec, law: DisorderLaw, fields, n_list,
         raise ValueError("need at least one field")
     if not n_list:
         raise ValueError("need at least one size")
-    _check_sizes(model.kernel, n_list)
+    for n in n_list:
+        model.kernel.steps(n)
     fields = _field_column(model, fields, len(fields))  # checked before any build
     matrix = _map_replicas(_fe_block, (fields, model, law, n_list, seed), replicas,
                            model.beta)
@@ -230,7 +224,7 @@ def estimate_phi(model: ModelSpec, law: DisorderLaw, m_grid, epsilon: float | No
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
-    _check_sizes(model.kernel, [n])  # before default_epsilon divides by n
+    model.kernel.steps(n)  # before default_epsilon divides by n
     m_grid = np.asarray(m_grid, dtype=float)
     if len(m_grid) == 0:
         raise ValueError("empty density grid")

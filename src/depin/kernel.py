@@ -23,6 +23,11 @@ FILE_NORMALIZATION_TOL = 1e-9
 _CHUNK = 2**15  # atoms per chunk of a table walk: its buffers stay in L2
 
 
+class UsageError(ValueError):
+    """An input that no run can use, such as a size no path reaches (exit
+    code 2 on the command line)."""
+
+
 @dataclass(frozen=True, eq=False)
 class ReturnKernel:
     """Immutable first-return law on s*{1, ..., n_max} plus defect mass.
@@ -140,6 +145,25 @@ class ReturnKernel:
             return False
         t = n // self.period
         return t >= float(self._least_sums[t % self._least_sums.size])
+
+    def steps(self, n: int) -> int:
+        """n/s, the periods in a size n: a ValueError unless n/s is a positive integer."""
+        if n < self.period or n % self.period:
+            raise ValueError(f"N={n} is not a positive multiple of the period {self.period}")
+        return n // self.period
+
+    def sizes(self, n_list) -> list:
+        """The sizes of a run, sorted.  A size at which no chain of the kernel's
+        excursions ends (see reaches), or one given twice, is a UsageError."""
+        n_list = sorted(n_list)
+        if not n_list or n_list[0] < 1:
+            raise ValueError("need at least one size, all positive")
+        for n in n_list:
+            if not self.reaches(n):
+                raise UsageError(f"no path of the kernel ends at N={n}")
+        if len(set(n_list)) < len(n_list):
+            raise UsageError("each size may appear once")
+        return n_list
 
     @cached_property
     def mean_return_steps(self) -> float:

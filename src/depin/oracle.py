@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderSample, disorder_law, sample_disorder, spawn_seed
-from .engine import (ModelSpec, log_partition_constrained, log_partition_copolymer,
-                     log_partition_pinning)
+from .engine import (KINDS, ModelSpec, log_partition_constrained,
+                     log_partition_copolymer, log_partition_pinning)
 from .kernel import ReturnKernel, srw_kernel
 
 PINNING_GUARD = 24
@@ -105,7 +105,7 @@ def brute_force_constrained(kernel: ReturnKernel, omega: DisorderSample,
     """
     if n > CONSTRAINED_GUARD:
         raise ValueError(f"N={n} exceeds the brute-force guard {CONSTRAINED_GUARD}")
-    if kind not in ("pinning", "copolymer"):
+    if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     atoms = _atoms(kernel, n)
     w = omega.values

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -187,6 +188,16 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(f"depin {argv[0]}: usage error: --tol: "), err
+    # and so is a model kind that no model has, as a flag or a config entry
+    # (it once exited 1 from ModelSpec's own check)
+    ising = tmp_path / "ising.cfg"
+    ising.write_text("kind = ising\n", encoding="utf-8")
+    for argv in (["fe", *geo, "--kind", "ising", "--h=-0.5", "--N", "64"],
+                 ["fe", *geo, "--config", str(ising), "--h=-0.5", "--N", "64"]):
+        capsys.readouterr()
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("depin fe: usage error: --kind: bad value 'ising'"), err
     # a repeated field would repeat its row, in pure as in fe (pure once
     # printed and wrote it twice)
     assert run(["pure", *geo, "--h=-0.1,-0.1"]) == 2
@@ -612,6 +623,18 @@ for name, (threads, argv) in runs.items():
     report[name] = [code, out.getvalue().splitlines()[-1], loaded()]
 print(json.dumps(report))
 """
+
+
+def test_cli_imports_no_private_name():
+    # the command line asks each module through its public names (it once
+    # imported the size rule as analysis._sizes)
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("depin"))
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not private
 
 
 def test_runs_import_neither_scipy_nor_an_unused_pool(tmp_path):

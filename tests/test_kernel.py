@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import depin as dp
-from depin.kernel import _CHUNK, _zeta, parse_kernel_spec
+from depin.kernel import _CHUNK, UsageError, _zeta, parse_kernel_spec
 from conftest import sparse_kernel, srw_first_return_enum
 
 
@@ -401,6 +401,23 @@ def test_reaches_matches_position_recursion(key):
     for n in range(-1, 401 * period):
         want = n > 0 and n % period == 0 and reached[n // period]
         assert kern.reaches(n) == want, n
+        # steps takes exactly the positive multiples of the period, and a
+        # run takes exactly the positive sizes that reaches accepts
+        if n > 0 and n % period == 0:
+            assert kern.steps(n) == n // period, n
+        else:
+            with pytest.raises(ValueError) as exc:
+                kern.steps(n)
+            assert str(exc.value) == f"N={n} is not a positive multiple of the period {period}"
+        if n < 1:
+            with pytest.raises(ValueError, match="all positive"):
+                kern.sizes([n])
+        elif want:
+            assert kern.sizes([n]) == [n]
+        else:
+            with pytest.raises(UsageError) as exc:
+                kern.sizes([n])
+            assert str(exc.value) == f"no path of the kernel ends at N={n}"
 
 
 def test_reaches_reads_a_table_whose_size_does_not_grow_with_n(tmp_path):

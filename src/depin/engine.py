@@ -20,7 +20,8 @@ The pinned-endpoint and copolymer recursions share one renewal core, which
 also steps a block of rows at once, bit for bit a set of single builds.  A
 row is a (field, replica) pair: a disorder row of a 2-D array, with its own
 field h (a model has none: each build takes one field or a column).  A
-step copies the block's window into one buffer and works there in place.
+step copies the block's window into one buffer and works there in place; a
+step that no chain of excursions reaches is -inf and is not stepped.
 Couplings under which log Z could leave the floating-point range are
 rejected.
 
@@ -140,11 +141,18 @@ def _renewal(kind: str, model: ModelSpec, omega, n: int, h):
     once; row r carries the field h[r], or h if it is a number.  Each step copies
     the window logz[:, t-w:t] into one buffer, adds log K in place and
     reduces every row to its max m and pairwise sum x of exp(cell - m), with
-    numpy's ufunc buffer at WIDE_BUFFER entries when w_max >= WIDE_ROW.
-    Pinning finishes a row as (beta w - h + m) + math.log(x) (libm's log:
-    numpy's SIMD np.log differs in the last bit), the copolymer, after a
-    split term on each (step, excursion) cell, as m + np.log(x); a row whose
-    window is all -inf is NaN after the shift by m, and fmax makes it -inf.
+    numpy's ufunc buffer at WIDE_BUFFER entries when w_max >= WIDE_ROW; a full
+    window with w_max < WIDE_ROW adds log K from a (rows, w_max) copy of it,
+    one inner loop where a broadcast add runs one per row.  Pinning finishes a
+    row as (beta w - h + m) + math.log(x) (libm's log: numpy's SIMD np.log
+    differs in the last bit), the copolymer, after a split term on each
+    (step, excursion) cell, as m + np.log(x).
+
+    A step t that no chain of excursions reaches (ReturnKernel.unreached) is
+    -inf on every row and is not stepped.  Every other step has a finite cell
+    on every row: the last atom k <= min(t, n_max) of a chain ending at t
+    lies in the window, after the reached step t - k, and _check_range keeps
+    log Z finite there; so no max m is -inf and no cell turns NaN.
 
     The split term is np.logaddexp(0, x) - LOG2, where x = c_grid - c_last
     is minus the excursion's interior charge.  logaddexp runs only on the
@@ -178,40 +186,52 @@ def _renewal(kind: str, model: ModelSpec, omega, n: int, h):
 
     logz = np.empty((rows, t_max + 1))
     logz[:, 0] = 0.0
+    dead = kern.unreached(t_max)
+    logz[:, dead] = -math.inf
+    skip = set(dead.tolist())
     buf = np.empty(rows * w_max)
     full = buf.reshape(rows, w_max)
+    rk_full = np.tile(rk, (rows, 1)) if w_max < WIDE_ROW else rk
     m, x = np.empty(rows), np.empty(rows)
     m_col = m[:, None]
-    # a row whose window is all -inf turns to NaN on the shift by its max
-    with _row_buffer(w_max), np.errstate(invalid="ignore"):
+    # bound once and called by position: a narrow step is about ten calls on
+    # small arrays, so their dispatch is most of its cost (np.maximum itself
+    # keeps out= by keyword: numpy 2.4 deprecates a third positional argument)
+    add, sub, exp, log, top, total = (np.add, np.subtract, np.exp, np.log,
+                                      np.maximum.reduce, np.add.reduce)
+    with _row_buffer(w_max):
         for t in range(1, t_max + 1):
-            w = min(t, w_max)
-            seg = full if w == w_max else buf[:rows * w].reshape(rows, w)
+            if t in skip:
+                continue
+            if t < w_max:
+                w, lk, seg = t, rk[w_max - t:], buf[:rows * t].reshape(rows, t)
+            else:
+                w, lk, seg = w_max, rk_full, full
             if not pinning:
                 # log1p(e^x) only where rounding leaves it open; seg holds |x|
                 split = split_buf[:rows * w].reshape(rows, w)
                 near = near_buf[:rows * w].reshape(rows, w)
-                np.subtract(c_grid[:, t - w:t], c_last[:, t - 1:t], out=split)
-                np.less(np.abs(split, out=seg), SATURATION, out=near)
+                sub(c_grid[:, t - w:t], c_last[:, t - 1:t], split)
+                np.less(np.abs(split, seg), SATURATION, near)
                 np.logaddexp(0.0, split, out=split, where=near)
                 np.maximum(split, 0.0, out=split)
                 split -= LOG2
             # faster than np.add from the strided window into seg
             seg[...] = logz[:, t - w:t]
-            seg += rk[w_max - w:]
+            add(seg, lk, seg)
             if not pinning:
-                seg += split
-            np.maximum.reduce(seg, axis=1, out=m)
-            np.subtract(seg, m_col, out=seg)
-            np.exp(seg, out=seg)
-            np.add.reduce(seg, axis=1, out=x)
+                add(seg, split, seg)
+            # the initial -inf spares the copy of each row's first cell
+            top(seg, 1, None, m, False, -math.inf)
+            sub(seg, m_col, seg)
+            exp(seg, seg)
+            total(seg, 1, None, x)
             col = logz[:, t]
             if pinning:
-                np.add(charges[t - 1], m, out=col)
-                col += np.fromiter(map(math.log, x.tolist()), float, rows)
+                add(charges[t - 1], m, col)
+                add(col, np.fromiter(map(math.log, x.tolist()), float, rows), col)
             else:
-                np.add(m, np.log(x, out=x), out=col)
-            np.fmax(col, -math.inf, out=col)
+                add(m, log(x, x), col)
     return logz[0] if one else logz
 
 
@@ -306,7 +326,7 @@ def log_partition_constrained(model: ModelSpec, omega: DisorderSample,
         col_max = np.empty(t_max)
         col_sum = np.empty(t_max)
         # a column with no path turns to NaN on the shift by its max -inf,
-        # and fmax makes it -inf, as in _renewal
+        # and fmax makes it -inf
         with _row_buffer(t_max), np.errstate(invalid="ignore"):
             for t in range(1, t_max + 1):
                 w = min(t, w_max)

@@ -146,6 +146,16 @@ class ReturnKernel:
         t = n // self.period
         return t >= float(self._least_sums[t % self._least_sums.size])
 
+    def unreached(self, t_max: int) -> np.ndarray:
+        """reaches for every position up to t_max periods at once: the ascending
+        t in 1..t_max at which no chain ends (t < least[t % a]).  Empty, and no
+        index array built, when K(s) > 0 (a = 1)."""
+        least = self._least_sums
+        if least.size == 1:
+            return np.empty(0, dtype=np.intp)
+        t = np.arange(1, t_max + 1)
+        return t[t < least[t % least.size]]
+
     def steps(self, n: int) -> int:
         """n/s, the periods in a size n: a ValueError unless n/s is a positive integer."""
         if n < self.period or n % self.period:

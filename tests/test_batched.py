@@ -74,15 +74,16 @@ _RECURSION = {"pinning": dp.log_partition_pinning,
 
 
 @settings(max_examples=60, deadline=None)
+# n_max on both sides of WIDE_ROW = 256, and steps past n_max: full windows
 @given(kind=st.sampled_from(["pinning", "copolymer"]),
        rows=st.integers(1, 40),
-       n_max=st.one_of(st.integers(1, 7), st.integers(129, 200)),
+       n_max=st.one_of(st.integers(1, 7), st.integers(129, 200), st.integers(257, 300)),
        period=st.sampled_from([1, 2]),
-       steps=st.integers(1, 220),
+       steps=st.integers(1, 340),
        extra=st.integers(0, 5),
        beta=st.floats(0.0, 5.0),
        h=st.floats(-10.0, 10.0),
-       zero_frac=st.sampled_from([0.0, 0.3, 0.8]),
+       zero_frac=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
        first_zero=st.booleans(),
        law=st.sampled_from(["gaussian", "uniform", "rademacher"]),
        seed=st.integers(0, 2**63))
@@ -103,6 +104,16 @@ _RECURSION = {"pinning": dp.log_partition_pinning,
          h=10.0, zero_frac=0.0, first_zero=False, law="gaussian", seed=3)
 @example(kind="copolymer", rows=8, n_max=180, period=2, steps=200, extra=1, beta=5.0,
          h=0.2, zero_frac=0.3, first_zero=False, law="gaussian", seed=4)
+# full windows of WIDE_ROW = 256 cells or more, whose log K add broadcasts
+@example(kind="pinning", rows=6, n_max=280, period=1, steps=330, extra=0, beta=1.0,
+         h=0.3, zero_frac=0.3, first_zero=False, law="gaussian", seed=5)
+@example(kind="copolymer", rows=6, n_max=260, period=2, steps=340, extra=2, beta=1.0,
+         h=0.3, zero_frac=0.3, first_zero=True, law="uniform", seed=5)
+# one atom, at the horizon: no chain reaches most steps
+@example(kind="pinning", rows=4, n_max=5, period=2, steps=40, extra=0, beta=1.0,
+         h=0.2, zero_frac=1.0, first_zero=True, law="gaussian", seed=6)
+@example(kind="copolymer", rows=4, n_max=257, period=1, steps=340, extra=0, beta=1.0,
+         h=0.2, zero_frac=1.0, first_zero=True, law="gaussian", seed=6)
 def test_batched_rows_match_single_rows(kind, rows, n_max, period, steps, extra, beta, h,
                                         zero_frac, first_zero, law, seed):
     kern = sparse_kernel(n_max, period, zero_frac, first_zero, seed)
@@ -144,11 +155,11 @@ def test_pinning_finish_is_libm_log():
 @given(kind=st.sampled_from(["pinning", "copolymer"]),
        replicas=st.integers(1, 6),
        fields=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5),
-       n_max=st.one_of(st.integers(1, 7), st.integers(129, 200)),
+       n_max=st.one_of(st.integers(1, 7), st.integers(129, 200), st.integers(257, 300)),
        period=st.sampled_from([1, 2]),
-       steps=st.integers(1, 220),
+       steps=st.integers(1, 340),
        beta=st.floats(0.0, 5.0),
-       zero_frac=st.sampled_from([0.0, 0.3, 0.8]),
+       zero_frac=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
        first_zero=st.booleans(),
        seed=st.integers(0, 2**63))
 # atoms [0, 0, 1, 0]: rows reach -inf
@@ -158,6 +169,10 @@ def test_pinning_finish_is_libm_log():
          steps=12, beta=1.0, zero_frac=0.8, first_zero=True, seed=1)
 @example(kind="copolymer", replicas=3, fields=[10.0, 0.0], n_max=200, period=2,
          steps=220, beta=5.0, zero_frac=0.3, first_zero=False, seed=2)
+@example(kind="pinning", replicas=2, fields=[0.0, -1.0], n_max=270, period=1,
+         steps=330, beta=1.0, zero_frac=0.3, first_zero=False, seed=3)
+@example(kind="copolymer", replicas=2, fields=[0.0, 1.0], n_max=6, period=2,
+         steps=50, beta=1.0, zero_frac=1.0, first_zero=True, seed=3)
 def test_field_column_matches_one_field_calls(kind, replicas, fields, n_max, period,
                                               steps, beta, zero_frac, first_zero, seed):
     # rows are (field, replica) pairs, each field in its own row of the

@@ -398,6 +398,12 @@ def test_reaches_matches_position_recursion(key):
     # beyond is decided as well
     g = math.gcd(*atoms)
     assert reached[-n_max:] == [t % g == 0 for t in range(401 - n_max, 401)]
+    # unreached lists at once the steps that reaches rejects, none if K(s) > 0
+    t_max = int(rng.integers(0, 401))
+    dead = kern.unreached(t_max)
+    assert dead.tolist() == [t for t in range(1, t_max + 1) if not reached[t]]
+    if kern.density[0] > 0.0:
+        assert dead.size == 0
     for n in range(-1, 401 * period):
         want = n > 0 and n % period == 0 and reached[n // period]
         assert kern.reaches(n) == want, n
@@ -418,6 +424,19 @@ def test_reaches_matches_position_recursion(key):
             with pytest.raises(UsageError) as exc:
                 kern.sizes([n])
             assert str(exc.value) == f"no path of the kernel ends at N={n}"
+
+
+def test_unreached_builds_no_index_array_when_every_step_is_reached():
+    for kern in (dp.srw_kernel(50), dp.geometric_kernel(0.5), dp.power_kernel(1.5, 3, 50)):
+        kern.unreached(1)  # the first call builds the table
+        tracemalloc.start()
+        try:
+            dead = kern.unreached(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dead.size == 0
+        assert peak < 64 * 1024, (kern.family, peak)
 
 
 def test_reaches_reads_a_table_whose_size_does_not_grow_with_n(tmp_path):

@@ -11,7 +11,8 @@ one disorder chain at every size, field and probe, and take an error bar
 from the spread of per-replica extrapolations.  A field's estimate is one
 _Probe record.  The bisection's memo maps field to record, and the
 threshold rule is applied as a record is read; its first build holds both
-bracket ends and the first levels of the bisection tree below them.  The
+bracket ends and the first levels of the bisection tree below them, and a
+later build the path that a secant guess of the crossing predicts.  The
 headline exponent and its jackknife refits take one fit route; every
 straight-line fit (the N = inf extrapolation, the log-log exponent, each
 candidate critical point of the power-law fit) is one _wls_line solve.
@@ -122,7 +123,11 @@ def _probes(model: ModelSpec, h_values, law: DisorderLaw, n_list, replicas: int,
 
 
 # window cells (rows x w) of one speculative bisection build, see locate_hc:
-# below it a build's time is mostly per-step overhead
+# below it a build's time is mostly per-step overhead.  At w = 64 (N = 16384,
+# one thread, 2-core x86-64) a step cost 6.5-7.6 us plus 0.33-0.46 us per
+# row, so the rows' share reaches the overhead near 16 rows: a 15-field
+# build stepped in 12-15 us against 7 for one field, and pays once it saves
+# one build
 SPECULATION_CELLS = 1 << 10
 
 
@@ -156,14 +161,19 @@ def locate_hc(model: ModelSpec, law: DisorderLaw, n_list, replicas: int, seed: i
 
     Records go into a memo keyed by field, and the search speculates when a
     build is narrow: the first build holds both bracket ends and the
-    midpoints of the first d levels of the bisection between them, and a
-    later probe at a field not yet known is built with the unknown
-    midpoints of the next d levels below its bracket, up to 2^d - 1 fields
-    as (field, replica) rows of one build, with d set by SPECULATION_CELLS.
-    An end that has to move leaves the first build's midpoints unread.
-    The bisection then reads the memo one probe at a time, so no field is
-    built twice, and every field is estimated bit for bit as alone, so the
-    result and the probes never depend on d.
+    midpoints of the first d levels of the bisection between them, with d
+    set by SPECULATION_CELLS.  A later midpoint not yet known is built with
+    up to 2^d - 2 more as (field, replica) rows of one build: the secant
+    crossing h* of g = f_inf - threshold between the bracket's ends (g > 0
+    at the localized one) predicts each remaining decision as "m < h*",
+    and the build holds that path's midpoints, then each level's other
+    branch midpoint, so a missed guess is read from the memo and the next
+    build guesses again from the narrower bracket.  Where an end's g is
+    not finite the build is the next d levels of the tree instead; a moved
+    end is built alone, and leaves the first build's midpoints unread.  The
+    bisection then reads the memo one probe at a time, so no field is built
+    twice, and every field is estimated bit for bit as alone, so the result
+    and the probes never depend on d or on the guess.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -194,14 +204,37 @@ def locate_hc(model: ModelSpec, law: DisorderLaw, n_list, replicas: int, seed: i
             return []
         return [mid, *tree(lo, mid, levels - 1), *tree(mid, hi, levels - 1)]
 
-    def localized(h: float, lo: float = 0.0, hi: float = 0.0) -> bool:
-        """Record the probe at h.  An h not yet known is built along with the
-        unknown midpoints of the next `depth` levels below (lo, hi)."""
+    def threshold(h: float) -> float:
+        return max(3.0 * known[h].sigma, floor)
+
+    def guided(lo: float, hi: float) -> list:
+        """Up to 2^depth - 1 midpoints below the known ends (lo, hi): the
+        path guessed from the secant crossing, then each level's other
+        branch; the tree when an end's f_inf - threshold is not finite."""
+        g_lo, g_hi = (known[x].f_inf - threshold(x) for x in (lo, hi))
+        if not (math.isfinite(g_lo) and math.isfinite(g_hi)):
+            return tree(lo, hi, depth)
+        cross = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+        path, others = [], []
+        while len(path) < 2 ** depth - 1 and (mid := split(lo, hi)) is not None:
+            path.append(mid)
+            if mid < cross:
+                others.append(split(lo, mid))
+                lo = mid
+            else:
+                others.append(split(mid, hi))
+                hi = mid
+        return (path + [x for x in others if x is not None])[:2 ** depth - 1]
+
+    def localized(h: float, bracket: tuple | None = None) -> bool:
+        """Record the probe at h.  An h not yet known is built along with
+        guided(*bracket), or alone when no bracket is given."""
         if h not in known:
-            evaluate([x for x in dict.fromkeys([h, *tree(lo, hi, depth)]) if x not in known])
-        threshold = max(3.0 * known[h].sigma, floor)
-        probes.append((h, known[h].f_inf, threshold))
-        return known[h].f_inf > threshold
+            more = guided(*bracket) if bracket else []
+            evaluate([x for x in dict.fromkeys([h, *more]) if x not in known])
+        thr = threshold(h)
+        probes.append((h, known[h].f_inf, thr))
+        return known[h].f_inf > thr
 
     if h_window is None:
         if kind == "pinning":
@@ -236,7 +269,7 @@ def locate_hc(model: ModelSpec, law: DisorderLaw, n_list, replicas: int, seed: i
         hi += width
 
     while (mid := split(lo, hi)) is not None:
-        if localized(mid, lo, hi):
+        if localized(mid, (lo, hi)):
             lo = mid
         else:
             hi = mid

@@ -107,7 +107,10 @@ def _fe_block(args) -> np.ndarray:
         sample = np.empty((len(reps), top))
         for r in reps:
             sample[r - reps[0]] = sample_disorder(law, top, spawn_seed(seed, r)).values
-        logz = recursion(model, sample[k // nf - reps[0]], top, fields[k % nf])
+        # one replica's rows all read its one chain: a view, not a copy per field
+        block = (np.broadcast_to(sample[0], (len(k), top)) if len(reps) == 1
+                 else sample[k // nf - reps[0]])
+        logz = recursion(model, block, top, fields[k % nf])
         out[k // nf - lo, k % nf] = logz[:, sizes // model.kernel.period] / sizes
     return out
 

@@ -21,6 +21,9 @@ from .kernel import ReturnKernel
 LOG2 = math.log(2.0)
 NEWTON_RTOL = 1e-15
 MAX_NEWTON_STEPS = 500
+# expm1(-x) is exactly -1.0 for x >= _EXPM1_FLOOR: e^-40 ~ 4.2e-18 is below
+# half the spacing of doubles just under 1 (5.55e-17)
+_EXPM1_FLOOR = 40.0
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,10 @@ def solve_free_energy_pure(kernel: ReturnKernel, h: float) -> PureSolution:
     the same way; no sum goes through BLAS, so b and residual depend on
     numpy alone, not on its BLAS library or thread count.  The far form
     combines the chunks in two levels: each chunk's largest exponent and
-    its sums scaled by it.
+    its sums scaled by it.  On the near form a chunk whose first b n is at
+    least _EXPM1_FLOOR is summed without its terms: each is exactly -K(n),
+    so its partials are minus its atom mass (np.add.reduce of its atoms,
+    the same rule) and +0.0, the bits its terms would give.
     """
     if not math.isfinite(h):
         raise ValueError("h must be finite")
@@ -98,6 +104,10 @@ def solve_free_energy_pure(kernel: ReturnKernel, h: float) -> PureSolution:
         # chunk's (largest exponent, sum of terms, sum of n * terms)
         parts = []
         for atoms, pos, x in kernel.chunks():
+            if near and pos[0] * b >= _EXPM1_FLOOR:
+                # every term is -K(n), every moment n (-K(n) + K(n)) = +0.0
+                parts.append((0.0, -np.add.reduce(density[atoms]), 0.0))
+                continue
             if near:
                 # K(n) expm1(-bn), then n (that + K(n)) = n K(n) exp(-bn)
                 np.multiply(np.expm1(np.multiply(pos, -b, out=x), out=x), density[atoms],

@@ -6,6 +6,7 @@ import pytest
 
 import depin as dp
 from depin.kernel import _CHUNK
+from depin.pure_solver import _EXPM1_FLOOR
 
 
 def closed_form_geometric_b(p: float, h: float) -> float:
@@ -112,6 +113,34 @@ def test_work_arrays_keep_the_bits(kern):
         sol = dp.solve_free_energy_pure(kern, h)
         b, residual = _solve_fresh(kern, h)
         assert (repr(sol.b), repr(sol.residual)) == (repr(b), repr(residual)), h
+
+
+def test_expm1_is_minus_one_below_the_floor():
+    # the premise of the near form's saturated chunks, on the installed numpy
+    x = -np.concatenate([np.linspace(_EXPM1_FLOOR, 1000.0, 200_001),
+                         np.geomspace(1000.0, 1e308, 1001), [np.inf]])
+    assert np.all(np.expm1(x) == -1.0)
+
+
+@pytest.mark.parametrize("kern", [
+    dp.srw_kernel(4 * _CHUNK), dp.power_kernel(3.0, 1, 4 * _CHUNK, defect_mass=0.3),
+    dp.power_kernel(1.2, 1, 4 * _CHUNK)], ids=["srw", "power3", "power1.2"])
+def test_saturated_chunks_keep_the_bits(kern):
+    # near h_c the root's b n passes _EXPM1_FLOOR inside the table, so its
+    # later chunks are summed without their terms; b and residual are those
+    # of every term summed, on the near form and on the far one.  At
+    # alpha = 1.2 those chunks hold enough mass that summing their atoms in
+    # reverse moves the root at gap 0.5 by an ulp
+    hc = dp.hc_pure(kern)
+    near_gaps = (1e-3, 3e-3, 1e-2, 0.1, 0.5, math.nextafter(math.log(2.0), 0.0))
+    last = kern.period * (3 * _CHUNK + 1)  # the last chunk's first position
+    saturated = 0
+    for gap in near_gaps + (math.log(2.0), 2.0, 30.0):
+        sol = dp.solve_free_energy_pure(kern, hc - gap)
+        b, residual = _solve_fresh(kern, hc - gap)
+        assert (repr(sol.b), repr(sol.residual)) == (repr(b), repr(residual)), gap
+        saturated += gap in near_gaps and b * last >= _EXPM1_FLOOR
+    assert saturated >= 2
 
 
 @pytest.mark.parametrize("make", [dp.srw_kernel, dp.geometric_kernel])

@@ -166,14 +166,13 @@ def locate_hc(model: ModelSpec, law: DisorderLaw, n_list, replicas: int, seed: i
     up to 2^d - 2 more as (field, replica) rows of one build: the secant
     crossing h* of g = f_inf - threshold between the bracket's ends (g > 0
     at the localized one) predicts each remaining decision as "m < h*",
-    and the build holds that path's midpoints, then each level's other
-    branch midpoint, so a missed guess is read from the memo and the next
-    build guesses again from the narrower bracket.  Where an end's g is
-    not finite the build is the next d levels of the tree instead; a moved
-    end is built alone, and leaves the first build's midpoints unread.  The
-    bisection then reads the memo one probe at a time, so no field is built
-    twice, and every field is estimated bit for bit as alone, so the result
-    and the probes never depend on d or on the guess.
+    and the build holds the midpoints of that path, so a missed guess
+    leaves the rest of it unread and the next build guesses again from the
+    narrower bracket.  A moved end is built alone, and leaves the first
+    build's midpoints unread.  The bisection then reads the memo one probe
+    at a time, so no field is built twice, and every field is estimated
+    bit for bit as alone, so the result and the probes never depend on d
+    or on the guess.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -208,23 +207,16 @@ def locate_hc(model: ModelSpec, law: DisorderLaw, n_list, replicas: int, seed: i
         return max(3.0 * known[h].sigma, floor)
 
     def guided(lo: float, hi: float) -> list:
-        """Up to 2^depth - 1 midpoints below the known ends (lo, hi): the
-        path guessed from the secant crossing, then each level's other
-        branch; the tree when an end's f_inf - threshold is not finite."""
+        """The next midpoints below the known ends (lo, hi), up to
+        2^depth - 1, along the path that the secant crossing of
+        f_inf - threshold between them predicts."""
         g_lo, g_hi = (known[x].f_inf - threshold(x) for x in (lo, hi))
-        if not (math.isfinite(g_lo) and math.isfinite(g_hi)):
-            return tree(lo, hi, depth)
         cross = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
-        path, others = [], []
+        path = []
         while len(path) < 2 ** depth - 1 and (mid := split(lo, hi)) is not None:
             path.append(mid)
-            if mid < cross:
-                others.append(split(lo, mid))
-                lo = mid
-            else:
-                others.append(split(mid, hi))
-                hi = mid
-        return (path + [x for x in others if x is not None])[:2 ** depth - 1]
+            lo, hi = (mid, hi) if mid < cross else (lo, mid)
+        return path
 
     def localized(h: float, bracket: tuple | None = None) -> bool:
         """Record the probe at h.  An h not yet known is built along with

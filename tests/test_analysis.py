@@ -455,7 +455,7 @@ _SPECULATION_CASES = [
     ("pinning", 0.0, GEO, [64, 128], 1, 1e-300, None, 4, (14, 212)),
     ("pinning", 0.0, GEO, [256], 1, 1e-3, (1.0, 1.5), 4, (6, 50)),
     ("pinning", 0.0, GEO, [256], 1, 1e-3, (-3.0, -2.5), 4, (9, 55)),
-    # the first guided build's guess misses at its first level
+    # the first guided build's guess misses at its first decision
     ("pinning", 1.0, POW, [64, 128], 2, 1e-3, None, 3, (3, 23)),
     ("pinning", 0.5, GEO, [64, 128], 1, 1e-3, None, 4, (3, 33)),
     ("copolymer", 0.5, GEO, [128, 256], 1, 1e-3, None, 4, (3, 33)),
@@ -466,8 +466,8 @@ _MISSED = _SPECULATION_CASES[7]
 @pytest.mark.parametrize("case", _SPECULATION_CASES)
 def test_speculation_equals_sequential_bisection(monkeypatch, gaussian_law, case):
     # several bisection levels per build keep the one-probe-at-a-time
-    # probes, in order, to the last bit, in no more builds or fields than
-    # the bisection tree below each bracket would take
+    # probes, in order, to the last bit, in no more fields than the
+    # bisection tree below each bracket would take
     kind, beta, kern, sizes, replicas, tol, window, depth, (tree_builds, tree_fields) = case
     monkeypatch.setenv("DEPIN_THREADS", "1")
     model = dp.ModelSpec(kind, beta, kern)
@@ -480,7 +480,9 @@ def test_speculation_equals_sequential_bisection(monkeypatch, gaussian_law, case
     assert [repr(p) for p in fit.points] == [repr(p) for p in probes]
     fields = [h for build in builds for h in build]
     assert len(set(fields)) == len(fields)  # no field is built twice
-    assert len(builds) <= tree_builds and len(fields) <= tree_fields
+    assert len(fields) <= tree_fields
+    # a later build holds no other branch, so a missed guess costs a build
+    assert len(builds) <= tree_builds + (case is _MISSED)
     assert all(len(build) < 2 ** depth for build in builds[1:])
     if depth == 1:
         # the bracket ends share a build with the first midpoint, which an
@@ -489,23 +491,25 @@ def test_speculation_equals_sequential_bisection(monkeypatch, gaussian_law, case
         assert len(builds) == len(probes) - (1 if widened else 2)
         return
     assert len(builds) < len(probes) - 1
+    # a later build is the guessed path: the bisection reads it in order,
+    # up to the first decision the guess missed
+    first_reads = list(dict.fromkeys(h for h, _, _ in probes))
+    read = [[h for h in first_reads if h in build] for build in builds[1:]]
+    assert all(r == build[:len(r)] for r, build in zip(read, builds[1:]))
     if case is _MISSED:
-        # a later build is read in order from its first field while its
-        # guess holds; this one's first guided build is not (the bisection
-        # reads an other-branch midpoint), and the next build guesses again
-        read = [[h for h, _, _ in probes if h in build] for build in builds[1:]]
-        in_order = [r == build[:len(r)] for r, build in zip(read, builds[1:])]
-        assert in_order == [False] + [True] * (len(builds) - 2) and len(builds) > 2
+        # the first guided build is read only to its first field, and the
+        # next build guesses again from the narrower bracket
+        assert len(read[0]) == 1 < len(builds[1]) and len(builds) > 2
 
 
 def test_bench_shaped_bisection_takes_two_builds(monkeypatch, gaussian_law):
     # the pure workload's hc shape at smaller N: the ends and four levels,
-    # then the remaining six levels along the guessed path with their other
-    # branches, in two builds where the tree below each bracket took three
+    # then the remaining six levels along the guessed path, in two builds
+    # where the tree below each bracket took three
     builds = _record_builds(monkeypatch)
     fit = dp.locate_hc(PIN0, gaussian_law, [256, 512, 1024], 1, 3, 2.5e-4)
     assert fit.hc_err <= 2.5e-4 and len(fit.points) == 12
-    assert [len(build) for build in builds] == [17, 11]
+    assert [len(build) for build in builds] == [17, 6]
 
 
 def _tree(lo, hi, levels):
@@ -530,22 +534,6 @@ def test_first_build_is_the_ends_and_the_first_levels(monkeypatch, gaussian_law,
     assert builds[0] == [-0.5, 0.5, *_tree(-0.5, 0.5, depth)]
     if depth == 2:
         assert builds[0] == [-0.5, 0.5, 0.0, -0.25, 0.25]
-
-
-def test_a_margin_that_is_not_finite_falls_back_to_the_tree(monkeypatch, gaussian_law):
-    # F = inf at the localized end leaves no secant to follow: the build
-    # after the first is the next levels of the bisection tree below its
-    # bracket, (0.25, 0.3125) once the first build's four levels are read
-    builds = []
-
-    def phase(model, h_values, *args):
-        builds.append(list(h_values))
-        return [analysis._Probe(h, None, math.inf if h < 0.3 else 0.0, 0.0, None)
-                for h in h_values]
-
-    monkeypatch.setattr(analysis, "_probes", phase)
-    dp.locate_hc(PIN0, gaussian_law, [256], 1, 3, 1e-3, h_window=(-0.5, 0.5))
-    assert builds[1] == _tree(0.25, 0.3125, 4)
 
 
 def test_speculation_keeps_the_bracket_failure(gaussian_law):
